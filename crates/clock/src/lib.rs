@@ -1,7 +1,7 @@
 //! Shared time source: milliseconds since an arbitrary origin.
 //!
 //! Time enters the serving stack in several places — scheduler deadlines,
-//! the transport's accept-backoff and drain windows, the delta coalescer's
+//! the transport's accept-backoff and drain windows, the delta
 //! collection window — and deterministic tests must be able to control all
 //! of them **together**. Every layer therefore reads the same [`Clock`]
 //! trait object instead of [`std::time::Instant`] directly. [`SystemClock`]

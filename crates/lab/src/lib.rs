@@ -2,7 +2,7 @@
 //! server.
 //!
 //! Built on [`qsync_serve::sim`]: the **entire** server — reactor, core,
-//! scheduler, plan engine, delta coalescer — runs single-threaded on a
+//! scheduler, plan engine, delta waves — runs single-threaded on a
 //! virtual clock over in-memory connections, so a run is a pure function of
 //! its script. This crate adds the chaos layer on top:
 //!

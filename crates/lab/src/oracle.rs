@@ -34,7 +34,6 @@
 
 use std::collections::HashMap;
 
-use qsync_clock::SystemClock;
 use qsync_serve::{PlanEngine, SimOp};
 
 use crate::driver::{snapshot_cache, ConnRecord, RunTranscript};
@@ -132,15 +131,10 @@ fn check_exactly_once(transcript: &RunTranscript, report: &mut OracleReport) {
 }
 
 fn check_coherence(transcript: &RunTranscript, report: &mut OracleReport) {
-    // A fresh engine with the same cache sizing, no coalescer window (waves
-    // are replayed explicitly) and the wall clock (the engine's timed
-    // machinery is bypassed on this path).
-    let engine = PlanEngine::with_full_config(
-        transcript.cache_config,
-        std::time::Duration::ZERO,
-        std::sync::Arc::new(SystemClock::new()),
-    )
-    .with_plan_budget(transcript.plan_budget);
+    // A fresh engine with the same cache sizing; waves are replayed exactly
+    // as the op log grouped them.
+    let engine = PlanEngine::with_cache_config(transcript.cache_config)
+        .with_plan_budget(transcript.plan_budget);
     for op in &transcript.ops {
         match op {
             SimOp::Plan(request) => {

@@ -18,7 +18,7 @@
 
 use qsync_lab::fault::{DeltaSpec, FaultAction, FaultPlan, PlanSpec};
 use qsync_lab::{check_all, run_plan, run_plan_with};
-use qsync_serve::{RateLimitConfig, SimConfig, TokenBucketConfig};
+use qsync_serve::{RateLimitConfig, SimConfig, SimOp, TokenBucketConfig};
 
 /// Seeds pinned after seed sweeps: known-interesting schedules, re-checked
 /// forever. Do not rotate them when they fail — fix the bug they found.
@@ -49,6 +49,17 @@ fn resynced(replies: &[serde_json::Value], id: u64) -> Option<(u64, u64)> {
         (body["id"].as_u64() == Some(id))
             .then(|| (body["seq"].as_u64().unwrap(), body["dropped"].as_u64().unwrap()))
     })
+}
+
+/// The `coalesced` group size reported by the `Delta` reply answering `id`.
+fn delta_coalesced(replies: &[serde_json::Value], id: u64) -> u64 {
+    replies
+        .iter()
+        .find_map(|reply| {
+            let body = reply.get("Delta")?;
+            (body["id"].as_u64() == Some(id)).then(|| body["coalesced"].as_u64().unwrap())
+        })
+        .unwrap_or_else(|| panic!("no Delta reply for id {id}"))
 }
 
 #[test]
@@ -128,16 +139,49 @@ fn delta_storm_coalesces_into_one_wave() {
     check_all(&transcript).assert_ok(&transcript);
     // Every storm member must report the full group size.
     for id in 20..23u64 {
-        let coalesced = transcript.conns[0]
-            .replies
-            .iter()
-            .find_map(|r| {
-                let body = r.get("Delta")?;
-                (body["id"].as_u64() == Some(id)).then(|| body["coalesced"].as_u64().unwrap())
-            })
-            .unwrap_or_else(|| panic!("no Delta reply for id {id}"));
+        let coalesced = delta_coalesced(&transcript.conns[0].replies, id);
         assert_eq!(coalesced, 3, "delta {id} did not coalesce with the storm");
     }
+}
+
+#[test]
+fn collection_window_gathers_staggered_deltas_into_one_wave() {
+    use FaultAction::*;
+    // With a 400 ms collection window (virtual time), two deltas 60 ms apart
+    // — on different connections — apply as ONE wave once the first has
+    // waited out the window. A plan sent mid-window is not held up by the
+    // pending wave, and the op log the coherence replay consumes carries the
+    // wave exactly as the server grouped it.
+    let config = SimConfig {
+        delta_window: std::time::Duration::from_millis(400),
+        ..SimConfig::default()
+    };
+    let plan = FaultPlan::scripted(vec![
+        Connect { conn: 0 },
+        Connect { conn: 1 },
+        Subscribe { conn: 1, id: 1 },
+        SendBatch { conn: 0, first_id: 2, specs: vec![plan_spec(16), plan_spec(24)] },
+        SendDelta { conn: 0, id: 20, spec: delta_spec(0, 90) },
+        Advance { ms: 60 },
+        SendDelta { conn: 1, id: 21, spec: delta_spec(1, 80) },
+        SendPlan { conn: 1, id: 30, spec: plan_spec(32) },
+        Advance { ms: 400 },
+    ]);
+    let transcript = run_plan_with(config, &plan);
+    check_all(&transcript).assert_ok(&transcript);
+    for (conn, id) in [(0usize, 20u64), (1, 21)] {
+        let coalesced = delta_coalesced(&transcript.conns[conn].replies, id);
+        assert_eq!(coalesced, 2, "delta {id} missed the windowed wave");
+    }
+    let shape: Vec<usize> = transcript
+        .ops
+        .iter()
+        .map(|op| match op {
+            SimOp::Plan(_) => 0,
+            SimOp::DeltaWave(members) => members.len(),
+        })
+        .collect();
+    assert_eq!(shape, vec![0, 0, 0, 2], "three plans, then one two-member wave");
 }
 
 #[test]

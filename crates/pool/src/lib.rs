@@ -71,9 +71,10 @@ pub fn chunk_plan(len: usize, min_len: usize) -> (usize, usize) {
 // ---------------------------------------------------------------------------
 
 /// A queued unit of work: one chunk of one batch. The pointer targets the
-/// [`Batch`] on the submitting thread's stack; the batch's completion latch
+/// [`Batch`] on the submitting thread's stack; the batch's `released` flag
 /// guarantees the stack frame outlives every queued job (each job is popped
-/// and executed exactly once before the latch opens).
+/// and executed exactly once, and the last one releases the owner only as
+/// its final access to the batch).
 #[derive(Clone, Copy)]
 struct Job {
     batch: *const BatchHeader,
@@ -91,6 +92,11 @@ struct BatchHeader {
     completed: AtomicUsize,
     done: Mutex<bool>,
     done_cond: Condvar,
+    /// The one signal the owning scope leaves on. Stored by the completer of
+    /// the last chunk as its **final** access to the batch — after the latch
+    /// has been locked, flagged, notified and unlocked — so the owner can
+    /// never pop the stack frame while a worker is still inside it.
+    released: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -109,6 +115,7 @@ impl<'f> Batch<'f> {
                 completed: AtomicUsize::new(0),
                 done: Mutex::new(false),
                 done_cond: Condvar::new(),
+                released: AtomicBool::new(false),
                 panic: Mutex::new(None),
             },
             f,
@@ -130,13 +137,23 @@ impl<'f> Batch<'f> {
 impl BatchHeader {
     fn complete_one(&self) {
         if self.completed.fetch_add(1, Ordering::SeqCst) + 1 == self.n {
+            // Test builds widen the window between "all chunks ran" and the
+            // latch hand-off, which is where an owner leaving early bites.
+            #[cfg(test)]
+            std::thread::yield_now();
             *self.done.lock().unwrap() = true;
             self.done_cond.notify_all();
+            // Last touch: nothing may read or write the batch after this
+            // store, the owner's frame can be gone the instant it lands.
+            self.released.store(true, Ordering::SeqCst);
         }
     }
 
+    /// Whether the owner may leave its scope (and free the batch). Not
+    /// `completed == n`: that turns true *before* the last completer has
+    /// finished with the latch.
     fn is_done(&self) -> bool {
-        self.completed.load(Ordering::SeqCst) == self.n
+        self.released.load(Ordering::SeqCst)
     }
 
     /// Park briefly on the latch; returns whether the batch finished.
@@ -741,6 +758,77 @@ mod tests {
         assert!(stats.jobs >= 512);
         assert!(stats.injected >= 512, "external scopes go through the injector");
         assert_eq!(stats.queue_depth, 0, "scopes drain their queues before returning");
+    }
+
+    /// Overwrite the stack region a just-returned scope occupied with
+    /// non-zero garbage, as any ordinary caller's next frames would.
+    #[inline(never)]
+    fn churn_stack(seed: u64) -> u64 {
+        let mut frame = [0u64; 96];
+        for (i, slot) in frame.iter_mut().enumerate() {
+            *slot = std::hint::black_box(seed | 0xA5A5_0000_0000_0001).wrapping_mul(i as u64 + 1);
+        }
+        std::hint::black_box(&frame).iter().fold(0, |acc, &v| acc ^ v)
+    }
+
+    /// Every worker of `pool` still takes jobs: a worker that touched a dead
+    /// batch blocks on (or panics over) whatever the owner's stack holds by
+    /// then, and silently leaves the pool.
+    fn assert_workers_alive(pool: &Pool, threads: usize) {
+        let caller = std::thread::current().id();
+        let workers = Mutex::new(std::collections::HashSet::new());
+        for _ in 0..50 {
+            pool.run_chunks(4 * threads, |_| {
+                let id = std::thread::current().id();
+                if id != caller {
+                    workers.lock().unwrap().insert(id);
+                }
+                std::thread::sleep(Duration::from_micros(500));
+            });
+            if workers.lock().unwrap().len() == threads {
+                return;
+            }
+        }
+        panic!("only {} of {threads} workers still run jobs", workers.lock().unwrap().len());
+    }
+
+    #[test]
+    fn tiny_scopes_never_outlive_their_stack_batch() {
+        // Regression: the owner used to leave on `completed == n` while the
+        // last completer was still locking/notifying the latch inside the
+        // owner's (by then popped and reused) stack frame. Two-chunk scopes
+        // maximise the odds that a worker finishes last, right as the owner
+        // polls; the frame is reused at once.
+        const SCOPES: u32 = 100_000;
+        for threads in [2, 4] {
+            let pool = Pool::with_threads(threads);
+            let total = AtomicU32::new(0);
+            let mut churn = 0;
+            for i in 0..SCOPES {
+                pool.run_chunks(2, |_| {
+                    total.fetch_add(1, Ordering::Relaxed);
+                });
+                churn ^= churn_stack(u64::from(i));
+            }
+            std::hint::black_box(churn);
+            assert_eq!(total.load(Ordering::SeqCst), 2 * SCOPES, "threads {threads}");
+            assert_workers_alive(&pool, threads);
+        }
+        // Nested: inner scopes live on worker stacks as well as the caller's.
+        let pool = Pool::with_threads(4);
+        let total = AtomicU32::new(0);
+        pool.install(|| {
+            for i in 0..10_000u64 {
+                run_chunks(2, |_| {
+                    run_chunks(2, |_| {
+                        total.fetch_add(1, Ordering::Relaxed);
+                    });
+                    std::hint::black_box(churn_stack(i));
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::SeqCst), 40_000);
+        assert_workers_alive(&pool, 4);
     }
 
     fn fibonacci(n: u64) -> u64 {

@@ -2,7 +2,7 @@
 //!
 //! The `Clock` seam originally lived here; it now serves the whole stack
 //! (scheduler deadlines, transport accept-backoff and drain windows, delta
-//! coalescer windows), so the types moved to the dedicated `qsync-clock`
+//! collection window), so the types moved to the dedicated `qsync-clock`
 //! crate. This module remains as a compatibility re-export: existing
 //! `qsync_sched::clock::{Clock, ManualClock, SystemClock}` paths keep
 //! working unchanged.

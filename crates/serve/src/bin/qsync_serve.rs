@@ -8,7 +8,7 @@
 //!                   [--drr-quantum N] [--shed-expired true|false] [--age-limit-ms N]
 //!                   [--delta-window-ms N] [--plan-budget-evals N]
 //!                   [--event-outbox-cap BYTES] [--accept-backoff-ms N]
-//!                   [--reactors N] [--handoff least-loaded|round-robin]
+//!                   [--reactors N]
 //!                   [--rate-limit-conn RATE[,BURST]] [--rate-limit-client RATE[,BURST]]
 //!                   [--store PATH] [--snapshot-interval-ms N] [--follow ADDR]
 //!     Serve protocol lines (legacy v0 objects or v1 envelopes; see
@@ -26,10 +26,9 @@
 //!     --accept-backoff-ms sets how long accepts pause after a
 //!     resource-exhaustion accept error (EMFILE and friends).
 //!     --reactors shards the TCP transport across N epoll reactor threads
-//!     (default: the available cores); reactor 0 accepts and hands
-//!     connections off per --handoff — to the least-loaded reactor by
-//!     default, or dealt round-robin — all sharing one core (see the
-//!     "Transport" section of the README). --rate-limit-conn and
+//!     (default: the available cores); reactor 0 accepts and hands each
+//!     connection to the least-loaded reactor, all sharing one core (see
+//!     the "Transport" section of the README). --rate-limit-conn and
 //!     --rate-limit-client arm token-bucket overload protection
 //!     (commands/second, with an optional burst defaulting to the rate);
 //!     a shed command is answered with a structured "rate_limited" error,
@@ -219,8 +218,7 @@ fn parse_delta_window(flags: &Flags) -> Result<Duration, String> {
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let workers: usize =
         flags.get("workers").unwrap_or("8").parse().map_err(|e| format!("bad --workers: {e}"))?;
-    let mut engine_config =
-        PlanEngine::with_config(parse_cache_config(flags)?, parse_delta_window(flags)?);
+    let mut engine_config = PlanEngine::with_cache_config(parse_cache_config(flags)?);
     if let Some(budget) = flags.get("plan-budget-evals") {
         engine_config = engine_config.with_plan_budget(Some(
             budget.parse().map_err(|e| format!("bad --plan-budget-evals: {e}"))?,
@@ -241,7 +239,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             })
             .map_err(|e| format!("spawn admin thread: {e}"))?;
     }
-    let mut server = PlanServer::with_sched(engine, workers, parse_sched_config(flags)?);
+    let mut server = PlanServer::with_sched(engine, workers, parse_sched_config(flags)?)
+        .with_delta_window(parse_delta_window(flags)?);
     let mut transport = TransportConfig::default();
     if let Some(cap) = flags.get("event-outbox-cap") {
         transport.event_outbox_cap =
@@ -263,9 +262,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         }
         None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     };
-    if let Some(policy) = flags.get("handoff") {
-        transport.handoff = policy.parse().map_err(|e| format!("bad --handoff: {e}"))?;
-    }
     if let Some(value) = flags.get("rate-limit-conn") {
         transport.rate_limit.per_conn = Some(parse_token_bucket("rate-limit-conn", value)?);
     }

@@ -1,233 +1,16 @@
-//! The elasticity layer: delta coalescing over the wire types of
-//! [`qsync_api`].
+//! The elasticity layer's wire types.
 //!
-//! The shape-change *wire types* — [`ClusterDelta`], [`DeltaRequest`],
+//! The shape-change types — [`ClusterDelta`], [`DeltaRequest`],
 //! [`DeltaResponse`], [`DeltaStats`] — live in the protocol crate
-//! ([`qsync_api::delta`]) and are re-exported here; this module owns the
-//! server-side machinery that batches them.
+//! ([`qsync_api::delta`]) and are re-exported here for the serving code.
 //!
 //! Elasticity events cluster in time — a spot reclaim degrades several
-//! devices at once, a scale-down removes ranks back to back. The
-//! [`DeltaCoalescer`] merges deltas submitted concurrently (by different
-//! server connections or threads) into shared **waves**: one caller leads the
-//! wave, the engine composes same-cluster deltas and invalidates once, and
-//! the re-plan chains run as a single batch the leader can fan out across a
-//! worker pool (the server submits them to the scheduler's batch class).
-//!
-//! With a non-zero **collection window** the leader additionally waits a few
-//! milliseconds before taking the wave, so *near*-concurrent event storms
-//! (deltas trickling in over the window, not just exactly-concurrent
-//! submissions) still batch into one wave — at the cost of that much added
-//! latency on the first delta. The window is off by default
-//! (`--delta-window-ms` on the `qsync-serve` binary).
-
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+//! devices at once, a scale-down removes ranks back to back — so the server
+//! applies them in **waves**: every delta queued when a wave starts is
+//! handed to [`PlanEngine::apply_deltas_with`](crate::engine::PlanEngine::apply_deltas_with)
+//! together, which composes same-cluster deltas, invalidates once and emits
+//! the re-plan chains as one batch. The queue, the optional collection
+//! window (`--delta-window-ms`) and the wave executor are the server's
+//! ([`crate::server`]); there is no second batching layer here.
 
 pub use qsync_api::{ClusterDelta, DeltaRequest, DeltaResponse, DeltaStats};
-
-use qsync_api::ApiError;
-use qsync_clock::{Clock, SystemClock};
-
-use crate::engine::{PlanEngine, ReplanChain};
-use crate::request::PlanResponse;
-
-/// Merges concurrently submitted deltas into shared waves.
-///
-/// Every caller enqueues its request; the first caller to find no wave in
-/// flight becomes the **leader**, waits out the collection window (if any),
-/// takes everything pending, and applies it as one
-/// [`PlanEngine::apply_deltas_with`] batch using its own executor (the
-/// server's executor fans re-plan chains out across the scheduler). Deltas
-/// arriving while a wave is applying accumulate into the next wave. Each
-/// caller gets exactly its own delta's [`DeltaResponse`] back.
-#[derive(Debug)]
-pub struct DeltaCoalescer {
-    state: Mutex<CoalesceState>,
-    wave_done: Condvar,
-    /// How long a wave leader collects further deltas before applying.
-    window: Duration,
-    /// The time source the collection window is measured against — the same
-    /// injected clock the scheduler and transport read, so virtual-time
-    /// tests control the window too.
-    clock: Arc<dyn Clock>,
-}
-
-impl Default for DeltaCoalescer {
-    fn default() -> Self {
-        DeltaCoalescer {
-            state: Mutex::default(),
-            wave_done: Condvar::new(),
-            window: Duration::ZERO,
-            clock: Arc::new(SystemClock::new()),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct CoalesceState {
-    next_ticket: u64,
-    pending: Vec<(u64, DeltaRequest)>,
-    results: HashMap<u64, Result<DeltaResponse, ApiError>>,
-    applying: bool,
-}
-
-impl DeltaCoalescer {
-    /// A coalescer that batches only exactly-concurrent submissions (no
-    /// collection window) — the default.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A coalescer whose wave leaders wait `window` for near-concurrent
-    /// deltas before applying.
-    pub fn with_window(window: Duration) -> Self {
-        DeltaCoalescer { window, ..DeltaCoalescer::default() }
-    }
-
-    /// A coalescer whose collection window runs on an explicit clock.
-    pub fn with_window_and_clock(window: Duration, clock: Arc<dyn Clock>) -> Self {
-        DeltaCoalescer { window, clock, ..DeltaCoalescer::default() }
-    }
-
-    /// The configured collection window.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
-    /// Apply `request`, coalescing with any deltas submitted concurrently
-    /// (or within the collection window). Blocks until this delta's wave has
-    /// been applied (by this caller or a concurrent leader).
-    pub fn apply_with<F>(
-        &self,
-        engine: &PlanEngine,
-        request: &DeltaRequest,
-        exec: F,
-    ) -> Result<DeltaResponse, ApiError>
-    where
-        F: FnOnce(Vec<ReplanChain>) -> Vec<PlanResponse>,
-    {
-        let ticket;
-        {
-            let mut state = self.state.lock().expect("delta coalescer poisoned");
-            ticket = state.next_ticket;
-            state.next_ticket += 1;
-            state.pending.push((ticket, request.clone()));
-            engine.obs().coalescer_pending.set(state.pending.len() as i64);
-        }
-        let mut exec = Some(exec);
-        let mut state = self.state.lock().expect("delta coalescer poisoned");
-        loop {
-            if let Some(result) = state.results.remove(&ticket) {
-                return result;
-            }
-            if state.applying {
-                state = self.wave_done.wait(state).expect("delta coalescer poisoned");
-                continue;
-            }
-            // Lead a wave. Mark it applying *before* the collection window so
-            // later arrivals enqueue instead of racing for leadership; they
-            // are swept into this wave as long as they land before the take.
-            state.applying = true;
-            if !self.window.is_zero() {
-                let deadline = self.clock.now_ms() + self.window.as_millis() as u64;
-                loop {
-                    let now = self.clock.now_ms();
-                    if now >= deadline {
-                        break;
-                    }
-                    // `wave_done` is only notified at wave completion, so this
-                    // is effectively a sleep that still releases the state
-                    // lock for arriving deltas. Capped so a frozen manual
-                    // clock re-checks instead of sleeping out the whole
-                    // window in real time.
-                    let wait = Duration::from_millis((deadline - now).min(50));
-                    let (st, _timeout) = self
-                        .wave_done
-                        .wait_timeout(state, wait)
-                        .expect("delta coalescer poisoned");
-                    state = st;
-                }
-            }
-            let batch = std::mem::take(&mut state.pending);
-            engine.obs().coalescer_pending.set(0);
-            drop(state);
-            let requests: Vec<DeltaRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let outcomes = engine
-                .apply_deltas_with(&requests, exec.take().expect("a caller leads at most once"));
-            state = self.state.lock().expect("delta coalescer poisoned");
-            for ((ticket, _), outcome) in batch.into_iter().zip(outcomes) {
-                state.results.insert(ticket, outcome);
-            }
-            state.applying = false;
-            self.wave_done.notify_all();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    use qsync_api::{ModelSpec, PlanRequest};
-    use qsync_cluster::topology::ClusterSpec;
-
-    fn degrade(id: u64, cluster: &ClusterSpec) -> DeltaRequest {
-        let rank = cluster.inference_ranks()[0];
-        DeltaRequest::new(
-            id,
-            cluster.clone(),
-            ClusterDelta::Degraded { rank, memory_fraction: 0.5, compute_fraction: 0.9 },
-        )
-    }
-
-    #[test]
-    fn collection_window_batches_near_concurrent_deltas_into_one_wave() {
-        let cluster = ClusterSpec::hybrid_small();
-        let engine = Arc::new(PlanEngine::with_delta_window(Duration::from_millis(400)));
-        engine
-            .plan(&PlanRequest::new(
-                1,
-                ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 32, classes: 4 },
-                cluster.clone(),
-            ))
-            .unwrap();
-
-        // Two deltas staggered well within the window: without the window the
-        // second would miss the first's wave (it only starts once the first
-        // has already *taken* its batch) and form a second wave.
-        std::thread::scope(|scope| {
-            let leader = {
-                let engine = Arc::clone(&engine);
-                let request = degrade(10, &cluster);
-                scope.spawn(move || {
-                    engine
-                        .apply_delta_coalesced_with(&request, |chains| {
-                            chains.iter().map(|c| engine.run_replan_chain(c)).collect()
-                        })
-                        .unwrap()
-                })
-            };
-            std::thread::sleep(Duration::from_millis(60));
-            let late = {
-                let engine = Arc::clone(&engine);
-                let request = degrade(11, &cluster);
-                scope.spawn(move || {
-                    engine
-                        .apply_delta_coalesced_with(&request, |chains| {
-                            chains.iter().map(|c| engine.run_replan_chain(c)).collect()
-                        })
-                        .unwrap()
-                })
-            };
-            let (a, b) = (leader.join().unwrap(), late.join().unwrap());
-            assert_eq!(a.coalesced, 2, "late delta joined the leader's wave");
-            assert_eq!(b.coalesced, 2);
-        });
-        let stats = engine.delta_stats();
-        assert_eq!(stats.waves, 1, "one collection window, one wave");
-        assert_eq!(stats.events, 2);
-    }
-}

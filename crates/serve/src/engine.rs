@@ -20,14 +20,15 @@
 //! how chains run — inline ([`PlanEngine::apply_delta`]) or fanned out across
 //! a worker pool (the server submits them to the scheduler's batch class).
 //! Chains re-plan through every intermediate shape, so the final plans are
-//! **byte-identical** to applying the deltas one at a time. Concurrent
-//! callers coalesce into shared waves through a
-//! [`DeltaCoalescer`](crate::elastic::DeltaCoalescer).
+//! **byte-identical** to applying the deltas one at a time. Which deltas
+//! share a wave is the server's call: its delta queue hands the engine
+//! everything that arrived within one collection window (see
+//! [`crate::server`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qsync_api::ApiError;
 use qsync_cluster::topology::ClusterSpec;
@@ -37,7 +38,7 @@ use qsync_core::plan::PrecisionPlan;
 use qsync_core::system::QSyncSystem;
 
 use crate::cache::{CacheConfig, CachedPlan, PlanCache};
-use crate::elastic::{DeltaCoalescer, DeltaRequest, DeltaResponse, DeltaStats};
+use crate::elastic::{DeltaRequest, DeltaResponse, DeltaStats};
 use crate::metrics::ServeObs;
 use crate::request::{IndicatorChoice, PlanOutcome, PlanRequest, PlanResponse};
 
@@ -52,7 +53,6 @@ pub struct PlanEngine {
     cache: PlanCache,
     in_flight: Mutex<HashSet<String>>,
     flight_done: Condvar,
-    coalescer: DeltaCoalescer,
     delta_waves: AtomicU64,
     delta_events: AtomicU64,
     batched_replans: AtomicU64,
@@ -138,39 +138,7 @@ impl PlanEngine {
 
     /// An engine with an explicitly sized (capacity, shards) cache.
     pub fn with_cache_config(config: CacheConfig) -> Self {
-        Self::with_config(config, Duration::ZERO)
-    }
-
-    /// An engine whose delta coalescer collects near-concurrent deltas for
-    /// `window` before applying a wave (see
-    /// [`DeltaCoalescer`](crate::elastic::DeltaCoalescer)).
-    pub fn with_delta_window(window: Duration) -> Self {
-        Self::with_config(CacheConfig::default(), window)
-    }
-
-    /// An engine with explicit cache sizing and delta collection window.
-    pub fn with_config(cache: CacheConfig, delta_window: Duration) -> Self {
-        PlanEngine {
-            cache: PlanCache::with_config(cache),
-            coalescer: DeltaCoalescer::with_window(delta_window),
-            ..PlanEngine::default()
-        }
-    }
-
-    /// An engine with explicit cache sizing, delta window **and** clock: the
-    /// coalescer's collection window is measured on `clock`, so a server
-    /// built around a [`ManualClock`](qsync_clock::ManualClock) has *every*
-    /// timed behavior — scheduler, transport, coalescer — on virtual time.
-    pub fn with_full_config(
-        cache: CacheConfig,
-        delta_window: Duration,
-        clock: std::sync::Arc<dyn qsync_clock::Clock>,
-    ) -> Self {
-        PlanEngine {
-            cache: PlanCache::with_config(cache),
-            coalescer: DeltaCoalescer::with_window_and_clock(delta_window, clock),
-            ..PlanEngine::default()
-        }
+        PlanEngine { cache: PlanCache::with_config(config), ..PlanEngine::default() }
     }
 
     /// A shared handle, ready for worker threads.
@@ -272,22 +240,6 @@ impl PlanEngine {
         })
         .pop()
         .expect("one delta produces one result")
-    }
-
-    /// Apply one elasticity event through the engine-wide coalescer:
-    /// concurrent callers (e.g. several server connections) merge into shared
-    /// waves, each wave applied as one [`apply_deltas_with`](Self::apply_deltas_with)
-    /// batch. `exec` runs the wave's re-plan chains if this caller ends up
-    /// leading the wave (the server fans them out across its worker pool).
-    pub fn apply_delta_coalesced_with<F>(
-        &self,
-        request: &DeltaRequest,
-        exec: F,
-    ) -> Result<DeltaResponse, ApiError>
-    where
-        F: FnOnce(Vec<ReplanChain>) -> Vec<PlanResponse>,
-    {
-        self.coalescer.apply_with(self, request, exec)
     }
 
     /// Apply a wave of elasticity events as one batch.

@@ -38,13 +38,14 @@
 //!   **one** scheduler, engine and worker pool, making DRR fairness and
 //!   delta quiescing global across clients instead of per connection. The
 //!   stdin JSONL path is a thin blocking adapter over the same core.
-//! * **Delta batching** ([`elastic::DeltaCoalescer`]): concurrent elasticity
-//!   events coalesce into waves — with an optional collection window
-//!   (`--delta-window-ms`) so *near*-concurrent event storms batch too;
-//!   same-cluster deltas compose into one shape chain, entries are
-//!   invalidated once, and the warm re-plans fan out through the scheduler's
-//!   batch class — byte-identical to serial application, without serialising
-//!   on the event thread.
+//! * **Delta batching** ([`server`]): elasticity events queue on the core
+//!   and apply in waves — everything queued when a wave starts goes
+//!   together, with an optional collection window (`--delta-window-ms`) so
+//!   *near*-concurrent event storms batch too; same-cluster deltas compose
+//!   into one shape chain, entries are invalidated once, and the warm
+//!   re-plans fan out through the scheduler's batch class — byte-identical
+//!   to serial application. One function runs every wave, on the server's
+//!   single delta thread and under simulation alike.
 //! * **Event stream**: `Subscribe`d connections receive
 //!   [`ServerEvent`](qsync_api::ServerEvent) lines — cache invalidations and
 //!   warm re-plans as they happen — instead of polling `Stats`. A slow
@@ -58,7 +59,7 @@
 //!   command (see `docs/OBSERVABILITY.md`).
 //!
 //! * **Deterministic simulation** ([`sim`]): the whole server — reactor,
-//!   core, scheduler, engine, coalescer — can run on virtual time
+//!   core, scheduler, engine, delta waves — can run on virtual time
 //!   ([`qsync_clock::ManualClock`]) over in-memory connections, with
 //!   scripted faults (torn frames, mid-frame drops, stalled readers,
 //!   EMFILE at accept). The `qsync-lab` crate builds seeded chaos scripts
@@ -97,7 +98,7 @@ pub mod transport;
 pub use admin::serve_admin;
 pub use cache::{CacheConfig, CacheStats, PlanCache, ShardStats};
 pub use metrics::ServeObs;
-pub use elastic::{ClusterDelta, DeltaCoalescer, DeltaRequest, DeltaResponse, DeltaStats};
+pub use elastic::{ClusterDelta, DeltaRequest, DeltaResponse, DeltaStats};
 pub use engine::{PlanEngine, ReplanChain};
 pub use model::ModelSpec;
 pub use persist::{ImportStats, StoreConfig};
@@ -111,4 +112,4 @@ pub use qsync_sched::{Priority, SchedConfig, SchedPolicy, SchedStats};
 pub use request::{IndicatorChoice, PlanOutcome, PlanRequest, PlanResponse};
 pub use server::{PlanServer, RateLimitConfig, TokenBucketConfig};
 pub use sim::{SimConfig, SimConn, SimOp, SimServer};
-pub use transport::{HandoffPolicy, ShutdownSignal, TransportConfig};
+pub use transport::{ShutdownSignal, TransportConfig};

@@ -85,7 +85,7 @@ pub struct ServeObs {
     // ---- delta pipeline ----
     /// Deltas composed into each applied wave.
     pub wave_width: Arc<Histogram>,
-    /// Deltas currently parked in the coalescer window.
+    /// Deltas queued for the next wave (the core's delta-queue depth).
     pub coalescer_pending: Arc<Gauge>,
     /// Length of each warm re-plan chain run after an invalidation.
     pub replan_chain_len: Arc<Histogram>,

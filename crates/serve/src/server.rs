@@ -13,24 +13,31 @@
 //! `client_id` is fair-queued under its **connection identity**, so one
 //! flooding connection cannot starve the others.
 //!
-//! There is exactly **one** scheduler, one [`PlanEngine`] (and thus one
-//! delta coalescer) and one worker pool per server, shared by every
-//! connection ([`ServeCore`]): DRR fairness, delta quiescing and the plan
-//! cache are all global. The blocking JSONL path
-//! ([`PlanServer::serve_lines`]) is a thin adapter over that core; the TCP
-//! path multiplexes all connections onto an epoll reactor
-//! ([`crate::transport`]).
+//! There is exactly **one** scheduler, one [`PlanEngine`], one delta queue
+//! and one worker pool per server, shared by every connection
+//! ([`ServeCore`]): DRR fairness, delta quiescing and the plan cache are all
+//! global, and `ServeCore::handle_command` is the one place a command gets
+//! its meaning. The blocking JSONL path ([`PlanServer::serve_lines`]) is a
+//! thin adapter over that core; the TCP path multiplexes all connections
+//! onto an epoll reactor ([`crate::transport`]).
 //!
-//! Elasticity deltas are barriers: a delta waits for every plan submitted
-//! (on any connection) before it, then applies — coalescing with concurrent
-//! deltas — and fans its warm re-plans out through the scheduler's **batch**
-//! class. Deltas run on dedicated executor threads so the connection that
-//! submitted one keeps streaming; in particular a `Stats` read taken
-//! mid-quiesce answers immediately from counters instead of blocking behind
-//! the barrier. `Cancel` removes a still-queued plan request submitted **on
-//! the same connection** (a successfully cancelled plan produces no `Plan`
-//! reply; the `Cancelled` confirmation is its reply); plans queued by other
-//! connections are out of reach and report `cancelled: false`.
+//! Elasticity deltas are barriers, applied in **waves** by one function
+//! (`ServeCore::run_delta_wave`): every delta queued once the oldest has
+//! waited out the collection window (`--delta-window-ms`, zero by default)
+//! is taken together, the wave waits for every plan submitted (on any
+//! connection) before it, then applies as one [`PlanEngine`] batch. A
+//! threaded core runs waves on its single delta thread and fans the warm
+//! re-plans out through the scheduler's **batch** class; the threadless
+//! simulation core ([`crate::sim`]) runs the same function from its pump
+//! and the re-plans inline. Either way the connection that submitted a
+//! delta keeps streaming; in particular a `Stats` read taken mid-quiesce
+//! answers immediately from counters instead of blocking behind the
+//! barrier.
+//!
+//! `Cancel` removes a still-queued plan request submitted **on the same
+//! connection** (a successfully cancelled plan produces no `Plan` reply; the
+//! `Cancelled` confirmation is its reply); plans queued by other connections
+//! are out of reach and report `cancelled: false`.
 //!
 //! Connections that [`Subscribe`](ServerCommand::Subscribe) receive the
 //! server's **event stream**: each delta wave broadcasts
@@ -269,11 +276,25 @@ impl ConnState {
     }
 }
 
-/// A delta handed off to the executor threads.
+/// A delta waiting in the core's queue for the next wave.
 struct DeltaTask {
     request: DeltaRequest,
     conn: Arc<ConnState>,
     wire: WireProto,
+    /// Core-clock milliseconds at which it was queued; the collection window
+    /// is measured from the oldest queued task.
+    queued_ms: u64,
+}
+
+/// The core's delta queue (guarded by one mutex, signalled by
+/// `ServeCore::delta_ready`).
+#[derive(Default)]
+struct DeltaQueue {
+    tasks: VecDeque<DeltaTask>,
+    /// Set by [`CoreHandle::stop`]: new deltas draw `ShuttingDown`, what is
+    /// already queued applies at once (no window) and the delta thread exits
+    /// when the queue is empty.
+    closed: bool,
 }
 
 /// One event-stream subscriber, with its slow-consumer accounting.
@@ -290,14 +311,9 @@ struct Subscriber {
     adopt: bool,
 }
 
-/// How many dedicated delta-executor threads a core runs. More than one lets
-/// concurrent deltas coalesce into shared waves; deltas are rare events, so a
-/// small fixed pool is plenty.
-const DELTA_EXECUTORS: usize = 2;
-
-/// The shared serving core: exactly one scheduler, engine (plan cache +
-/// delta coalescer) and worker pool, shared by **every** connection of a
-/// server — fairness, delta barriers and the event stream are global.
+/// The shared serving core: exactly one scheduler, engine (plan cache),
+/// delta queue and worker pool, shared by **every** connection of a server —
+/// fairness, delta barriers and the event stream are global.
 pub(crate) struct ServeCore {
     engine: Arc<PlanEngine>,
     sched: Scheduler<ServeJob>,
@@ -305,8 +321,18 @@ pub(crate) struct ServeCore {
     /// the job — and only a job queued by the *same* connection. Workers
     /// remove their entry at dispatch; cancels remove it early.
     tickets: Mutex<HashMap<(u64, u64), u64>>,
-    /// Delta hand-off to the executor threads; `None` once shutdown started.
-    delta_tx: Mutex<Option<mpsc::Sender<DeltaTask>>>,
+    /// Planner threads this core runs. Zero is the **inline** core of the
+    /// deterministic simulation: nothing runs except inside
+    /// [`pump`](Self::pump), re-plan chains execute on the pumping thread,
+    /// and every state mutation is appended to the op log.
+    workers: usize,
+    /// Deltas waiting for the next wave.
+    deltas: Mutex<DeltaQueue>,
+    /// Signalled when a delta is queued or the queue closes.
+    delta_ready: Condvar,
+    /// How long the oldest queued delta waits (on the scheduler's clock) for
+    /// near-concurrent deltas to join its wave.
+    delta_window_ms: u64,
     /// Event-stream subscribers by connection id.
     subscribers: Mutex<HashMap<u64, Subscriber>>,
     /// Server-wide monotone event sequence.
@@ -315,10 +341,6 @@ pub(crate) struct ServeCore {
     /// ([`TransportConfig::event_outbox_cap`]).
     event_outbox_cap: usize,
     next_conn: AtomicU64,
-    /// `Some` only on an **inline** core (no threads): deltas queue here and
-    /// are applied as one wave by [`pump`](Self::pump) instead of being
-    /// handed to executor threads.
-    inline_deltas: Mutex<Option<VecDeque<DeltaTask>>>,
     /// `Some` only on an inline core: the serial record of state-mutating
     /// operations in the exact order this core executed them — what the
     /// lab's cache-coherence oracle replays against a fresh engine.
@@ -330,9 +352,8 @@ pub(crate) struct ServeCore {
     /// Next periodic-snapshot deadline; `None` when no interval is set.
     snapshot_due: Mutex<Option<Instant>>,
     /// Token-bucket overload protection, enforced at the top of
-    /// [`handle_command`](Self::handle_command). Set once right after start,
-    /// before traffic; defaults to no limits.
-    rate_limit: Mutex<RateLimitConfig>,
+    /// [`handle_command`](Self::handle_command).
+    rate_limit: RateLimitConfig,
     /// Per-client token buckets (the `per_client` limit), keyed by the
     /// request's fair-share identity.
     client_buckets: Mutex<HashMap<String, TokenBucket>>,
@@ -348,9 +369,10 @@ pub(crate) struct CoreHandle {
 impl CoreHandle {
     /// Stop accepting work, drain queued jobs and join every core thread.
     pub(crate) fn stop(self) {
-        // New deltas now error out instead of queueing; executor threads
-        // drain what's already queued, then exit on the closed channel.
-        self.core.delta_tx.lock().expect("delta sender poisoned").take();
+        // New deltas now error out instead of queueing; the delta thread
+        // applies what's already queued, then exits on the closed queue.
+        self.core.deltas.lock().expect("delta queue poisoned").closed = true;
+        self.core.delta_ready.notify_all();
         // Workers drain the remaining queue, then exit.
         self.core.sched.close();
         for thread in self.threads {
@@ -362,83 +384,52 @@ impl CoreHandle {
 }
 
 impl ServeCore {
-    /// Start a core: `workers` planner threads plus the delta executors.
+    /// Start a core: `workers` planner threads plus one delta thread.
+    ///
+    /// `workers == 0` starts the **inline** core of the deterministic
+    /// simulation instead: no thread exists, so nothing runs concurrently
+    /// with the caller. Queued plans and deltas execute only when the
+    /// simulation driver calls [`pump`](Self::pump), single-threaded, in a
+    /// fixed order, and every state mutation is appended to the op log for
+    /// the coherence oracle.
     pub(crate) fn start(
         engine: Arc<PlanEngine>,
         workers: usize,
         config: SchedConfig,
-        event_outbox_cap: usize,
+        transport: &TransportConfig,
+        delta_window: Duration,
         clock: Arc<dyn Clock>,
     ) -> CoreHandle {
-        let (delta_tx, delta_rx) = mpsc::channel::<DeltaTask>();
         let core = Arc::new(ServeCore {
             engine,
             sched: Scheduler::with_clock(config, clock),
             tickets: Mutex::new(HashMap::new()),
-            delta_tx: Mutex::new(Some(delta_tx)),
+            workers,
+            deltas: Mutex::new(DeltaQueue::default()),
+            delta_ready: Condvar::new(),
+            delta_window_ms: delta_window.as_millis() as u64,
             subscribers: Mutex::new(HashMap::new()),
             event_seq: AtomicU64::new(0),
-            event_outbox_cap,
+            event_outbox_cap: transport.event_outbox_cap,
             next_conn: AtomicU64::new(0),
-            inline_deltas: Mutex::new(None),
-            op_log: Mutex::new(None),
+            op_log: Mutex::new((workers == 0).then(Vec::new)),
             store: Mutex::new(None),
             snapshot_due: Mutex::new(None),
-            rate_limit: Mutex::new(RateLimitConfig::default()),
+            rate_limit: transport.rate_limit,
             client_buckets: Mutex::new(HashMap::new()),
         });
-        let mut threads = Vec::with_capacity(workers + DELTA_EXECUTORS);
-        for i in 0..workers.max(1) {
+        let mut threads = Vec::new();
+        for i in 0..workers {
             let core = Arc::clone(&core);
             let builder = thread::Builder::new().name(format!("qsync-serve-worker-{i}"));
             threads.push(builder.spawn(move || core.worker_loop()).expect("spawn worker"));
         }
-        let delta_rx = Arc::new(Mutex::new(delta_rx));
-        for i in 0..DELTA_EXECUTORS {
-            let core = Arc::clone(&core);
-            let rx = Arc::clone(&delta_rx);
-            let builder = thread::Builder::new().name(format!("qsync-serve-delta-{i}"));
-            threads.push(builder.spawn(move || core.delta_loop(&rx)).expect("spawn delta executor"));
+        if workers > 0 {
+            let delta_core = Arc::clone(&core);
+            let builder = thread::Builder::new().name("qsync-serve-delta".to_owned());
+            threads.push(builder.spawn(move || delta_core.delta_loop()).expect("spawn delta thread"));
         }
         CoreHandle { core, threads }
-    }
-
-    /// Start a **threadless** core for deterministic simulation: no worker
-    /// or delta-executor threads exist, so nothing runs concurrently with
-    /// the caller. Queued plans and deltas execute only when the simulation
-    /// driver calls [`pump`](Self::pump), single-threaded, in a fixed
-    /// order; every state mutation is appended to the op log for the
-    /// coherence oracle.
-    pub(crate) fn start_inline(
-        engine: Arc<PlanEngine>,
-        config: SchedConfig,
-        event_outbox_cap: usize,
-        clock: Arc<dyn Clock>,
-    ) -> Arc<ServeCore> {
-        Arc::new(ServeCore {
-            engine,
-            sched: Scheduler::with_clock(config, clock),
-            tickets: Mutex::new(HashMap::new()),
-            // No executor threads: the Delta arm routes into `inline_deltas`
-            // before it ever consults this sender.
-            delta_tx: Mutex::new(None),
-            subscribers: Mutex::new(HashMap::new()),
-            event_seq: AtomicU64::new(0),
-            event_outbox_cap,
-            next_conn: AtomicU64::new(0),
-            inline_deltas: Mutex::new(Some(VecDeque::new())),
-            op_log: Mutex::new(Some(Vec::new())),
-            store: Mutex::new(None),
-            snapshot_due: Mutex::new(None),
-            rate_limit: Mutex::new(RateLimitConfig::default()),
-            client_buckets: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// Install the token-bucket overload limits. Called once right after
-    /// start, before any traffic (like [`set_store`](Self::set_store)).
-    pub(crate) fn set_rate_limit(&self, config: RateLimitConfig) {
-        *self.rate_limit.lock().expect("rate limit config poisoned") = config;
     }
 
     /// Admission control: refill-and-spend this command's token(s). Returns
@@ -451,7 +442,7 @@ impl ServeCore {
         if matches!(command, ServerCommand::Batch { .. }) {
             return None;
         }
-        let config = *self.rate_limit.lock().expect("rate limit config poisoned");
+        let config = self.rate_limit;
         if !config.is_enabled() {
             return None;
         }
@@ -507,7 +498,7 @@ impl ServeCore {
 
     /// Attach a persistent store: `Snapshot`/`Load` without an explicit
     /// `path` target it, and an interval schedules periodic snapshots on the
-    /// delta executors. Called once right after start, before any traffic.
+    /// delta thread. Called once right after start, before any traffic.
     pub(crate) fn set_store(&self, config: StoreConfig) {
         if let Some(interval) = config.snapshot_interval {
             *self.snapshot_due.lock().expect("snapshot deadline poisoned") =
@@ -528,8 +519,8 @@ impl ServeCore {
         })
     }
 
-    /// Time until the next periodic snapshot is due (`None` disables the
-    /// timeout — the delta executors then block on the channel as before).
+    /// Time until the next periodic snapshot is due (`None` when no interval
+    /// is configured — the idle delta thread then sleeps until woken).
     fn snapshot_timeout(&self) -> Option<Duration> {
         self.snapshot_due
             .lock()
@@ -538,8 +529,6 @@ impl ServeCore {
     }
 
     /// Write a periodic snapshot if one is due, and re-arm the deadline.
-    /// Racing executors are serialized by the deadline lock: the first one
-    /// through re-arms it, the rest see a fresh deadline and return.
     fn maybe_periodic_snapshot(&self) {
         let Some((path, interval)) = self
             .store
@@ -565,7 +554,7 @@ impl ServeCore {
     }
 
     /// Write a final snapshot at shutdown, if a store is configured. Runs
-    /// after the worker and executor threads have joined, so the cache is
+    /// after the worker and delta threads have joined, so the cache is
     /// quiescent.
     pub(crate) fn final_snapshot(&self) {
         let Some(path) =
@@ -596,10 +585,9 @@ impl ServeCore {
 
     /// Inline-core executor: run every queued job to completion on the
     /// calling thread. Plans drain first (preserving scheduler order), then
-    /// all deltas queued so far apply as **one** coalesced wave — the same
-    /// barrier semantics the threaded core gets from `quiesce()`, arrived at
-    /// structurally: when the wave runs, the plan queue is already empty.
-    /// Loops until neither queue has work; returns whether anything ran.
+    /// a due delta wave runs — so when it reaches its barrier the plan queue
+    /// is already empty. Loops until neither has work; returns whether
+    /// anything ran.
     pub(crate) fn pump(&self) -> bool {
         let mut progressed = false;
         loop {
@@ -608,17 +596,7 @@ impl ServeCore {
                 self.process_dispatch(job);
                 ran = true;
             }
-            let wave: Vec<DeltaTask> = self
-                .inline_deltas
-                .lock()
-                .expect("inline delta queue poisoned")
-                .as_mut()
-                .map(|queue| queue.drain(..).collect())
-                .unwrap_or_default();
-            if !wave.is_empty() {
-                self.apply_inline_delta_wave(wave);
-                ran = true;
-            }
+            ran |= self.run_delta_wave();
             if !ran {
                 return progressed;
             }
@@ -626,24 +604,54 @@ impl ServeCore {
         }
     }
 
-    /// Apply a batch of deltas as one coalesced wave on the calling thread
-    /// (inline core only). Mirrors `delta_loop` + the coalescer's leader
-    /// path: evictions are announced, re-plan chains run inline (never
-    /// through `fan_out_replans`, which would block on a worker pool that
-    /// does not exist here), each delta gets its own reply.
-    fn apply_inline_delta_wave(&self, tasks: Vec<DeltaTask>) {
-        self.record_op(|| {
-            SimOp::DeltaWave(tasks.iter().map(|t| t.request.clone()).collect())
-        });
+    /// How long until the oldest queued delta has waited out the collection
+    /// window: `None` when nothing is queued, zero when a wave is due now
+    /// (always, once the core is stopping).
+    fn wave_due_in(&self, queue: &DeltaQueue) -> Option<Duration> {
+        let oldest = queue.tasks.front()?;
+        if queue.closed {
+            return Some(Duration::ZERO);
+        }
+        let due_ms = oldest.queued_ms.saturating_add(self.delta_window_ms);
+        Some(Duration::from_millis(due_ms.saturating_sub(self.sched.clock().now_ms())))
+    }
+
+    /// The one delta path, shared by the delta thread and the inline
+    /// [`pump`](Self::pump): if a wave is due, take **everything** queued,
+    /// wait for every plan submitted (on any connection) before this point,
+    /// apply the deltas as one engine wave — announcing evictions, re-plans
+    /// and applied deltas to subscribers — and answer each delta on its own
+    /// connection. Deltas arriving meanwhile form the next wave together.
+    /// Returns whether a wave ran.
+    fn run_delta_wave(&self) -> bool {
+        let tasks: Vec<DeltaTask> = {
+            let mut queue = self.deltas.lock().expect("delta queue poisoned");
+            if self.wave_due_in(&queue) != Some(Duration::ZERO) {
+                return false;
+            }
+            self.obs().coalescer_pending.set(0);
+            queue.tasks.drain(..).collect()
+        };
+        // Barrier. Plans submitted after it began are not waited for, so it
+        // cannot starve under continuous cross-connection traffic; on the
+        // inline core `pump` has already emptied the plan queue.
+        self.sched.quiesce();
         let requests: Vec<DeltaRequest> = tasks.iter().map(|t| t.request.clone()).collect();
+        self.record_op(|| SimOp::DeltaWave(requests.clone()));
         let wave_tid = requests.last().and_then(|r| r.trace_id).unwrap_or(0);
         let results = self.engine.apply_deltas_with(&requests, |chains| {
             self.broadcast(ServerEvent::CacheInvalidated {
                 keys: chains.iter().map(|c| c.entry.response.key.clone()).collect(),
                 trace_id: wave_tid,
             });
-            let responses: Vec<PlanResponse> =
-                chains.iter().map(|chain| self.engine.run_replan_chain(chain)).collect();
+            // The one fork between the two cores: with planner threads the
+            // chains fan out across them, without any they run right here
+            // (`fan_out_replans` would wait on a pool that does not exist).
+            let responses: Vec<PlanResponse> = if self.workers > 0 {
+                self.fan_out_replans(chains)
+            } else {
+                chains.iter().map(|chain| self.engine.run_replan_chain(chain)).collect()
+            };
             for response in &responses {
                 self.broadcast(ServerEvent::Replanned {
                     key: response.key.clone(),
@@ -672,6 +680,38 @@ impl ServeCore {
             };
             task.conn.send(task.wire, &reply);
             task.conn.end();
+        }
+        true
+    }
+
+    /// Delta-thread body (threaded core): run every due wave off the
+    /// transport threads, sleeping in between until a delta is queued, the
+    /// oldest queued one's collection window lapses, a periodic snapshot
+    /// falls due or the core stops. Periodic snapshots ride this thread —
+    /// there is no dedicated snapshot thread.
+    fn delta_loop(&self) {
+        loop {
+            if self.run_delta_wave() {
+                continue;
+            }
+            self.maybe_periodic_snapshot();
+            let queue = self.deltas.lock().expect("delta queue poisoned");
+            let wait = match self.wave_due_in(&queue) {
+                Some(Duration::ZERO) => continue,
+                // Mid-window. Capped so a frozen manual clock is re-read
+                // instead of sleeping out the whole window in real time.
+                Some(window) => Some(window.min(Duration::from_millis(50))),
+                None if queue.closed => return,
+                None => self.snapshot_timeout(),
+            };
+            // A wakeup only means "look again"; every condition is re-read
+            // at the top of the loop.
+            match wait {
+                Some(timeout) => drop(
+                    self.delta_ready.wait_timeout(queue, timeout).expect("delta queue poisoned"),
+                ),
+                None => drop(self.delta_ready.wait(queue).expect("delta queue poisoned")),
+            }
         }
     }
 
@@ -894,9 +934,10 @@ impl ServeCore {
         }
     }
 
-    /// Dispatch one parsed command. Never blocks on planning or on the delta
-    /// barrier: plans are queued, stats answer from counters, deltas are
-    /// handed to the executor threads, batches fan out inline.
+    /// Dispatch one parsed command — the only place a command gets its
+    /// meaning. Never blocks on planning or on the delta barrier: plans are
+    /// queued, stats answer from counters, deltas join the delta queue,
+    /// batches fan out inline.
     pub(crate) fn handle_command(&self, conn: &Arc<ConnState>, wire: WireProto, command: ServerCommand) {
         // Overload protection runs before any other handling: a shed command
         // costs the server one token-bucket check and one error line, and
@@ -987,21 +1028,9 @@ impl ServeCore {
             }
             ServerCommand::Delta(request) => {
                 let request_id = request.id;
-                conn.begin();
-                // Inline (simulation) core: queue for the next pump wave
-                // instead of handing off to executor threads.
-                {
-                    let mut inline = self.inline_deltas.lock().expect("inline delta queue poisoned");
-                    if let Some(queue) = inline.as_mut() {
-                        queue.push_back(DeltaTask { request, conn: Arc::clone(conn), wire });
-                        return;
-                    }
-                }
-                let tx = self.delta_tx.lock().expect("delta sender poisoned").clone();
-                let handed_off = tx.is_some_and(|tx| {
-                    tx.send(DeltaTask { request, conn: Arc::clone(conn), wire }).is_ok()
-                });
-                if !handed_off {
+                let mut queue = self.deltas.lock().expect("delta queue poisoned");
+                if queue.closed {
+                    drop(queue);
                     conn.send_err(
                         wire,
                         ApiError::new(
@@ -1010,8 +1039,18 @@ impl ServeCore {
                         )
                         .with_id(request_id),
                     );
-                    conn.end();
+                    return;
                 }
+                conn.begin();
+                queue.tasks.push_back(DeltaTask {
+                    request,
+                    conn: Arc::clone(conn),
+                    wire,
+                    queued_ms: self.sched.clock().now_ms(),
+                });
+                self.obs().coalescer_pending.set(queue.tasks.len() as i64);
+                drop(queue);
+                self.delta_ready.notify_one();
             }
             ServerCommand::Hello { id, .. } => {
                 conn.send(wire, &ServerReply::Hello {
@@ -1185,72 +1224,10 @@ impl ServeCore {
         }
     }
 
-    /// Delta-executor body: apply deltas off the transport threads so
-    /// connections keep streaming (and stats keep answering) while a barrier
-    /// is pending.
-    fn delta_loop(&self, rx: &Mutex<mpsc::Receiver<DeltaTask>>) {
-        loop {
-            // Hold the receiver lock only while waiting; concurrent tasks
-            // then process in parallel (and coalesce in the engine). With a
-            // snapshot interval configured, the wait is bounded so periodic
-            // snapshots ride the executor that holds the lock — no dedicated
-            // snapshot thread.
-            let task = {
-                let rx = rx.lock().expect("delta receiver poisoned");
-                match self.snapshot_timeout() {
-                    None => match rx.recv() {
-                        Ok(task) => Some(task),
-                        Err(_) => return,
-                    },
-                    Some(timeout) => match rx.recv_timeout(timeout) {
-                        Ok(task) => Some(task),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                    },
-                }
-            };
-            let Some(task) = task else {
-                self.maybe_periodic_snapshot();
-                continue;
-            };
-            // Barrier: every plan submitted (on any connection) before this
-            // delta completes first. Plans submitted after the barrier began
-            // are not waited for, so the barrier cannot starve under
-            // continuous cross-connection traffic.
-            self.sched.quiesce();
-            let task_tid = task.request.trace_id.unwrap_or(0);
-            let reply = match self.engine.apply_delta_coalesced_with(&task.request, |chains| {
-                // Wave leader: announce the evictions, then fan the re-plans
-                // out (each completion is broadcast as it lands).
-                self.broadcast(ServerEvent::CacheInvalidated {
-                    keys: chains.iter().map(|c| c.entry.response.key.clone()).collect(),
-                    trace_id: task_tid,
-                });
-                self.fan_out_replans(chains)
-            }) {
-                Ok(outcome) => {
-                    self.broadcast(ServerEvent::DeltaApplied {
-                        id: outcome.id,
-                        old_cluster_fingerprint: outcome.old_cluster_fingerprint.clone(),
-                        new_cluster_fingerprint: outcome.new_cluster_fingerprint.clone(),
-                        invalidated: outcome.invalidated,
-                        replanned: outcome.replanned.len(),
-                        trace_id: outcome.trace_id.unwrap_or(0),
-                    });
-                    ServerReply::Delta(outcome)
-                }
-                Err(error) => ServerReply::Fault(error),
-            };
-            task.conn.send(task.wire, &reply);
-            task.conn.end();
-        }
-    }
-
     /// Execute a delta wave's re-plan chains on the worker pool: submit each
     /// as a batch-class job, collect the results, and return them in chain
     /// order. A chain the batch queue sheds (cap reached) runs inline on the
-    /// calling thread — re-plans are never lost. Every completed re-plan is
-    /// broadcast to subscribers.
+    /// calling thread — re-plans are never lost.
     fn fan_out_replans(&self, chains: Vec<ReplanChain>) -> Vec<PlanResponse> {
         let fanout_start = Instant::now();
         let total = chains.len();
@@ -1278,15 +1255,6 @@ impl ServeCore {
             .into_iter()
             .map(|r| r.expect("every replan chain completed"))
             .collect();
-        for response in &responses {
-            self.broadcast(ServerEvent::Replanned {
-                key: response.key.clone(),
-                outcome: response.outcome,
-                predicted_iteration_us: response.predicted_iteration_us,
-                trace_id: response.trace_id.unwrap_or(0),
-                adopt: self.adopt_payload(&response.key),
-            });
-        }
         self.engine
             .obs()
             .fanout_us
@@ -1348,6 +1316,7 @@ pub struct PlanServer {
     transport: TransportConfig,
     clock: Arc<dyn Clock>,
     store: Option<StoreConfig>,
+    delta_window: Duration,
 }
 
 impl PlanServer {
@@ -1372,14 +1341,15 @@ impl PlanServer {
             transport: TransportConfig::default(),
             clock: Arc::new(SystemClock::new()),
             store: None,
+            delta_window: Duration::ZERO,
         }
     }
 
     /// This server with a persistent plan store: the serving paths warm-load
     /// it on start (a missing or corrupt file boots cold, never fails),
     /// `Snapshot`/`Load` default to its path, a configured interval writes
-    /// periodic snapshots on the delta executors, and shutdown writes a
-    /// final one.
+    /// periodic snapshots on the delta thread, and shutdown writes a final
+    /// one.
     pub fn with_store(mut self, store: StoreConfig) -> Self {
         self.store = Some(store);
         self
@@ -1392,11 +1362,20 @@ impl PlanServer {
         self
     }
 
+    /// This server with a delta collection window: the oldest queued delta
+    /// waits this long (on the server's clock) for near-concurrent deltas to
+    /// join its wave, so an event storm trickling in over the window still
+    /// invalidates once — at the cost of that much added latency on the
+    /// first delta. Zero (the default) batches only what is already queued
+    /// when a wave starts. `--delta-window-ms` on the `qsync-serve` binary.
+    pub fn with_delta_window(mut self, window: Duration) -> Self {
+        self.delta_window = window;
+        self
+    }
+
     /// This server over an explicit time source. Every timed behavior —
     /// scheduler deadlines, accept backoff, the shutdown drain window, the
-    /// delta coalescer (when built through
-    /// [`PlanEngine::with_full_config`](crate::engine::PlanEngine::with_full_config))
-    /// — reads this clock; injecting a
+    /// delta collection window — reads this clock; injecting a
     /// [`ManualClock`](qsync_clock::ManualClock) puts them all on virtual
     /// time together.
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -1409,16 +1388,6 @@ impl PlanServer {
         &self.engine
     }
 
-    /// The worker-pool size.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The scheduler configuration.
-    pub(crate) fn sched_config(&self) -> &SchedConfig {
-        &self.sched
-    }
-
     /// The transport configuration.
     pub(crate) fn transport_config(&self) -> &TransportConfig {
         &self.transport
@@ -1427,6 +1396,21 @@ impl PlanServer {
     /// The server's time source.
     pub(crate) fn clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.clock)
+    }
+
+    /// Start this server's core: its planner threads plus the delta thread,
+    /// with the configured store attached (and warm-loaded).
+    pub(crate) fn start_core(&self) -> CoreHandle {
+        let handle = ServeCore::start(
+            Arc::clone(&self.engine),
+            self.workers,
+            self.sched.clone(),
+            &self.transport,
+            self.delta_window,
+            self.clock(),
+        );
+        self.attach_store(&handle.core);
+        handle
     }
 
     /// The store configuration, if any.
@@ -1438,7 +1422,7 @@ impl PlanServer {
     /// the snapshot file if one exists. Load failures (corrupt, unreadable)
     /// are reported to stderr and the server boots cold — a bad snapshot
     /// must never prevent serving.
-    pub(crate) fn attach_store(&self, core: &Arc<ServeCore>) {
+    fn attach_store(&self, core: &Arc<ServeCore>) {
         let Some(store) = &self.store else {
             return;
         };
@@ -1462,130 +1446,25 @@ impl PlanServer {
         }
     }
 
-    /// Serve one command synchronously, without a scheduler (one-shot use;
-    /// the streaming paths are [`serve_lines`](Self::serve_lines) and
-    /// [`serve_listener`](Self::serve_listener)). Streaming-only commands
-    /// (`Batch`, `Subscribe`, `Unsubscribe`) report
-    /// [`ErrorCode::Unsupported`].
-    pub fn handle(&self, command: ServerCommand) -> ServerReply {
-        match command {
-            ServerCommand::Plan(request) => match self.engine.plan(&request) {
-                Ok(response) => ServerReply::Plan(response),
-                Err(error) => ServerReply::Fault(error),
-            },
-            ServerCommand::Delta(request) => match self.engine.apply_delta(&request) {
-                Ok(outcome) => ServerReply::Delta(outcome),
-                Err(error) => ServerReply::Fault(error),
-            },
-            ServerCommand::Stats { id } => ServerReply::Stats {
-                id,
-                stats: self.engine.cache().stats(),
-                sched: None,
-                deltas: self.engine.delta_stats(),
-                subscribers: Vec::new(),
-            },
-            ServerCommand::Metrics { id } => ServerReply::Metrics {
-                id,
-                metrics: self.engine.metrics_snapshot(),
-            },
-            ServerCommand::Trace { id, trace_id, limit } => {
-                let trace = &self.engine.obs().trace;
-                let spans = trace.spans_for(trace_id, limit.unwrap_or_else(|| trace.capacity()));
-                ServerReply::Trace { id, trace_id, spans }
-            }
-            ServerCommand::Cancel { id, plan_id } => {
-                // Nothing queues outside the streaming paths; there is
-                // nothing to cancel.
-                ServerReply::Cancelled { id, plan_id, cancelled: false }
-            }
-            ServerCommand::Hello { id, .. } => ServerReply::Hello {
-                id,
-                min_v: MIN_PROTOCOL_VERSION,
-                max_v: MAX_PROTOCOL_VERSION,
-                server: SERVER_IDENT.to_owned(),
-            },
-            ServerCommand::Snapshot { id, path } => {
-                match path.map(PathBuf::from).or_else(|| self.store.as_ref().map(|s| s.path.clone()))
-                {
-                    None => ServerReply::Fault(no_store_error(id)),
-                    Some(path) => match persist::snapshot_to_path(&self.engine, &path) {
-                        Ok((entries, bytes)) => ServerReply::Snapshotted {
-                            id,
-                            path: path.display().to_string(),
-                            entries,
-                            bytes,
-                        },
-                        Err(error) => ServerReply::Fault(
-                            ApiError::new(ErrorCode::Internal, format!("snapshot failed: {error}"))
-                                .with_id(id),
-                        ),
-                    },
-                }
-            }
-            ServerCommand::Load { id, path } => {
-                match path.map(PathBuf::from).or_else(|| self.store.as_ref().map(|s| s.path.clone()))
-                {
-                    None => ServerReply::Fault(no_store_error(id)),
-                    Some(path) => match persist::load_from_path(&self.engine, &path) {
-                        Ok(stats) => ServerReply::Loaded {
-                            id,
-                            path: path.display().to_string(),
-                            plans: stats.plans,
-                            memos: stats.memos,
-                            skipped: stats.skipped,
-                            bytes: stats.bytes,
-                        },
-                        Err(error) => ServerReply::Fault(
-                            ApiError::new(ErrorCode::Internal, format!("load failed: {error}"))
-                                .with_id(id),
-                        ),
-                    },
-                }
-            }
-            ServerCommand::FetchSnapshot { id } => {
-                let (data, entries) = persist::snapshot_string(&self.engine);
-                ServerReply::SnapshotData { id, entries, bytes: data.len() as u64, data }
-            }
-            ServerCommand::Batch { id, .. }
-            | ServerCommand::Subscribe { id, .. }
-            | ServerCommand::Unsubscribe { id }
-            | ServerCommand::Resync { id } => ServerReply::Fault(
-                ApiError::new(
-                    ErrorCode::Unsupported,
-                    "this command requires a streaming connection",
-                )
-                .with_id(id),
-            ),
-        }
-    }
-
     /// Serve a JSON-line stream until EOF — the blocking adapter over the
     /// same [`ServeCore`] the TCP reactor uses. Plan commands are scheduled
-    /// onto the worker pool; stats answer immediately; deltas run on the
-    /// executor threads (quiescing the scheduler, coalescing with concurrent
-    /// deltas, fanning re-plans out through the batch class). Returns once
-    /// every accepted command has been answered.
+    /// onto the worker pool; stats answer immediately; deltas run in waves on
+    /// the delta thread (quiescing the scheduler, fanning re-plans out
+    /// through the batch class). Returns once every accepted command has
+    /// been answered.
     pub fn serve_lines<R: BufRead, W: Write + Send>(
         &self,
         reader: R,
         writer: W,
     ) -> std::io::Result<()> {
-        let handle = ServeCore::start(
-            Arc::clone(&self.engine),
-            self.workers,
-            self.sched.clone(),
-            self.transport.event_outbox_cap,
-            self.clock(),
-        );
-        handle.core.set_rate_limit(self.transport.rate_limit);
-        self.attach_store(&handle.core);
+        let handle = self.start_core();
         let core = Arc::clone(&handle.core);
         let (reply_tx, reply_rx) = mpsc::channel::<String>();
         let conn = core.register_conn(Sink::Line(reply_tx));
         let mut io_error: Option<std::io::Error> = None;
 
         thread::scope(|scope| {
-            // Replies are produced by worker/delta threads; a dedicated
+            // Replies are produced by the worker and delta threads; a dedicated
             // writer thread owns the (possibly non-'static) writer. Write
             // errors are swallowed, as they always were on this path — the
             // reader side decides when the stream ends.
@@ -1607,7 +1486,7 @@ impl PlanServer {
                     }
                 }
             }
-            // Every accepted command replies (worker plans, delta executors)
+            // Every accepted command replies (worker plans, delta waves)
             // before the reply channel may close.
             conn.wait_idle();
             core.drop_conn(conn.id());
@@ -1732,7 +1611,11 @@ mod tests {
     #[test]
     fn hello_advertises_the_supported_version_range() {
         let server = PlanServer::new(1);
-        let reply = server.handle(ServerCommand::Hello { id: 5, min_v: 1, max_v: 1 });
+        let hello = ServerCommand::Hello { id: 5, min_v: 1, max_v: 1 };
+        let input = format!("{}\n", serde_json::to_string(&hello).unwrap());
+        let mut out: Vec<u8> = Vec::new();
+        server.serve_lines(input.as_bytes(), &mut out).unwrap();
+        let reply = parse_replies(&out).pop().expect("one reply");
         let ServerReply::Hello { id, min_v, max_v, server: ident } = reply else {
             panic!("expected hello reply, got {reply:?}")
         };
@@ -1858,13 +1741,7 @@ mod tests {
     #[test]
     fn batch_members_get_parse_spans() {
         let engine = PlanEngine::shared();
-        let handle = ServeCore::start(
-            Arc::clone(&engine),
-            1,
-            SchedConfig::default(),
-            4 << 20,
-            Arc::new(SystemClock::new()),
-        );
+        let handle = PlanServer::with_engine(Arc::clone(&engine), 1).start_core();
         let (tx, _rx) = mpsc::channel();
         let conn = handle.core.register_conn(Sink::Line(tx));
         let plan: ServerCommand = serde_json::from_str(&plan_line(21)).unwrap();
@@ -1900,16 +1777,127 @@ mod tests {
         handle.stop();
     }
 
+    fn degrade_line(id: u64) -> String {
+        let cluster = ClusterSpec::hybrid_small();
+        let rank = cluster.inference_ranks()[0];
+        let delta = qsync_api::ClusterDelta::Degraded {
+            rank,
+            memory_fraction: 0.5,
+            compute_fraction: 0.9,
+        };
+        serde_json::to_string(&ServerCommand::Delta(DeltaRequest::new(id, cluster, delta))).unwrap()
+    }
+
+    /// The `coalesced` count of every `Delta` reply among `lines`, by id.
+    fn coalesced_by_id(lines: &[String]) -> Vec<(u64, usize)> {
+        let mut seen: Vec<(u64, usize)> = lines
+            .iter()
+            .filter_map(|l| match serde_json::from_str::<ServerReply>(l).expect("reply parses") {
+                ServerReply::Delta(outcome) => Some((outcome.id, outcome.coalesced)),
+                _ => None,
+            })
+            .collect();
+        seen.sort_unstable();
+        seen
+    }
+
+    #[test]
+    fn collection_window_batches_near_concurrent_deltas_into_one_wave() {
+        use crate::sim::{SimConfig, SimServer};
+        let windowed = || {
+            let config =
+                SimConfig { delta_window: Duration::from_millis(400), ..SimConfig::default() };
+            let mut server = SimServer::with_config(config);
+            let mut conn = server.connect();
+            conn.send_line(&plan_line(1));
+            server.step();
+            assert_eq!(conn.recv_lines().len(), 1, "plan answered");
+            // Two deltas staggered well within the window: without it the
+            // second would find the first's wave already applied.
+            conn.send_line(&degrade_line(10));
+            server.advance(60);
+            conn.send_line(&degrade_line(11));
+            server.step();
+            assert!(conn.recv_lines().is_empty(), "both deltas wait out the window");
+            (server, conn)
+        };
+
+        let (mut server, mut conn) = windowed();
+        server.advance(400);
+        assert_eq!(coalesced_by_id(&conn.recv_lines()), vec![(10, 2), (11, 2)]);
+        let stats = server.engine().delta_stats();
+        assert_eq!((stats.waves, stats.events), (1, 2), "one collection window, one wave");
+
+        // Shutdown mid-window: the drain lets virtual time pass, the window
+        // lapses and both deltas are still answered (as one wave).
+        let (mut server, mut conn) = windowed();
+        server.shutdown();
+        assert_eq!(coalesced_by_id(&conn.recv_lines()), vec![(10, 2), (11, 2)]);
+        assert_eq!(server.engine().delta_stats().waves, 1);
+    }
+
+    #[test]
+    fn threaded_core_runs_one_delta_thread_beside_its_workers() {
+        let handle = PlanServer::new(3).start_core();
+        assert_eq!(handle.threads.len(), 3 + 1, "workers + the delta thread");
+        handle.stop();
+    }
+
+    #[test]
+    fn delta_racing_shutdown_is_answered_exactly_once() {
+        use std::sync::atomic::AtomicBool;
+        let handle = PlanServer::new(2).start_core();
+        let core = Arc::clone(&handle.core);
+        let (tx, rx) = mpsc::channel();
+        let conn = core.register_conn(Sink::Line(tx));
+        let stopped = Arc::new(AtomicBool::new(false));
+        let sent = Arc::new(AtomicU64::new(0));
+        let sender = {
+            let (core, stopped, sent) = (Arc::clone(&core), Arc::clone(&stopped), Arc::clone(&sent));
+            thread::spawn(move || {
+                // Stream deltas across the stop, then a few more after it.
+                let mut after_stop = 0;
+                while after_stop < 5 {
+                    if stopped.load(Ordering::SeqCst) {
+                        after_stop += 1;
+                    }
+                    core.handle_line(&conn, &degrade_line(sent.fetch_add(1, Ordering::SeqCst)));
+                }
+            })
+        };
+        while sent.load(Ordering::SeqCst) < 10 {
+            thread::yield_now();
+        }
+        handle.stop();
+        stopped.store(true, Ordering::SeqCst);
+        sender.join().expect("sender thread");
+        drop(core);
+        let sent = sent.load(Ordering::SeqCst);
+
+        let mut replies = vec![0u32; sent as usize];
+        let (mut applied, mut refused) = (0, 0);
+        for line in rx {
+            match serde_json::from_str::<ServerReply>(&line).expect("reply parses") {
+                ServerReply::Delta(outcome) => {
+                    applied += 1;
+                    replies[outcome.id as usize] += 1;
+                }
+                ServerReply::Error { id: Some(id), message } => {
+                    assert!(message.contains("shutting down"), "unexpected error: {message}");
+                    refused += 1;
+                    replies[id as usize] += 1;
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        assert!(replies.iter().all(|&n| n == 1), "a delta was answered {replies:?} times");
+        assert!(applied >= 1 && refused >= 5, "applied {applied}, refused {refused} of {sent}");
+    }
+
     #[test]
     fn anonymous_requests_fair_queue_under_the_connection_identity() {
         let engine = PlanEngine::shared();
-        let handle = ServeCore::start(
-            Arc::clone(&engine),
-            1,
-            SchedConfig::default(),
-            4 << 20,
-            Arc::new(SystemClock::new()),
-        );
+        let handle = PlanServer::with_engine(Arc::clone(&engine), 1).start_core();
         let (tx_a, _rx_a) = mpsc::channel();
         let (tx_b, _rx_b) = mpsc::channel();
         let a = handle.core.register_conn(Sink::Line(tx_a));

@@ -1,5 +1,6 @@
 //! Deterministic whole-server simulation: the real reactor, core, scheduler,
-//! engine and coalescer running on virtual time over in-memory connections.
+//! engine and delta-wave path running on virtual time over in-memory
+//! connections.
 //!
 //! Nothing here is a mock of server logic. [`SimServer`] wires the exact
 //! production pieces together — [`crate::transport`]'s reactor over a
@@ -41,7 +42,7 @@ use crate::transport::{NetStream, Reactor, ShutdownSignal, TransportConfig, LIST
 pub enum SimOp {
     /// A plan request reached the engine (cache hit or miss).
     Plan(PlanRequest),
-    /// A coalesced delta wave applied, carrying every member in order.
+    /// A delta wave applied, carrying every member in order.
     DeltaWave(Vec<DeltaRequest>),
 }
 
@@ -300,7 +301,9 @@ pub struct SimConfig {
     pub transport: TransportConfig,
     /// Plan-cache sizing.
     pub cache: CacheConfig,
-    /// Delta coalescer collection window (virtual time).
+    /// Delta collection window on virtual time: the oldest queued delta
+    /// waits this long for later ones to join its wave (see
+    /// [`PlanServer::with_delta_window`](crate::server::PlanServer::with_delta_window)).
     pub delta_window: Duration,
     /// Cooperative preemption budget for the brute-force initial pass
     /// ([`PlanEngine::with_plan_budget`]); `None` runs it exhaustively.
@@ -319,7 +322,7 @@ impl Default for SimConfig {
     }
 }
 
-/// The whole plan server — reactor, core, scheduler, engine, coalescer —
+/// The whole plan server — reactor, core, scheduler, engine, delta waves —
 /// running deterministically on virtual time over in-memory connections.
 ///
 /// Nothing executes except inside [`step`](SimServer::step) (and the
@@ -353,20 +356,18 @@ impl SimServer {
     pub fn with_config(config: SimConfig) -> Self {
         let clock = Arc::new(ManualClock::new());
         let engine = Arc::new(
-            PlanEngine::with_full_config(
-                config.cache,
-                config.delta_window,
-                clock.clone() as Arc<dyn qsync_clock::Clock>,
-            )
-            .with_plan_budget(config.plan_budget_evals),
+            PlanEngine::with_cache_config(config.cache).with_plan_budget(config.plan_budget_evals),
         );
-        let core = ServeCore::start_inline(
+        // Zero workers: the inline core, executed only by `step`'s pump.
+        let core = ServeCore::start(
             Arc::clone(&engine),
+            0,
             config.sched,
-            config.transport.event_outbox_cap,
+            &config.transport,
+            config.delta_window,
             clock.clone() as Arc<dyn qsync_clock::Clock>,
-        );
-        core.set_rate_limit(config.transport.rate_limit);
+        )
+        .core;
         let net = Arc::new(SimNet::default());
         let shutdown = ShutdownSignal::new();
         let n_reactors = config.transport.reactors.max(1);
@@ -440,7 +441,7 @@ impl SimServer {
     }
 
     /// Advance virtual time by `ms` and settle (timer-driven behavior —
-    /// accept-backoff expiry, coalescer windows, deadline expiry — observes
+    /// accept-backoff expiry, delta collection windows, deadline expiry — observes
     /// the new time on this step).
     pub fn advance(&mut self, ms: u64) {
         self.clock.advance(ms);

@@ -24,17 +24,17 @@
 //!
 //! Commands are parsed on the reactor thread and dispatched into the shared
 //! [`ServeCore`](crate::server): planning runs on the worker pool, deltas on
-//! the executor threads — the reactor itself never blocks on either, so a
+//! the delta thread — the reactor itself never blocks on either, so a
 //! pending delta barrier cannot stall unrelated connections (nor `Stats`
 //! reads, which answer inline from counters).
 //!
 //! **Multi-reactor scale-out.** With [`TransportConfig::reactors`] > 1 the
 //! transport shards across N reactor threads by **accept-and-hand-off**:
-//! reactor 0 owns the listener and round-robins each accepted stream to a
-//! peer reactor's inbound queue (waking it through its poller). Connection
+//! reactor 0 owns the listener and hands each accepted stream to the
+//! least-loaded reactor's inbound queue (waking it through its poller). Connection
 //! state — read buffers, outboxes, write-backpressure, interest — stays
 //! strictly reactor-local; exactly one shared `ServeCore` (scheduler, plan
-//! engine, delta coalescer, event fan-out) serves all reactors, and each
+//! engine, delta queue, event fan-out) serves all reactors, and each
 //! reactor drains its own connections on shutdown.
 //!
 //! **Virtual time and simulation.** Every time the reactor consults —
@@ -125,14 +125,11 @@ pub struct TransportConfig {
     /// Configurable via `--accept-backoff-ms` on the `qsync-serve` binary.
     pub accept_backoff: Duration,
     /// Number of reactor threads the transport shards connections across
-    /// (min 1). Reactor 0 owns the listener and hands accepted connections
-    /// off per [`handoff`](TransportConfig::handoff); all reactors share one
+    /// (min 1). Reactor 0 owns the listener and hands each accepted
+    /// connection to the least-loaded reactor; all reactors share one
     /// `ServeCore`. The `qsync-serve` binary defaults `--reactors` to the
     /// available cores.
     pub reactors: usize,
-    /// How the acceptor picks the reactor an accepted connection is handed
-    /// to. Configurable via `--handoff` on the `qsync-serve` binary.
-    pub handoff: HandoffPolicy,
     /// Token-bucket overload protection, enforced per command at admission
     /// (see [`RateLimitConfig`](crate::server::RateLimitConfig)). Default:
     /// no limits.
@@ -148,37 +145,7 @@ impl Default for TransportConfig {
             event_outbox_cap: 4 << 20,
             accept_backoff: Duration::from_millis(250),
             reactors: 1,
-            handoff: HandoffPolicy::default(),
             rate_limit: crate::server::RateLimitConfig::default(),
-        }
-    }
-}
-
-/// Acceptor-to-reactor connection placement (multi-reactor servers; a
-/// single-reactor server keeps every connection regardless).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum HandoffPolicy {
-    /// Hand each accepted connection to the reactor currently carrying the
-    /// fewest connections — registered (its `reactor_conns` gauge) plus
-    /// still queued in its inbound hand-off buffer — lowest index on ties.
-    /// From an empty ring this deals like round-robin, but after churn
-    /// (long-lived connections piling onto some reactors while others
-    /// drain) new connections refill the emptiest reactor first.
-    #[default]
-    LeastLoaded,
-    /// Deal connections across the ring in strict index order, ignoring
-    /// load. Deterministic placement, useful as a baseline.
-    RoundRobin,
-}
-
-impl std::str::FromStr for HandoffPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "least-loaded" => Ok(HandoffPolicy::LeastLoaded),
-            "round-robin" => Ok(HandoffPolicy::RoundRobin),
-            other => Err(format!("unknown handoff policy `{other}` (expected `least-loaded` or `round-robin`)")),
         }
     }
 }
@@ -376,8 +343,8 @@ impl NetPoller {
     }
 }
 
-/// State shared between a reactor and the reply producers (workers, delta
-/// executors) plus its peer reactors: the poller, the list of connections
+/// State shared between a reactor and the reply producers (workers, the
+/// delta thread) plus its peer reactors: the poller, the list of connections
 /// with fresh output, and the inbound queue of accepted streams handed off
 /// by the acceptor reactor.
 #[derive(Debug)]
@@ -508,8 +475,6 @@ pub(crate) struct Reactor {
     /// the load signal the least-loaded hand-off reads. Resolved once in
     /// [`set_peers`](Self::set_peers); index-aligned with `peers`.
     peer_conns: Vec<Arc<qsync_obs::Gauge>>,
-    /// Round-robin cursor into `peers`.
-    rr_next: usize,
     /// `qsync_transport_reactor_conns{reactor="<id>"}`.
     reactor_conns: Arc<qsync_obs::Gauge>,
     conns: HashMap<usize, Conn>,
@@ -625,7 +590,6 @@ impl Reactor {
             reactor_id,
             peers: Vec::new(),
             peer_conns: Vec::new(),
-            rr_next: 0,
             reactor_conns,
             conns: HashMap::new(),
             next_key: LISTENER_KEY + 1,
@@ -650,27 +614,21 @@ impl Reactor {
         self.peers = peers;
     }
 
-    /// The ring slot the next accepted connection goes to, per the
-    /// configured [`HandoffPolicy`].
-    fn pick_handoff_target(&mut self) -> usize {
-        match self.config.handoff {
-            HandoffPolicy::RoundRobin => {
-                let target = self.rr_next % self.peers.len();
-                self.rr_next = self.rr_next.wrapping_add(1);
-                target
-            }
-            HandoffPolicy::LeastLoaded => {
-                // A peer's load is what it carries plus what it has been
-                // handed but not yet registered (the inbound queue drains
-                // only on that reactor's next poll pass — without counting
-                // it, a burst of accepts would all land on the same peer).
-                let load = |i: usize| {
-                    self.peer_conns[i].get().max(0) as usize
-                        + self.peers[i].inbound.lock().expect("inbound queue poisoned").len()
-                };
-                (0..self.peers.len()).min_by_key(|&i| load(i)).unwrap_or(0)
-            }
-        }
+    /// The ring slot the next accepted connection goes to: the reactor
+    /// currently carrying the fewest connections, lowest index on ties. From
+    /// an empty ring this deals like round-robin; after churn (long-lived
+    /// connections piling onto some reactors while others drain) new
+    /// connections refill the emptiest reactor first.
+    fn pick_handoff_target(&self) -> usize {
+        // A peer's load is what it carries plus what it has been handed but
+        // not yet registered (the inbound queue drains only on that
+        // reactor's next poll pass — without counting it, a burst of
+        // accepts would all land on the same peer).
+        let load = |i: usize| {
+            self.peer_conns[i].get().max(0) as usize
+                + self.peers[i].inbound.lock().expect("inbound queue poisoned").len()
+        };
+        (0..self.peers.len()).min_by_key(|&i| load(i)).unwrap_or(0)
     }
 
     fn run(&mut self) -> io::Result<()> {
@@ -746,8 +704,8 @@ impl Reactor {
 
     /// Drain the accept backlog (level-triggered: one event may cover many
     /// queued connections). On a multi-reactor server the accepted stream is
-    /// handed off across the reactor ring (which includes this reactor) per
-    /// the configured [`HandoffPolicy`] — least-loaded by default.
+    /// handed off across the reactor ring (which includes this reactor) to
+    /// the least-loaded slot.
     fn accept_ready(&mut self) {
         loop {
             let accepted = match &self.listener {
@@ -1098,8 +1056,8 @@ impl PlanServer {
     /// Serve an already-bound listener until `shutdown` fires (the testable
     /// entry point behind [`serve_tcp`](Self::serve_tcp)). With
     /// `TransportConfig::reactors` > 1, reactor 0 (this thread) owns the
-    /// listener and hands accepted connections off round-robin to peer
-    /// reactor threads; all reactors share one `ServeCore`. On shutdown
+    /// listener and hands accepted connections off to the least-loaded
+    /// reactor thread; all reactors share one `ServeCore`. On shutdown
     /// every reactor stops, drains its own connections within the
     /// transport's `drain_timeout`, then the shared core stops.
     pub fn serve_listener(
@@ -1108,15 +1066,7 @@ impl PlanServer {
         shutdown: ShutdownSignal,
     ) -> io::Result<()> {
         let config = self.transport_config().clone();
-        let handle = ServeCore::start(
-            Arc::clone(self.engine()),
-            self.workers(),
-            self.sched_config().clone(),
-            config.event_outbox_cap,
-            self.clock(),
-        );
-        handle.core.set_rate_limit(config.rate_limit);
-        self.attach_store(&handle.core);
+        let handle = self.start_core();
         let n_reactors = config.reactors.max(1);
         let result = (|| -> io::Result<()> {
             let mut acceptor = Reactor::new(

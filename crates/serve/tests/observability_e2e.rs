@@ -166,7 +166,7 @@ fn slow_subscriber_drops_are_counted_surfaced_as_gaps_and_resynced() {
     let cluster = ClusterSpec::hybrid_small();
     // A zero event-outbox cap sheds any event broadcast while the previous
     // one is still un-flushed — with each wave emitting several events
-    // back-to-back from the executor thread, drops are guaranteed under
+    // back-to-back from the delta thread, drops are guaranteed under
     // load while replies stay lossless.
     let server = TestServer::spawn(
         PlanServer::new(2)

@@ -1,4 +1,4 @@
-//! Integration tests for the scheduled serving path: delta coalescing
+//! Integration tests for the scheduled serving path: delta waves
 //! (batched waves, byte-identity to serial application), scheduler-aware wire
 //! fields, admission control and deadline accounting through the protocol.
 
@@ -124,20 +124,19 @@ fn batched_deltas_match_serial_application_byte_identically() {
 fn concurrent_deltas_coalesce_into_shared_waves() {
     let base = ClusterSpec::hybrid_small();
     let engine = Arc::new(warmed_engine(&base));
-    // 8 threads concurrently submit the *same* degradation (idempotent under
-    // composition: the final shape is stable no matter how many compose).
+    let server = TestServer::spawn(PlanServer::with_engine(Arc::clone(&engine), 2));
+    // 8 connections concurrently submit the *same* degradation (idempotent
+    // under composition: the final shape is stable no matter how many
+    // compose). Whatever is queued when the delta thread starts a wave goes
+    // together; arrivals during a wave form the next one.
     let final_shape = degrade(0, &base, 0.5).delta.apply(&base).unwrap();
     std::thread::scope(|scope| {
         for i in 0..8u64 {
-            let engine = Arc::clone(&engine);
-            let base = base.clone();
+            let mut client = server.client();
+            let request = degrade(100 + i, &base, 0.5);
             scope.spawn(move || {
-                let request = degrade(100 + i, &base, 0.5);
-                let outcome = engine
-                    .apply_delta_coalesced_with(&request, |chains| {
-                        chains.iter().map(|c| engine.run_replan_chain(c)).collect()
-                    })
-                    .unwrap();
+                client.send(&ServerCommand::Delta(request));
+                let ServerReply::Delta(outcome) = client.recv() else { panic!("delta reply") };
                 assert_eq!(outcome.id, 100 + i);
             });
         }
@@ -173,7 +172,7 @@ fn delta_through_server_fans_replans_over_the_batch_class() {
     assert_eq!(delta_reply.replanned.len(), 2);
 
     // The re-plans ran as batch-class scheduler jobs, not on the delta
-    // executor thread.
+    // thread.
     client.send(&ServerCommand::Stats { id: 4 });
     let ServerReply::Stats { sched: Some(sched), .. } = client.recv() else {
         panic!("stats reply")
@@ -210,8 +209,9 @@ fn scheduling_fields_flow_through_the_wire() {
 
     // EOF quiesces the pool, so by the end the background job completed and
     // the deadline was accounted (met: 60 s of headroom).
-    let stats = server
-        .handle(ServerCommand::Stats { id: 9 });
+    let mut out: Vec<u8> = Vec::new();
+    server.serve_lines(&b"{\"Stats\":{\"id\":9}}\n"[..], &mut out).unwrap();
+    let stats: ServerReply = serde_json::from_str(String::from_utf8(out).unwrap().trim()).unwrap();
     let ServerReply::Stats { deltas, .. } = &stats else { panic!("stats reply") };
     assert_eq!(deltas.waves, 0);
     // Scheduler stats come from the in-stream reply (the scheduler lives per

@@ -157,7 +157,6 @@ fn least_loaded_handoff_refills_drained_reactor_after_churn() {
     let cluster = ClusterSpec::hybrid_small();
     engine.plan(&PlanRequest::new(0, mlp(), cluster.clone())).expect("pre-warm");
     let transport = TransportConfig { reactors: REACTORS, ..TransportConfig::default() };
-    assert_eq!(transport.handoff, qsync_serve::HandoffPolicy::LeastLoaded, "default policy");
     let server = TestServer::spawn(
         PlanServer::with_engine(Arc::clone(&engine), 2).with_transport(transport),
     );
