@@ -38,8 +38,8 @@ pub use model::ModelSpec;
 pub use request::{IndicatorChoice, PlanOutcome, PlanRequest, PlanResponse};
 pub use stats::{CacheStats, SubscriberStats};
 pub use wire::{
-    parse_line, render_reply, ParsedLine, PlanPayload, ReplyEnvelope, RequestEnvelope,
-    ServerCommand, ServerEvent, ServerReply, WireError, WireProto, LEGACY_PROTOCOL_VERSION,
+    parse_line, render_plan_hit, render_reply, ParsedLine, PlanHitBody, PlanPayload,
+    ReplyEnvelope, RequestEnvelope, ServerCommand, ServerEvent, ServerReply, WireError, WireProto, LEGACY_PROTOCOL_VERSION,
     MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 

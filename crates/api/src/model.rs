@@ -5,13 +5,31 @@
 //! than shipping a serialized DAG, which keeps request payloads small and
 //! guarantees the server plans against exactly the graphs the evaluation uses.
 
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex};
+
 use serde::{Deserialize, Serialize};
 
 use qsync_graph::models;
 use qsync_graph::ModelDag;
 
+/// Cap on memoized [`ModelSpec::fingerprint`]s. Specs arrive off the wire, so
+/// the table must be bounded; an entry is ~64 bytes. On overflow the memo is
+/// cleared (a fingerprint is a pure function of the spec, so this only costs
+/// the rebuilds).
+pub(crate) const MODEL_FINGERPRINT_MEMO_CAP: usize = 4096;
+
+static MODEL_FINGERPRINT_MEMO: LazyLock<Mutex<HashMap<ModelSpec, u128>>> =
+    LazyLock::new(Mutex::default);
+
+/// Entries resident in the fingerprint memo.
+#[cfg(test)]
+pub(crate) fn fingerprint_memo_len() -> usize {
+    MODEL_FINGERPRINT_MEMO.lock().expect("model fingerprint memo poisoned").len()
+}
+
 /// A buildable model from the zoo, with the hyperparameters that shape its DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ModelSpec {
     /// The small executable MLP used by tests and the training engine.
     SmallMlp {
@@ -84,6 +102,26 @@ impl ModelSpec {
             ModelSpec::BertBase { batch, seq } => models::bert_base(batch, seq),
             ModelSpec::RobertaBase { batch, seq } => models::roberta_base(batch, seq),
         }
+    }
+
+    /// Structural fingerprint of the DAG this spec builds: exactly
+    /// `self.build().fingerprint()`, memoized process-wide so that naming a
+    /// model (every [`cache_key`](crate::PlanRequest::cache_key), i.e. every
+    /// cache hit) costs a hash and a map read instead of a DAG build.
+    pub fn fingerprint(&self) -> u128 {
+        if let Some(&fp) =
+            MODEL_FINGERPRINT_MEMO.lock().expect("model fingerprint memo poisoned").get(self)
+        {
+            return fp;
+        }
+        // Built outside the lock; concurrent misses compute the same value.
+        let fp = self.build().fingerprint();
+        let mut memo = MODEL_FINGERPRINT_MEMO.lock().expect("model fingerprint memo poisoned");
+        if memo.len() >= MODEL_FINGERPRINT_MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(self.clone(), fp);
+        fp
     }
 
     /// Short display name of the zoo entry.

@@ -192,7 +192,7 @@ impl PlanRequest {
     pub fn cache_key(&self) -> String {
         let mut fp = Fingerprint::new();
         fp.write_str("qsync_serve::PlanRequest/v1");
-        let model_fp = self.model.build().fingerprint();
+        let model_fp = self.model.fingerprint();
         fp.write_u64(model_fp as u64);
         fp.write_u64((model_fp >> 64) as u64);
         let cluster_fp = self.effective_cluster().fingerprint();
@@ -293,6 +293,71 @@ mod tests {
             for j in (i + 1)..keys.len() {
                 assert_ne!(keys[i], keys[j], "keys {i} and {j} collide");
             }
+        }
+    }
+
+    /// `cache_key` as it was before the model-fingerprint memo: the DAG is
+    /// built and fingerprinted on the spot.
+    fn unmemoized_key(request: &PlanRequest) -> String {
+        let mut fp = Fingerprint::new();
+        fp.write_str("qsync_serve::PlanRequest/v1");
+        let model_fp = request.model.build().fingerprint();
+        fp.write_u64(model_fp as u64);
+        fp.write_u64((model_fp >> 64) as u64);
+        let cluster_fp = request.effective_cluster().fingerprint();
+        fp.write_u64(cluster_fp as u64);
+        fp.write_u64((cluster_fp >> 64) as u64);
+        fp.write_serialize(&request.indicator);
+        fp.write_f64(request.config().throughput_tolerance);
+        fp.finish_hex()
+    }
+
+    #[test]
+    fn memoized_cache_key_equals_the_unmemoized_formula_across_a_memo_clear() {
+        use crate::model::{fingerprint_memo_len, MODEL_FINGERPRINT_MEMO_CAP};
+        let zoo: Vec<PlanRequest> = [
+            ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 32, classes: 4 },
+            ModelSpec::SmallCnn { batch: 4, image: 16, classes: 10 },
+            ModelSpec::Resnet50 { batch: 2, image: 32 },
+            ModelSpec::Vgg16 { batch: 2, image: 32 },
+            ModelSpec::Vgg16Bn { batch: 2, image: 32 },
+            ModelSpec::BertBase { batch: 2, seq: 16 },
+            ModelSpec::RobertaBase { batch: 2, seq: 16 },
+        ]
+        .into_iter()
+        .map(|model| PlanRequest::new(1, model, ClusterSpec::hybrid_small()))
+        .collect();
+        let check = |when: &str| {
+            for request in &zoo {
+                let want = unmemoized_key(request);
+                // Twice: the memo miss and the memo hit.
+                assert_eq!(request.cache_key(), want, "{when}, miss: {:?}", request.model);
+                assert_eq!(request.cache_key(), want, "{when}, hit: {:?}", request.model);
+            }
+        };
+        check("before the flood");
+        // More distinct specs than the memo holds: it must clear, stay
+        // bounded, and keep answering with the same fingerprints.
+        for classes in 1..=MODEL_FINGERPRINT_MEMO_CAP + 1 {
+            let spec = ModelSpec::SmallMlp { batch: 1, in_features: 2, hidden: 2, classes };
+            assert_eq!(spec.fingerprint(), spec.build().fingerprint());
+            assert!(fingerprint_memo_len() <= MODEL_FINGERPRINT_MEMO_CAP);
+        }
+        check("after the flood");
+    }
+
+    #[test]
+    fn cache_key_sees_every_model_hyperparameter() {
+        let base = request();
+        for model in [
+            ModelSpec::SmallMlp { batch: 9, in_features: 16, hidden: 32, classes: 4 },
+            ModelSpec::SmallMlp { batch: 8, in_features: 17, hidden: 32, classes: 4 },
+            ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 33, classes: 4 },
+            ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 32, classes: 5 },
+        ] {
+            let mut other = request();
+            other.model = model;
+            assert_ne!(base.cache_key(), other.cache_key(), "{:?}", other.model);
         }
     }
 

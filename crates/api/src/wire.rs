@@ -28,6 +28,8 @@
 //! meaning or serialized bytes of an existing line is a new protocol version,
 //! negotiated through `Hello`.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use qsync_graph::PrecisionDag;
@@ -673,6 +675,47 @@ pub fn render_reply(wire: WireProto, reply: &ServerReply) -> String {
     }
 }
 
+/// The middle of a cache-hit `Plan` reply line — `"key":…` through
+/// `"warm_demotions":N`, with `outcome` fixed at `CacheHit` — which is the same
+/// for every hit of one cache entry. Empty until [`render_plan_hit`] first
+/// fills it; it must live and die with the entry it was rendered from (two
+/// entries under one key may hold different plans).
+#[derive(Debug, Default)]
+pub struct PlanHitBody(OnceLock<String>);
+
+/// Serialize the reply line of one plan-cache hit, byte-identical to
+/// `render_reply(wire, &ServerReply::Plan(hit.clone()))`, re-serializing
+/// nothing that `body` already holds: the entry's first hit renders the
+/// response once and keeps the hit-invariant middle in `body`; every later
+/// hit splices its own `id`, `elapsed_us` and `trace_id` around that.
+///
+/// `body` must belong to the cache entry `hit` was built from.
+pub fn render_plan_hit(wire: WireProto, hit: &PlanResponse, body: &PlanHitBody) -> String {
+    debug_assert_eq!(hit.outcome, PlanOutcome::CacheHit);
+    // `PlanResponse` serializes `id` first and `elapsed_us`, `trace_id` last.
+    let head = format!("{{\"id\":{},", hit.id);
+    let tail = match hit.trace_id {
+        Some(trace_id) => {
+            format!(",\"elapsed_us\":{},\"trace_id\":{trace_id}}}", hit.elapsed_us)
+        }
+        None => format!(",\"elapsed_us\":{},\"trace_id\":null}}", hit.elapsed_us),
+    };
+    let body = body.0.get_or_init(|| {
+        let full = serde_json::to_string(hit).expect("reply serialization cannot fail");
+        full.strip_prefix(&head)
+            .and_then(|rest| rest.strip_suffix(&tail))
+            .expect("a PlanResponse serializes id first and elapsed_us, trace_id last")
+            .to_owned()
+    });
+    let (open, close) = match wire {
+        WireProto::V0 => ("{\"Plan\":", "}"),
+        WireProto::V1 => ("{\"v\":1,\"reply\":{\"Plan\":", "}}"),
+    };
+    let line = [open, &head, body, &tail, close].concat();
+    debug_assert_eq!(line, render_reply(wire, &ServerReply::Plan(hit.clone())));
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,6 +812,48 @@ mod tests {
                 serde_json::to_string(&ReplyEnvelope { v: PROTOCOL_VERSION, reply: reply.clone() })
                     .unwrap();
             assert_eq!(spliced, structural);
+        }
+    }
+
+    #[test]
+    fn spliced_plan_hit_matches_render_reply_bytes() {
+        let request = PlanRequest::new(
+            1,
+            ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 32, classes: 4 },
+            ClusterSpec::hybrid_small(),
+        );
+        let entry = |promotions_accepted, warm_demotions| PlanResponse {
+            id: 1,
+            key: request.cache_key(),
+            outcome: PlanOutcome::CacheHit,
+            plan: qsync_core::plan::PrecisionPlan::oracle(&request.model.build(), &request.cluster),
+            predicted_iteration_us: 1234.5,
+            t_min_us: 1000.25,
+            promotions_accepted,
+            warm_demotions,
+            elapsed_us: 0,
+            trace_id: None,
+        };
+        // A cold-planned entry and a warm-replanned one (demotions recorded).
+        for cached in [entry(3, 0), entry(0, 2)] {
+            let body = PlanHitBody::default();
+            for wire in [WireProto::V0, WireProto::V1] {
+                for id in [0, 7, u64::MAX] {
+                    for trace_id in [None, Some(0), Some(u64::MAX)] {
+                        for elapsed_us in [0, 3, u64::MAX] {
+                            let hit = PlanResponse { id, elapsed_us, trace_id, ..cached.clone() };
+                            assert_eq!(
+                                render_plan_hit(wire, &hit, &body),
+                                render_reply(wire, &ServerReply::Plan(hit.clone())),
+                                "{wire:?} id {id} trace {trace_id:?} elapsed {elapsed_us}"
+                            );
+                        }
+                    }
+                }
+            }
+            let kept = body.0.get().expect("the first hit rendered the body");
+            assert!(kept.starts_with("\"key\":\"") && kept.contains("\"outcome\":\"CacheHit\""));
+            assert!(kept.ends_with(&format!("\"warm_demotions\":{}", cached.warm_demotions)));
         }
     }
 

@@ -3,7 +3,12 @@
 //! Entries are keyed by [`PlanRequest::cache_key`] — a stable fingerprint of
 //! (canonicalized model DAG, effective cluster, constraints) — and store the
 //! structured response; plan serialization is deterministic, so a cache hit
-//! returns **byte-identical** output to the request that populated it.
+//! returns **byte-identical** output to the request that populated it. Beside
+//! the entry, each slot keeps the hit-invariant part of its reply line
+//! ([`PlanHitBody`]), rendered on the entry's first served hit and spliced
+//! into every later one; an entry that is never hit renders and stores
+//! nothing, and the rendered bytes go wherever the slot goes — eviction,
+//! invalidation, replacement.
 //!
 //! The map is split into [`CacheConfig::shards`] independently locked shards
 //! (selected by an FNV-1a hash of the key), so concurrent hits on different
@@ -23,10 +28,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
 
+use qsync_api::PlanHitBody;
 use qsync_graph::PrecisionDag;
 
 pub use qsync_api::CacheStats;
@@ -40,7 +46,8 @@ pub struct CachedPlan {
     pub request: PlanRequest,
     /// The response as served (with `outcome`/`elapsed_us` of the populating
     /// run). Serialization of `response.plan` is deterministic, which is what
-    /// makes repeated hits byte-identical — no serialized copy is stored.
+    /// makes repeated hits byte-identical; the serialized copy hits are
+    /// spliced from lives beside the entry in its cache slot, not here.
     pub response: PlanResponse,
     /// The inference-device precision assignment — the allocator's warm-start input.
     pub inference_pdag: Option<PrecisionDag>,
@@ -63,12 +70,14 @@ impl Default for CacheConfig {
     }
 }
 
-/// One cache slot: the entry plus its recency stamp. The stamp is atomic so
-/// the hit path can refresh it under a shard **read** lock.
+/// One cache slot: the entry, its recency stamp and the rendered middle of
+/// its hit reply line. The stamp is atomic and the body fills itself once, so
+/// the hit path needs only a shard **read** lock.
 #[derive(Debug)]
 struct Slot {
     entry: CachedPlan,
     last_used: AtomicU64,
+    hit_body: Arc<PlanHitBody>,
 }
 
 /// One shard. The LRU victim is found by scanning for the minimum recency
@@ -196,11 +205,18 @@ impl PlanCache {
     /// which waits for an in-flight computation still counts as exactly one
     /// hit or miss. Takes only a shard **read** lock.
     pub fn peek(&self, key: &str) -> Option<CachedPlan> {
+        self.peek_hit(key).map(|(entry, _)| entry)
+    }
+
+    /// [`peek`](Self::peek), plus the slot's [`PlanHitBody`] — read under one
+    /// lock, so the body is the one rendered from (or to be rendered from)
+    /// exactly the returned entry.
+    pub fn peek_hit(&self, key: &str) -> Option<(CachedPlan, Arc<PlanHitBody>)> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard_of(key).read().expect("plan cache poisoned");
         shard.slots.get(key).map(|slot| {
             slot.last_used.store(now, Ordering::Relaxed);
-            slot.entry.clone()
+            (slot.entry.clone(), Arc::clone(&slot.hit_body))
         })
     }
 
@@ -222,7 +238,10 @@ impl PlanCache {
         let last_used = self.clock.fetch_add(1, Ordering::Relaxed);
         let index = self.shard_index(&key);
         let mut shard = self.shards[index].write().expect("plan cache poisoned");
-        shard.slots.insert(key, Slot { entry, last_used: AtomicU64::new(last_used) });
+        shard.slots.insert(
+            key,
+            Slot { entry, last_used: AtomicU64::new(last_used), hit_body: Arc::default() },
+        );
         while shard.slots.len() > self.per_shard_capacity {
             let Some(coldest) = shard.coldest() else {
                 break;

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use qsync_api::ApiError;
+use qsync_api::{ApiError, PlanHitBody};
 use qsync_cluster::topology::ClusterSpec;
 use qsync_core::allocator::{AllocationReport, Allocator, InitialSetting};
 use qsync_core::indicator::{HessianIndicator, RandomIndicator, SensitivityIndicator};
@@ -62,7 +62,8 @@ pub struct PlanEngine {
     /// setting depends only on the graph and the cluster shape — not on the
     /// indicator or tolerance — so every plan for the same (model, cluster)
     /// pair can skip the exhaustive uniform-precision sweep. Value-transparent:
-    /// a memoized plan is byte-identical to a from-scratch one.
+    /// a memoized plan is byte-identical to a from-scratch one. Bounded by
+    /// [`INITIAL_MEMO_CAP`].
     initial_memo: Mutex<HashMap<(u128, u128), InitialSetting>>,
     /// Memoized built systems — device profiles, casting models, synthetic
     /// statistics — keyed by `(model fingerprint, effective-cluster
@@ -99,6 +100,12 @@ impl std::fmt::Debug for SystemMemo {
 /// overflow the memo is cleared (rebuilds are pure, so this only costs the
 /// re-profile).
 const SYSTEM_MEMO_CAP: usize = 64;
+
+/// Cap on memoized initial settings — one per `(model, cluster shape)` ever
+/// planned, and every elasticity delta mints a new shape. Sized to the
+/// default plan cache (1024 entries cannot name more pairs than that); on
+/// overflow the memo is cleared, which only costs the exhaustive sweeps again.
+const INITIAL_MEMO_CAP: usize = 1024;
 
 /// One evicted cache entry plus the shape chain it must be re-planned
 /// through. Produced by [`PlanEngine::apply_deltas_with`], executed by
@@ -184,15 +191,26 @@ impl PlanEngine {
     /// planning machinery, whose constructors assert. Errors carry the
     /// request id and a structured [`ApiError`] code/field.
     pub fn plan(&self, request: &PlanRequest) -> Result<PlanResponse, ApiError> {
+        self.plan_with_hit_body(request).map(|(response, _)| response)
+    }
+
+    /// [`plan`](Self::plan) for the server's reply path: a cache hit also
+    /// hands back the entry's [`PlanHitBody`], so the reply line is spliced
+    /// ([`qsync_api::render_plan_hit`]) instead of re-serialized. `None`
+    /// means the plan was computed by this call.
+    pub(crate) fn plan_with_hit_body(
+        &self,
+        request: &PlanRequest,
+    ) -> Result<(PlanResponse, Option<Arc<PlanHitBody>>), ApiError> {
         request.validate().map_err(|e| e.with_id(request.id))?;
         let started = Instant::now();
         let key = request.cache_key();
         let trace_id = request.trace_id.unwrap_or(0);
         let mut coalesced = false;
         let _guard = loop {
-            if let Some(entry) = self.cache.peek(&key) {
+            if let Some((entry, hit_body)) = self.cache.peek_hit(&key) {
                 self.cache.note_hit(&key);
-                let mut response = entry.response.clone();
+                let mut response = entry.response;
                 response.id = request.id;
                 response.outcome = PlanOutcome::CacheHit;
                 response.elapsed_us = started.elapsed().as_micros() as u64;
@@ -207,7 +225,7 @@ impl PlanEngine {
                         key.clone(),
                     );
                 }
-                return Ok(response);
+                return Ok((response, Some(hit_body)));
             }
             let mut flights = self.in_flight.lock().expect("in-flight set poisoned");
             if !flights.contains(&key) {
@@ -226,7 +244,7 @@ impl PlanEngine {
             }
         };
         self.cache.note_miss(&key);
-        Ok(self.plan_and_cache(request, key, PlanOutcome::ColdPlanned, None, started))
+        Ok((self.plan_and_cache(request, key, PlanOutcome::ColdPlanned, None, started), None))
     }
 
     /// Apply one elasticity event inline: invalidate every cached plan for
@@ -554,12 +572,12 @@ impl PlanEngine {
             };
             return (plan, report, system);
         };
-        let memo_key = (system.dag.fingerprint(), system.cluster.fingerprint());
+        let (model_fp, cluster_fp) = (request.model.fingerprint(), system.cluster.fingerprint());
         let memoized = self
             .initial_memo
             .lock()
             .expect("initial-setting memo poisoned")
-            .get(&memo_key)
+            .get(&(model_fp, cluster_fp))
             .cloned();
         let initial = match memoized {
             // A memo restored from a snapshot of a different build could carry
@@ -576,10 +594,7 @@ impl PlanEngine {
                     self.obs.plan_preemptions.inc();
                 }
                 self.obs.memo_misses.inc();
-                self.initial_memo
-                    .lock()
-                    .expect("initial-setting memo poisoned")
-                    .insert(memo_key, initial.clone());
+                self.memo_insert(model_fp, cluster_fp, initial.clone());
                 initial
             }
         };
@@ -592,14 +607,14 @@ impl PlanEngine {
 
     /// The built system for a request, shared through the system memo: a
     /// pure function of `(model, effective cluster, config)`, so a memo hit
-    /// skips re-profiling every device. Concurrent misses may build twice;
-    /// both builds are byte-identical, either may win the insert.
+    /// skips building the DAG and re-profiling every device. Concurrent
+    /// misses may build twice; both builds are byte-identical, either may
+    /// win the insert.
     fn system_for(&self, request: &PlanRequest) -> Arc<QSyncSystem> {
-        let dag = request.model.build();
         let config = request.config();
         let cluster = request.effective_cluster();
         let key = (
-            dag.fingerprint(),
+            request.model.fingerprint(),
             cluster.fingerprint(),
             serde_json::to_string(&config).expect("config serializes"),
         );
@@ -608,7 +623,7 @@ impl PlanEngine {
             return Arc::clone(system);
         }
         self.obs.profile_memo_misses.inc();
-        let system = Arc::new(QSyncSystem::new(dag, cluster, config));
+        let system = Arc::new(QSyncSystem::new(request.model.build(), cluster, config));
         let mut memo = self.system_memo.0.lock().expect("system memo poisoned");
         if memo.len() >= SYSTEM_MEMO_CAP {
             memo.clear();
@@ -631,14 +646,15 @@ impl PlanEngine {
         self.initial_memo.lock().expect("initial-setting memo poisoned").len()
     }
 
-    /// Restore one memoized initial setting (snapshot import). Later plans
-    /// for the `(model fingerprint, cluster fingerprint)` pair skip the
-    /// exhaustive initial sweep.
+    /// Record one memoized initial setting (a fresh sweep, or a snapshot
+    /// import). Later plans for the `(model fingerprint, cluster fingerprint)`
+    /// pair skip the exhaustive initial sweep.
     pub fn memo_insert(&self, model_fp: u128, cluster_fp: u128, initial: InitialSetting) {
-        self.initial_memo
-            .lock()
-            .expect("initial-setting memo poisoned")
-            .insert((model_fp, cluster_fp), initial);
+        let mut memo = self.initial_memo.lock().expect("initial-setting memo poisoned");
+        if memo.len() >= INITIAL_MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert((model_fp, cluster_fp), initial);
     }
 
     /// Adopt an externally produced plan — a snapshot entry on warm boot, or
@@ -788,6 +804,33 @@ mod tests {
         let replayed = third.plan(&request).unwrap();
         assert_eq!(replayed.plan_json(), fresh.plan_json());
         assert_eq!(third.obs().snapshot().counter("qsync_engine_memo_hits_total"), Some(1));
+    }
+
+    #[test]
+    fn initial_memo_is_bounded_and_a_clear_is_value_transparent() {
+        let engine = PlanEngine::new();
+        let request = mlp_request(1, ClusterSpec::hybrid_small());
+        let before = engine.plan(&request).unwrap();
+        let ((model_fp, cluster_fp), initial) = engine.memo_entries().pop().expect("one memo entry");
+        // Fill the memo to its cap with other shapes (snapshot-import path),
+        // then plan one more real shape: the cap-th + 1 entry clears it.
+        for shape in 1..INITIAL_MEMO_CAP as u128 {
+            engine.memo_insert(model_fp, cluster_fp ^ shape, initial.clone());
+            assert!(engine.memo_len() <= INITIAL_MEMO_CAP);
+        }
+        assert_eq!(engine.memo_len(), INITIAL_MEMO_CAP);
+        engine.plan(&mlp_request(2, ClusterSpec::cluster_a(1, 1))).unwrap();
+        assert_eq!(engine.memo_len(), 1, "the insert past the cap cleared the memo");
+        // The first shape is no longer memoized; planning it again from
+        // scratch gives the plan it had before the clear.
+        assert!(engine.cache().remove(&before.key).is_some());
+        let after = engine.plan(&request).unwrap();
+        assert_eq!(after.outcome, PlanOutcome::ColdPlanned);
+        assert_eq!(after.plan_json(), before.plan_json());
+        assert_eq!(after.t_min_us.to_bits(), before.t_min_us.to_bits());
+        assert_eq!(after.predicted_iteration_us.to_bits(), before.predicted_iteration_us.to_bits());
+        assert_eq!(engine.memo_len(), 2);
+        assert_eq!(engine.obs().snapshot().counter("qsync_engine_memo_misses_total"), Some(3));
     }
 
     #[test]

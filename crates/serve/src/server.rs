@@ -57,8 +57,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use qsync_api::{
-    render_reply, ApiError, ErrorCode, PlanPayload, ServerEvent, SubscriberStats, WireProto,
-    MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION,
+    render_plan_hit, render_reply, ApiError, ErrorCode, PlanPayload, ServerEvent, SubscriberStats,
+    WireProto, MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION,
 };
 use qsync_clock::{Clock, SystemClock};
 use qsync_obs::{CounterValue, GaugeValue, MetricsSnapshot};
@@ -188,8 +188,10 @@ impl TokenBucket {
 /// Per-connection serving state, shared between the transport (which reads
 /// commands) and the workers (which produce replies).
 pub(crate) struct ConnState {
-    /// Server-unique connection number; the default fair-queuing identity.
+    /// Server-unique connection number.
     id: u64,
+    /// `conn-{id}`: the default fair-queuing identity.
+    identity: String,
     /// Commands accepted but not yet replied to (plans queued or running,
     /// deltas pending). The transport closes a connection only once this
     /// returns to zero.
@@ -204,8 +206,8 @@ pub(crate) struct ConnState {
 
 impl ConnState {
     /// The fair-queuing identity of requests that don't name a `client_id`.
-    pub(crate) fn identity(&self) -> String {
-        format!("conn-{}", self.id)
+    pub(crate) fn identity(&self) -> &str {
+        &self.identity
     }
 
     /// The connection number.
@@ -215,11 +217,15 @@ impl ConnState {
 
     /// Serialize and enqueue one reply line in the given wire form.
     pub(crate) fn send(&self, wire: WireProto, reply: &ServerReply) {
-        let text = render_reply(wire, reply);
+        self.send_rendered(render_reply(wire, reply));
+    }
+
+    /// Enqueue one already-rendered reply line (no trailing newline).
+    fn send_rendered(&self, line: String) {
         match &self.sink {
             // A dropped receiver means the stream ended; nothing to tell.
-            Sink::Line(tx) => drop(tx.send(text)),
-            Sink::Outbox(outbox) => outbox.push_line(&text),
+            Sink::Line(tx) => drop(tx.send(line)),
+            Sink::Outbox(outbox) => outbox.push_line(&line),
         }
     }
 
@@ -470,13 +476,13 @@ impl ServeCore {
         if let Some(bucket_config) = config.per_client {
             let client = match command {
                 ServerCommand::Plan(request) => {
-                    request.client_id.clone().unwrap_or_else(|| conn.identity())
+                    request.client_id.as_deref().unwrap_or(conn.identity())
                 }
                 _ => conn.identity(),
             };
             let mut buckets = self.client_buckets.lock().expect("client buckets poisoned");
             let admitted = buckets
-                .entry(client.clone())
+                .entry(client.to_owned())
                 .or_insert_with(|| TokenBucket::new(bucket_config, now))
                 .try_admit(now);
             if !admitted {
@@ -717,8 +723,10 @@ impl ServeCore {
 
     /// Register a new connection over the given reply sink.
     pub(crate) fn register_conn(&self, sink: Sink) -> Arc<ConnState> {
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         Arc::new(ConnState {
-            id: self.next_conn.fetch_add(1, Ordering::Relaxed),
+            id,
+            identity: format!("conn-{id}"),
             pending: Mutex::new(0),
             idle: Condvar::new(),
             rate: Mutex::new(None),
@@ -952,7 +960,7 @@ impl ServeCore {
                 if request.client_id.is_none() {
                     // Fair-queue anonymous requests per connection, so one
                     // flooding connection cannot starve the others.
-                    meta.client = conn.identity();
+                    meta.client = conn.identity().to_owned();
                 }
                 let request_id = request.id;
                 conn.begin();
@@ -1175,8 +1183,10 @@ impl ServeCore {
                         format!("queued {wait_ms} ms"),
                     );
                 }
-                let reply = if expired {
-                    ServerReply::Fault(
+                // `hit_body` is `Some` exactly for a cache hit: its line is
+                // spliced from the entry's rendered body, not re-serialized.
+                let (reply, hit_body) = if expired {
+                    let fault = ServerReply::Fault(
                         ApiError::new(
                             ErrorCode::DeadlineExceeded,
                             format!(
@@ -1184,11 +1194,12 @@ impl ServeCore {
                             ),
                         )
                         .with_id(request.id),
-                    )
+                    );
+                    (fault, None)
                 } else {
                     self.record_op(|| SimOp::Plan(request.clone()));
-                    match self.engine.plan(&request) {
-                        Ok(response) => {
+                    match self.engine.plan_with_hit_body(&request) {
+                        Ok((response, hit_body)) => {
                             // A plan actually computed (not a cache hit) is
                             // news: fire-and-forget watchers key on it, and
                             // adopt-subscribed replicas mirror the entry.
@@ -1201,13 +1212,18 @@ impl ServeCore {
                                     adopt: self.adopt_payload(&response.key),
                                 });
                             }
-                            ServerReply::Plan(response)
+                            (ServerReply::Plan(response), hit_body)
                         }
-                        Err(error) => ServerReply::Fault(error),
+                        Err(error) => (ServerReply::Fault(error), None),
                     }
                 };
                 let write_start = obs.trace.now_us();
-                conn.send(wire, &reply);
+                match (&reply, &hit_body) {
+                    (ServerReply::Plan(hit), Some(body)) => {
+                        conn.send_rendered(render_plan_hit(wire, hit, body))
+                    }
+                    _ => conn.send(wire, &reply),
+                }
                 if trace_id != 0 {
                     obs.trace.span(
                         trace_id,
@@ -1550,6 +1566,61 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn hit_after_same_key_replacement_is_spliced_from_the_new_entry() {
+        // One worker, one connection: replies arrive in request order.
+        let server = PlanServer::new(1);
+        let serve = |input: String| -> Vec<String> {
+            let mut out: Vec<u8> = Vec::new();
+            server.serve_lines(input.as_bytes(), &mut out).unwrap();
+            String::from_utf8(out).unwrap().lines().map(str::to_owned).collect()
+        };
+        // A hit line must be the canonical rendering of the response it
+        // carries, and that response must be `entry`'s.
+        let assert_hit_of = |line: &str, entry: &PlanResponse| {
+            let ServerReply::Plan(hit) = serde_json::from_str(line).expect("reply parses") else {
+                panic!("expected a Plan reply: {line}");
+            };
+            assert_eq!(render_reply(WireProto::V0, &ServerReply::Plan(hit.clone())), line);
+            let want = PlanResponse {
+                id: hit.id,
+                outcome: PlanOutcome::CacheHit,
+                elapsed_us: hit.elapsed_us,
+                trace_id: hit.trace_id,
+                ..entry.clone()
+            };
+            assert_eq!(hit, want);
+        };
+
+        // Cold plan, then two hits — the second spliced from the body the
+        // first one rendered.
+        let lines = serve(format!("{}\n{}\n{}\n", plan_line(1), plan_line(2), plan_line(3)));
+        assert_eq!(lines.len(), 3);
+        let ServerReply::Plan(cold) = serde_json::from_str(&lines[0]).unwrap() else {
+            panic!("expected a Plan reply: {}", lines[0]);
+        };
+        assert_eq!(cold.outcome, PlanOutcome::ColdPlanned);
+        assert_hit_of(&lines[1], &cold);
+        assert_hit_of(&lines[2], &cold);
+
+        // Replace the entry under the SAME key with a different plan, as a
+        // replica adopting its primary's re-plan does.
+        let engine = server.engine();
+        let old = engine.cache().peek(&cold.key).expect("entry resident");
+        let adopted = PlanResponse {
+            predicted_iteration_us: old.response.predicted_iteration_us * 2.0,
+            promotions_accepted: old.response.promotions_accepted + 5,
+            warm_demotions: 2,
+            outcome: PlanOutcome::WarmReplanned,
+            ..old.response.clone()
+        };
+        assert!(engine.adopt_plan(old.request, adopted.clone(), old.inference_pdag));
+        let lines = serve(format!("{}\n{}\n", plan_line(4), plan_line(5)));
+        assert_eq!(lines.len(), 2);
+        assert_hit_of(&lines[0], &adopted);
+        assert_hit_of(&lines[1], &adopted);
     }
 
     #[test]
