@@ -162,20 +162,13 @@ pub fn conv2d_forward<R: Rng + ?Sized>(
                 ..FixedQuantizer::int8_per_tensor()
             }
             .quantize(&cols, &[m, k], rng);
-            let wq = FixedQuantizer {
-                precision,
-                ..FixedQuantizer::int8_per_channel(0)
-            }
-            .quantize(&wt, &[k, n], rng);
-            // Note: per-channel on axis 0 of [k, n] is the K axis, which is not what the
-            // epilogue expects; weights for fixed-point conv are quantized per-tensor here
-            // to keep column scales consistent.
+            // Per-tensor, not per-channel: axis 0 of the transposed [k, n] weight is the
+            // K axis, which is not what the epilogue's column scales expect.
             let wq_pt = FixedQuantizer {
                 precision,
                 ..FixedQuantizer::int8_per_tensor()
             }
             .quantize(&wt, &[k, n], rng);
-            let _ = wq;
             gemm_i8(
                 &aq.data,
                 &wq_pt.data,

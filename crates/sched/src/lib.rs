@@ -18,7 +18,10 @@
 //!   are handed to the worker flagged [`Dispatch::expired`] so it can answer
 //!   without doing the work.
 //! * **Cancellation**: queued jobs can be [cancelled](Scheduler::cancel) by
-//!   the ticket returned from [`Scheduler::submit`].
+//!   the ticket returned from [`Scheduler::submit`], or by what they carry
+//!   ([`Scheduler::cancel_newest_where`], [`Scheduler::cancel_all_where`]) —
+//!   the job table is the one record of what is queued, so a caller needs no
+//!   side map from its own names to tickets.
 //! * **Admission control**: per-class queue caps; a submit over the cap is
 //!   rejected immediately ([`Rejected`]) and counted as a shed.
 //!
@@ -35,12 +38,11 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod job;
 pub mod scheduler;
 pub mod stats;
 
-pub use clock::{Clock, ManualClock, SystemClock};
+pub use qsync_clock::{Clock, ManualClock, SystemClock};
 pub use job::{JobMeta, Priority};
 pub use scheduler::{Dispatch, Rejected, SchedConfig, SchedPolicy, Scheduler, SubmitError};
 pub use stats::{ClassStats, SchedStats};

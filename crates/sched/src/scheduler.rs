@@ -6,7 +6,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::clock::{Clock, SystemClock};
+use qsync_clock::{Clock, SystemClock};
 use crate::job::{JobMeta, Priority};
 use crate::stats::{ClassStats, SchedStats};
 
@@ -50,6 +50,10 @@ impl FromStr for SchedPolicy {
     }
 }
 
+/// Deficit credited to a client per DRR visit, scaled by its weight. Shares
+/// are set through [`JobMeta::weight`] and [`JobMeta::cost`]; the unit is fixed.
+const DRR_QUANTUM: u64 = 1;
+
 /// Scheduler configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedConfig {
@@ -59,8 +63,6 @@ pub struct SchedConfig {
     /// would push a class past its cap is rejected (shed). A cap of 0 sheds
     /// everything in that class.
     pub class_caps: [usize; 3],
-    /// Deficit quantum credited per DRR round (scaled by the client weight).
-    pub quantum: u32,
     /// When set, a deadline-tagged job whose deadline has already passed at
     /// dispatch time is handed to the worker flagged
     /// [`expired`](Dispatch::expired) so it can be answered without doing the
@@ -81,7 +83,6 @@ impl Default for SchedConfig {
         SchedConfig {
             policy: SchedPolicy::Drr,
             class_caps: [4096; 3],
-            quantum: 1,
             shed_expired: false,
             age_limit_ms: None,
         }
@@ -262,7 +263,7 @@ impl ClassState {
     /// Deficit-round-robin pop: serve the front client while its carried
     /// deficit affords the head job, otherwise rotate (crediting one quantum
     /// per visit). Deterministic for a given enqueue order.
-    fn pop(&mut self, quantum: u32) -> Option<u64> {
+    fn pop(&mut self) -> Option<u64> {
         loop {
             let client = self.ring.front()?.clone();
             let Some(queue) = self.queues.get_mut(&client) else {
@@ -281,7 +282,7 @@ impl ClassState {
             }
             if !self.credited_front {
                 let weight = self.weight.get(&client).copied().unwrap_or(1) as u64;
-                *self.deficit.entry(client.clone()).or_insert(0) += quantum.max(1) as u64 * weight;
+                *self.deficit.entry(client.clone()).or_insert(0) += DRR_QUANTUM * weight;
                 self.credited_front = true;
             }
             let (id, cost) = *queue.front().expect("non-empty queue");
@@ -351,6 +352,14 @@ pub(crate) struct State<T> {
     /// Dispatched but not yet completed.
     active: usize,
     counters: Counters,
+}
+
+impl<T> State<T> {
+    /// Tickets of the queued jobs whose payload satisfies `pred`, in no
+    /// particular order.
+    fn queued_where<'a>(&'a self, pred: impl Fn(&T) -> bool + 'a) -> impl Iterator<Item = u64> + 'a {
+        self.jobs.iter().filter(move |(_, job)| pred(&job.payload)).map(|(&id, _)| id)
+    }
 }
 
 pub(crate) struct Shared<T> {
@@ -469,31 +478,61 @@ impl<T> Scheduler<T> {
     /// before dispatch; `false` if it was already dispatched, completed or
     /// never existed.
     pub fn cancel(&self, id: u64) -> bool {
+        self.remove_queued(&mut self.lock(), &[id]) == 1
+    }
+
+    /// Cancel the most recently submitted queued job whose payload satisfies
+    /// `pred` — for callers that know a job by what it carries rather than
+    /// by its ticket. Returns whether one was removed. O(queued).
+    pub fn cancel_newest_where(&self, pred: impl Fn(&T) -> bool) -> bool {
         let mut st = self.lock();
-        let Some(job) = st.jobs.remove(&id) else { return false };
-        let class = job.meta.priority.index();
-        match self.shared.config.policy {
-            SchedPolicy::Fifo => {
-                if let Some(pos) = st.fifo.iter().position(|jid| *jid == id) {
-                    st.fifo.remove(pos);
+        let newest = st.queued_where(pred).max();
+        self.remove_queued(&mut st, newest.as_slice()) == 1
+    }
+
+    /// Cancel every queued job whose payload satisfies `pred`, in ticket
+    /// order. Returns how many were removed. O(queued).
+    pub fn cancel_all_where(&self, pred: impl Fn(&T) -> bool) -> usize {
+        let mut st = self.lock();
+        let mut ids: Vec<u64> = st.queued_where(pred).collect();
+        ids.sort_unstable();
+        self.remove_queued(&mut st, &ids)
+    }
+
+    /// The one removal path behind every `cancel*`: each of `ids` still
+    /// queued leaves the job table and every index that holds it. Returns
+    /// how many were removed, waking [`quiesce`](Scheduler::quiesce) waiters
+    /// if any was.
+    fn remove_queued(&self, st: &mut State<T>, ids: &[u64]) -> usize {
+        let mut removed = 0;
+        for &id in ids {
+            let Some(job) = st.jobs.remove(&id) else { continue };
+            let class = job.meta.priority.index();
+            match self.shared.config.policy {
+                SchedPolicy::Fifo => {
+                    if let Some(pos) = st.fifo.iter().position(|jid| *jid == id) {
+                        st.fifo.remove(pos);
+                    }
                 }
+                SchedPolicy::Drr => match job.deadline_ms {
+                    Some(deadline) => {
+                        st.edf.remove(&(deadline, job.seq, id));
+                    }
+                    None => {
+                        st.classes[class].remove(&job.meta.client, id);
+                        st.age.remove(&(job.enqueued_ms, job.seq, id));
+                    }
+                },
             }
-            SchedPolicy::Drr => match job.deadline_ms {
-                Some(deadline) => {
-                    st.edf.remove(&(deadline, job.seq, id));
-                }
-                None => {
-                    st.classes[class].remove(&job.meta.client, id);
-                    st.age.remove(&(job.enqueued_ms, job.seq, id));
-                }
-            },
+            st.classes[class].depth -= 1;
+            st.inflight.remove(&job.seq);
+            st.counters.cancelled += 1;
+            removed += 1;
         }
-        st.classes[class].depth -= 1;
-        st.inflight.remove(&job.seq);
-        st.counters.cancelled += 1;
-        drop(st);
-        self.shared.idle.notify_all();
-        true
+        if removed > 0 {
+            self.shared.idle.notify_all();
+        }
+        removed
     }
 
     /// Aging check (DRR, [`SchedConfig::age_limit_ms`] set): when the oldest
@@ -526,15 +565,7 @@ impl<T> Scheduler<T> {
                 } else if let Some(id) = self.pop_aged_locked(st) {
                     id
                 } else {
-                    let quantum = self.shared.config.quantum;
-                    let mut picked = None;
-                    for class in &mut st.classes {
-                        if let Some(id) = class.pop(quantum) {
-                            picked = Some(id);
-                            break;
-                        }
-                    }
-                    picked?
+                    st.classes.iter_mut().find_map(ClassState::pop)?
                 }
             }
         };
@@ -656,7 +687,7 @@ impl<T> Scheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use qsync_clock::ManualClock;
 
     fn drr_config() -> SchedConfig {
         SchedConfig { policy: SchedPolicy::Drr, ..SchedConfig::default() }
@@ -896,11 +927,39 @@ mod tests {
     fn cancellation_releases_the_quiesce_barrier() {
         let sched: Scheduler<&str> = Scheduler::new(drr_config());
         let ticket = sched.submit("doomed", JobMeta::default()).unwrap();
+        sched.submit("doomed too", JobMeta::default().with_deadline_ms(5)).unwrap();
         let cutoff = sched.barrier();
         assert!(sched.cancel(ticket));
+        assert_eq!(sched.cancel_all_where(|_| true), 1, "by predicate, from the EDF lane");
         // Nothing pre-cutoff is left in flight: returns without any worker.
         sched.quiesce_until(cutoff);
         sched.quiesce();
+    }
+
+    #[test]
+    fn predicate_cancel_reaches_class_queues_the_edf_lane_and_the_aging_index() {
+        let clock = Arc::new(ManualClock::new());
+        let config = SchedConfig { age_limit_ms: Some(50), ..drr_config() };
+        let sched: Scheduler<&str> = Scheduler::with_clock(config, clock.clone());
+        sched.submit("x-old", JobMeta::new("a", Priority::Interactive)).unwrap();
+        sched.submit("keep", JobMeta::new("a", Priority::Interactive)).unwrap();
+        sched.submit("x-timed", JobMeta::new("b", Priority::Batch).with_deadline_ms(9)).unwrap();
+        sched.submit("x-bg", JobMeta::new("b", Priority::Background)).unwrap();
+        sched.submit("x-new", JobMeta::new("a", Priority::Interactive)).unwrap();
+        let twin = |p: &&str| *p == "x-old" || *p == "x-new";
+        assert!(sched.cancel_newest_where(twin), "a match is queued");
+        assert_eq!(sched.cancel_all_where(|p| *p == "x-new"), 0, "the newer twin is the one gone");
+        assert_eq!(sched.stats().interactive.depth, 2);
+        // Ticket order over what is left: the class queue, the EDF lane and
+        // the aging index each give up their entry.
+        assert_eq!(sched.cancel_all_where(|p| p.starts_with("x-")), 3);
+        assert!(!sched.cancel_newest_where(twin), "nothing left to match");
+        assert_eq!(sched.cancel_all_where(|p| p.starts_with("x-")), 0);
+        clock.advance(60); // past the aging window: a stale index entry would fire here
+        assert_eq!(drain(&sched), vec!["keep"]);
+        let stats = sched.stats();
+        assert_eq!((stats.cancelled, stats.aged, stats.queued), (4, 0, 0));
+        assert_eq!(stats.classes().map(|c| c.depth), [0, 0, 0]);
     }
 
     #[test]

@@ -73,8 +73,7 @@ fn answer_scrape(engine: &Arc<PlanEngine>, mut stream: TcpStream) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelSpec;
-    use crate::request::PlanRequest;
+    use qsync_api::{ModelSpec, PlanRequest};
     use qsync_cluster::topology::ClusterSpec;
 
     fn scrape(addr: std::net::SocketAddr) -> String {

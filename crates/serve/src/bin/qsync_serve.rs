@@ -1,13 +1,13 @@
-//! `qsync-serve` — the plan-serving daemon and its one-shot/load-test modes.
+//! `qsync-serve` — the plan-serving daemon and its one-shot mode.
 //!
 //! ```text
 //! qsync-serve serve [--workers N] [--tcp ADDR] [--admin-addr ADDR]
-//!                   [--cache-capacity N] [--cache-shards N]
+//!                   [--cache-capacity N]
 //!                   [--sched-policy fifo|drr] [--queue-cap N]
 //!                   [--queue-cap-interactive N] [--queue-cap-batch N] [--queue-cap-background N]
-//!                   [--drr-quantum N] [--shed-expired true|false] [--age-limit-ms N]
+//!                   [--shed-expired true|false] [--age-limit-ms N]
 //!                   [--delta-window-ms N] [--plan-budget-evals N]
-//!                   [--event-outbox-cap BYTES] [--accept-backoff-ms N]
+//!                   [--event-outbox-cap BYTES]
 //!                   [--reactors N]
 //!                   [--rate-limit-conn RATE[,BURST]] [--rate-limit-client RATE[,BURST]]
 //!                   [--store PATH] [--snapshot-interval-ms N] [--follow ADDR]
@@ -23,8 +23,6 @@
 //!     docs/OBSERVABILITY.md). --event-outbox-cap bounds a subscriber's
 //!     un-flushed bytes before broadcast events are shed (replies are
 //!     never dropped; see "The event stream" in docs/PROTOCOL.md).
-//!     --accept-backoff-ms sets how long accepts pause after a
-//!     resource-exhaustion accept error (EMFILE and friends).
 //!     --reactors shards the TCP transport across N epoll reactor threads
 //!     (default: the available cores); reactor 0 accepts and hands each
 //!     connection to the least-loaded reactor, all sharing one core (see
@@ -50,13 +48,7 @@
 //!                  [--tolerance F] [--memory-fraction F]
 //!     One-shot: plan and print the PlanResponse JSON to stdout.
 //!
-//! qsync-serve bench-load [--requests N] [--clients N] [--model SPEC] [--cluster SPEC]
-//!                        [--cache-capacity N] [--cache-shards N] [--workers N]
-//!     Load generation through the real stack: an in-process TCP server and
-//!     one multiplexed qsync-client connection shared by N client threads;
-//!     prints a latency summary with the cache hit/miss/eviction counters
-//!     (see also benches/bench_plan_server.rs for the cold/hit/warm
-//!     comparison).
+//! A flag the subcommand does not take is an error (exit 1), not a no-op.
 //!
 //! Model SPEC:   family[:batch[,extra]]   e.g. bert:2,16  resnet50:2,32  small_mlp
 //! Cluster SPEC: a:V,T | b:V,T,MEMFRAC    e.g. a:2,2  b:2,2,0.3   (V100s, T4s)
@@ -65,13 +57,12 @@
 use std::io::{stdin, stdout, BufReader};
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use qsync_client::MuxClient;
 use qsync_cluster::topology::ClusterSpec;
 use qsync_serve::{
     CacheConfig, FollowerConfig, IndicatorChoice, ModelSpec, PlanEngine, PlanRequest, PlanServer,
-    SchedConfig, ShutdownSignal, StoreConfig, TokenBucketConfig, TransportConfig,
+    SchedConfig, StoreConfig, TokenBucketConfig, TransportConfig,
 };
 
 fn parse_cluster(s: &str) -> Result<ClusterSpec, String> {
@@ -100,19 +91,38 @@ fn parse_indicator(s: &str) -> Result<IndicatorChoice, String> {
     }
 }
 
+/// The flags `serve` takes.
+#[rustfmt::skip]
+const SERVE_FLAGS: &[&str] = &[
+    "workers", "tcp", "admin-addr", "cache-capacity",
+    "sched-policy", "queue-cap", "queue-cap-interactive", "queue-cap-batch", "queue-cap-background",
+    "shed-expired", "age-limit-ms", "delta-window-ms", "plan-budget-evals",
+    "event-outbox-cap", "reactors", "rate-limit-conn", "rate-limit-client",
+    "store", "snapshot-interval-ms", "follow",
+];
+
+/// The flags `plan` takes.
+const PLAN_FLAGS: &[&str] = &["model", "cluster", "indicator", "tolerance", "memory-fraction"];
+
 /// Tiny flag parser: `--name value` pairs after the subcommand.
 struct Flags {
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args` against the subcommand's flag list; a name outside
+    /// `known` is an error naming it and the valid ones.
+    fn parse(args: &[String], known: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("expected --flag, got {flag:?}"));
             };
+            if !known.contains(&name) {
+                let valid: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown flag --{name} (valid: {})", valid.join(" ")));
+            }
             let Some(value) = it.next() else {
                 return Err(format!("--{name} needs a value"));
             };
@@ -144,19 +154,6 @@ fn build_request(id: u64, flags: &Flags) -> Result<PlanRequest, String> {
     Ok(request)
 }
 
-fn parse_cache_config(flags: &Flags) -> Result<CacheConfig, String> {
-    let defaults = CacheConfig::default();
-    let capacity = match flags.get("cache-capacity") {
-        Some(v) => v.parse().map_err(|e| format!("bad --cache-capacity: {e}"))?,
-        None => defaults.capacity,
-    };
-    let shards = match flags.get("cache-shards") {
-        Some(v) => v.parse().map_err(|e| format!("bad --cache-shards: {e}"))?,
-        None => defaults.shards,
-    };
-    Ok(CacheConfig { capacity, shards })
-}
-
 fn parse_sched_config(flags: &Flags) -> Result<SchedConfig, String> {
     let mut config = SchedConfig::default();
     if let Some(policy) = flags.get("sched-policy") {
@@ -171,9 +168,6 @@ fn parse_sched_config(flags: &Flags) -> Result<SchedConfig, String> {
             config.class_caps[i] =
                 cap.parse().map_err(|e| format!("bad --queue-cap-{class}: {e}"))?;
         }
-    }
-    if let Some(quantum) = flags.get("drr-quantum") {
-        config.quantum = quantum.parse().map_err(|e| format!("bad --drr-quantum: {e}"))?;
     }
     if let Some(shed) = flags.get("shed-expired") {
         config.shed_expired = match shed {
@@ -205,20 +199,14 @@ fn parse_token_bucket(flag: &str, value: &str) -> Result<TokenBucketConfig, Stri
     Ok(TokenBucketConfig { rate_per_sec, burst })
 }
 
-fn parse_delta_window(flags: &Flags) -> Result<Duration, String> {
-    match flags.get("delta-window-ms") {
-        Some(v) => {
-            let ms: u64 = v.parse().map_err(|e| format!("bad --delta-window-ms: {e}"))?;
-            Ok(Duration::from_millis(ms))
-        }
-        None => Ok(Duration::ZERO),
-    }
-}
-
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let workers: usize =
         flags.get("workers").unwrap_or("8").parse().map_err(|e| format!("bad --workers: {e}"))?;
-    let mut engine_config = PlanEngine::with_cache_config(parse_cache_config(flags)?);
+    let mut cache = CacheConfig::default();
+    if let Some(capacity) = flags.get("cache-capacity") {
+        cache.capacity = capacity.parse().map_err(|e| format!("bad --cache-capacity: {e}"))?;
+    }
+    let mut engine_config = PlanEngine::with_cache_config(cache);
     if let Some(budget) = flags.get("plan-budget-evals") {
         engine_config = engine_config.with_plan_budget(Some(
             budget.parse().map_err(|e| format!("bad --plan-budget-evals: {e}"))?,
@@ -239,17 +227,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             })
             .map_err(|e| format!("spawn admin thread: {e}"))?;
     }
+    let delta_window_ms: u64 = flags
+        .get("delta-window-ms")
+        .unwrap_or("0")
+        .parse()
+        .map_err(|e| format!("bad --delta-window-ms: {e}"))?;
     let mut server = PlanServer::with_sched(engine, workers, parse_sched_config(flags)?)
-        .with_delta_window(parse_delta_window(flags)?);
+        .with_delta_window(Duration::from_millis(delta_window_ms));
     let mut transport = TransportConfig::default();
     if let Some(cap) = flags.get("event-outbox-cap") {
         transport.event_outbox_cap =
             cap.parse().map_err(|e| format!("bad --event-outbox-cap: {e}"))?;
-    }
-    if let Some(ms) = flags.get("accept-backoff-ms") {
-        transport.accept_backoff = Duration::from_millis(
-            ms.parse().map_err(|e| format!("bad --accept-backoff-ms: {e}"))?,
-        );
     }
     // Default to one reactor per available core; the flag overrides.
     transport.reactors = match flags.get("reactors") {
@@ -319,104 +307,20 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_load(flags: &Flags) -> Result<(), String> {
-    let requests: usize =
-        flags.get("requests").unwrap_or("64").parse().map_err(|e| format!("bad --requests: {e}"))?;
-    let clients: usize =
-        flags.get("clients").unwrap_or("8").parse().map_err(|e| format!("bad --clients: {e}"))?;
-    let workers: usize =
-        flags.get("workers").unwrap_or("8").parse().map_err(|e| format!("bad --workers: {e}"))?;
-    let template = build_request(0, flags)?;
-    let engine = Arc::new(PlanEngine::with_cache_config(parse_cache_config(flags)?));
-
-    // The real stack: an ephemeral-port reactor server, one multiplexed
-    // client connection, N submitter threads sharing it.
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let shutdown = ShutdownSignal::new();
-    let server = PlanServer::with_engine(Arc::clone(&engine), workers);
-    let signal = shutdown.clone();
-    let server_thread = std::thread::spawn(move || server.serve_listener(listener, signal));
-    let mux = MuxClient::connect(addr).map_err(|e| format!("connect bench client: {e}"))?;
-
-    let started = Instant::now();
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(requests);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for client in 0..clients {
-            let mux = mux.clone();
-            let template = template.clone();
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                let mut i = client;
-                while i < requests {
-                    let request = template.clone();
-                    let t0 = Instant::now();
-                    let response = mux.plan(request).expect("valid bench request");
-                    assert_eq!(response.key, template.cache_key());
-                    local.push(t0.elapsed().as_micros() as u64);
-                    i += clients;
-                }
-                local
-            }));
-        }
-        for h in handles {
-            latencies_us.extend(h.join().expect("client thread panicked"));
-        }
-    });
-    let wall_ms = started.elapsed().as_millis();
-    drop(mux);
-    shutdown.shutdown();
-    server_thread
-        .join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| e.to_string())?;
-
-    latencies_us.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies_us.len() as f64 - 1.0) * p) as usize;
-        latencies_us[idx]
-    };
-    let stats = engine.cache().stats();
-    let summary = serde_json::json!({
-        "requests": requests,
-        "clients": clients,
-        "transport": "tcp-mux",
-        "wall_ms": wall_ms as u64,
-        "p50_us": pct(0.50),
-        "p90_us": pct(0.90),
-        "p99_us": pct(0.99),
-        "max_us": latencies_us.last().copied().unwrap_or(0),
-        "cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evicted": stats.evicted,
-            "invalidated": stats.invalidated,
-            "entries": stats.entries,
-        },
-    });
-    println!("{}", serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?);
-    Ok(())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            eprintln!("usage: qsync-serve <serve|plan|bench-load> [--flag value ...]");
+            eprintln!("usage: qsync-serve <serve|plan> [--flag value ...]");
             std::process::exit(2);
         }
     };
-    let result = Flags::parse(rest).and_then(|flags| match command {
-        "serve" => cmd_serve(&flags),
-        "plan" => cmd_plan(&flags),
-        "bench-load" => cmd_bench_load(&flags),
-        other => Err(format!("unknown subcommand {other:?} (serve|plan|bench-load)")),
-    });
+    let result = match command {
+        "serve" => Flags::parse(rest, SERVE_FLAGS).and_then(|flags| cmd_serve(&flags)),
+        "plan" => Flags::parse(rest, PLAN_FLAGS).and_then(|flags| cmd_plan(&flags)),
+        other => Err(format!("unknown subcommand {other:?} (serve|plan)")),
+    };
     if let Err(message) = result {
         eprintln!("qsync-serve: {message}");
         std::process::exit(1);

@@ -32,12 +32,10 @@ use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
 
-use qsync_api::PlanHitBody;
+use qsync_api::{PlanHitBody, PlanRequest, PlanResponse};
 use qsync_graph::PrecisionDag;
 
 pub use qsync_api::CacheStats;
-
-use crate::request::{PlanRequest, PlanResponse};
 
 /// One cached plan: the response to replay plus what warm re-planning needs.
 #[derive(Debug, Clone)]
@@ -368,8 +366,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelSpec;
-    use crate::request::{PlanOutcome, PlanRequest};
+    use qsync_api::{ModelSpec, PlanOutcome};
     use qsync_cluster::topology::ClusterSpec;
     use qsync_core::plan::PrecisionPlan;
 

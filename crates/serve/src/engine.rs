@@ -8,7 +8,7 @@
 //!    returned byte-identically.
 //! 2. **Cold plan** — build the [`QSyncSystem`] (profiling every device), run
 //!    the full allocator, cache and return.
-//! 3. **Warm re-plan** — on a [`ClusterDelta`](crate::elastic::ClusterDelta),
+//! 3. **Warm re-plan** — on a [`ClusterDelta`](qsync_api::ClusterDelta),
 //!    evict exactly the entries planned against the old cluster fingerprint
 //!    and re-plan each by warm starting the allocator's recovery phase from
 //!    the cached assignment.
@@ -30,7 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use qsync_api::{ApiError, PlanHitBody};
+use qsync_api::{
+    ApiError, DeltaRequest, DeltaResponse, DeltaStats, IndicatorChoice, PlanHitBody, PlanOutcome,
+    PlanRequest, PlanResponse,
+};
 use qsync_cluster::topology::ClusterSpec;
 use qsync_core::allocator::{AllocationReport, Allocator, InitialSetting};
 use qsync_core::indicator::{HessianIndicator, RandomIndicator, SensitivityIndicator};
@@ -38,9 +41,7 @@ use qsync_core::plan::PrecisionPlan;
 use qsync_core::system::QSyncSystem;
 
 use crate::cache::{CacheConfig, CachedPlan, PlanCache};
-use crate::elastic::{DeltaRequest, DeltaResponse, DeltaStats};
 use crate::metrics::ServeObs;
-use crate::request::{IndicatorChoice, PlanOutcome, PlanRequest, PlanResponse};
 
 /// The cache-fronted planning engine. Cheap to share: wrap in an [`Arc`] and
 /// clone the handle across worker threads.
@@ -681,8 +682,7 @@ impl PlanEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::ClusterDelta;
-    use crate::model::ModelSpec;
+    use qsync_api::{ClusterDelta, ModelSpec};
 
     fn mlp_request(id: u64, cluster: ClusterSpec) -> PlanRequest {
         PlanRequest::new(

@@ -16,7 +16,7 @@
 //!   keyed by a stable fingerprint of the canonicalized model DAG, the cluster
 //!   spec and the planning constraints. A repeated request is a cache hit and
 //!   returns a byte-identical serialized plan.
-//! * **Elastic re-planning** ([`elastic`]): device join/leave and
+//! * **Elastic re-planning** ([`engine`], [`server`]): device join/leave and
 //!   capability-degradation events ([`ClusterDelta`]) invalidate exactly the
 //!   cache entries planned against the affected cluster, then re-plan them by
 //!   warm-starting the allocator's precision-recovery phase from the cached
@@ -30,7 +30,8 @@
 //!   `deadline_ms` (EDF lane + miss accounting); requests without them
 //!   behave exactly like the original FIFO server. Queues are bounded (load
 //!   shedding) and queued requests are cancellable by the connection that
-//!   submitted them. Responses stream back as they complete (responses carry
+//!   submitted them — the scheduler's job table is the only record of a
+//!   queued plan. Responses stream back as they complete (responses carry
 //!   the request id; ordering across concurrent requests is not guaranteed).
 //! * **Reactor transport** ([`transport`]): TCP connections are multiplexed
 //!   onto one epoll event loop (vendored [`polling`]), so thousands of idle
@@ -46,7 +47,10 @@
 //!   re-plans fan out through the scheduler's batch class — byte-identical
 //!   to serial application. One function runs every wave, on the server's
 //!   single delta thread and under simulation alike.
-//! * **Event stream**: `Subscribe`d connections receive
+//! * **Overload protection** ([`admission`]): per-connection and per-client
+//!   token buckets decide, before anything else looks at a command, whether
+//!   it is served or answered with a structured `RateLimited` error.
+//! * **Event stream** (`events`): `Subscribe`d connections receive
 //!   [`ServerEvent`](qsync_api::ServerEvent) lines — cache invalidations and
 //!   warm re-plans as they happen — instead of polling `Stats`. A slow
 //!   subscriber sheds events rather than buffering unboundedly; the client
@@ -76,40 +80,40 @@
 //!   recovering from any event-seq gap with a fresh snapshot pull (see
 //!   `docs/PERSISTENCE.md`).
 //!
-//! The `qsync-serve` binary exposes `serve`, `plan` (one-shot) and
-//! `bench-load` subcommands; `examples/plan_server.rs` in the workspace root
-//! is the quickstart, and `docs/PROTOCOL.md` documents the wire format.
+//! The `qsync-serve` binary exposes `serve` and `plan` (one-shot)
+//! subcommands; `examples/plan_server.rs` in the workspace root is the
+//! quickstart, `docs/PROTOCOL.md` documents the wire format, and load
+//! generation is `qsync_benchmark/`.
 
 #![warn(missing_docs)]
 
 pub mod admin;
+pub mod admission;
 pub mod cache;
-pub mod elastic;
 pub mod engine;
+mod events;
 pub mod metrics;
-pub mod model;
 pub mod persist;
 pub mod replica;
-pub mod request;
 pub mod server;
 pub mod sim;
 pub mod transport;
 
 pub use admin::serve_admin;
+pub use admission::{RateLimitConfig, TokenBucketConfig};
 pub use cache::{CacheConfig, CacheStats, PlanCache, ShardStats};
 pub use metrics::ServeObs;
-pub use elastic::{ClusterDelta, DeltaRequest, DeltaResponse, DeltaStats};
 pub use engine::{PlanEngine, ReplanChain};
-pub use model::ModelSpec;
 pub use persist::{ImportStats, StoreConfig};
 pub use replica::{follow, FollowerConfig, ReplicaApply};
 pub use qsync_api::{
-    ApiError, ErrorCode, ReplyEnvelope, RequestEnvelope, ServerCommand, ServerEvent, ServerReply,
-    WireProto, MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ApiError, ClusterDelta, DeltaRequest, DeltaResponse, DeltaStats, ErrorCode, IndicatorChoice,
+    ModelSpec, PlanOutcome, PlanRequest, PlanResponse, ReplyEnvelope, RequestEnvelope,
+    ServerCommand, ServerEvent, ServerReply, WireProto, MAX_PROTOCOL_VERSION,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use qsync_core::plan::PrecisionPlan;
 pub use qsync_sched::{Priority, SchedConfig, SchedPolicy, SchedStats};
-pub use request::{IndicatorChoice, PlanOutcome, PlanRequest, PlanResponse};
-pub use server::{PlanServer, RateLimitConfig, TokenBucketConfig};
+pub use server::PlanServer;
 pub use sim::{SimConfig, SimConn, SimOp, SimServer};
 pub use transport::{ShutdownSignal, TransportConfig};

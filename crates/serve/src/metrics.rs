@@ -14,7 +14,9 @@
 //! `Metrics` time from the authoritative structures — see
 //! [`ServeCore::metrics_snapshot`](crate::server::ServeCore).
 
-use qsync_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, TraceLog};
+use qsync_obs::{
+    Counter, CounterValue, Gauge, GaugeValue, Histogram, MetricsSnapshot, Registry, TraceLog,
+};
 use qsync_pool::PoolStats;
 use std::sync::{Arc, Mutex};
 
@@ -264,6 +266,45 @@ impl ServeObs {
     pub fn reactor_conns(&self, reactor: usize) -> Arc<Gauge> {
         self.registry.gauge(&format!("qsync_transport_reactor_conns{{reactor=\"{reactor}\"}}"))
     }
+}
+
+/// Append the scheduler's own counters (they are not registry instruments,
+/// so they are read at snapshot time) and its banked DRR deficit.
+pub(crate) fn append_sched<T>(snap: &mut MetricsSnapshot, scheduler: &qsync_sched::Scheduler<T>) {
+    let sched = scheduler.stats();
+    for (class, stats) in [
+        ("interactive", sched.interactive),
+        ("batch", sched.batch),
+        ("background", sched.background),
+    ] {
+        snap.gauges.push(GaugeValue {
+            name: format!("qsync_sched_queue_depth{{class=\"{class}\"}}"),
+            value: stats.depth as i64,
+        });
+        for (kind, value) in [
+            ("dispatched", stats.dispatched),
+            ("completed", stats.completed),
+            ("shed", stats.shed),
+        ] {
+            snap.counters.push(CounterValue {
+                name: format!("qsync_sched_{kind}{{class=\"{class}\"}}"),
+                value,
+            });
+        }
+    }
+    for (name, value) in [
+        ("qsync_sched_cancelled_total", sched.cancelled),
+        ("qsync_sched_expired_total", sched.expired),
+        ("qsync_sched_deadline_met_total", sched.deadline_met),
+        ("qsync_sched_deadline_misses_total", sched.deadline_misses),
+        ("qsync_sched_aged_total", sched.aged),
+    ] {
+        snap.counters.push(CounterValue { name: name.to_string(), value });
+    }
+    snap.gauges.push(GaugeValue {
+        name: "qsync_sched_deficit_carry".to_string(),
+        value: scheduler.deficit_carry() as i64,
+    });
 }
 
 #[cfg(test)]

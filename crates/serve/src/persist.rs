@@ -238,8 +238,7 @@ pub fn load_from_path(engine: &PlanEngine, path: &Path) -> Result<ImportStats, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelSpec;
-    use crate::request::{PlanOutcome, PlanRequest};
+    use qsync_api::{ModelSpec, PlanOutcome, PlanRequest};
     use qsync_cluster::topology::ClusterSpec;
 
     fn planned_engine() -> PlanEngine {

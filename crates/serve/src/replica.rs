@@ -263,10 +263,8 @@ fn resync_and_pull(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelSpec;
     use crate::persist::plan_records;
-    use crate::request::{PlanOutcome, PlanRequest};
-    use qsync_api::PlanPayload;
+    use qsync_api::{ModelSpec, PlanOutcome, PlanPayload, PlanRequest};
     use qsync_cluster::topology::ClusterSpec;
 
     fn request(id: u64, batch: usize) -> PlanRequest {
@@ -277,7 +275,7 @@ mod tests {
         )
     }
 
-    fn payload_for(engine: &PlanEngine, response: &crate::request::PlanResponse) -> PlanPayload {
+    fn payload_for(engine: &PlanEngine, response: &qsync_api::PlanResponse) -> PlanPayload {
         let entry = engine.cache().peek(&response.key).expect("planned entry is resident");
         PlanPayload {
             request: entry.request,
@@ -295,7 +293,7 @@ mod tests {
 
         let a = primary.plan(&request(1, 8)).unwrap();
         let b = primary.plan(&request(2, 16)).unwrap();
-        let ready = |r: &crate::request::PlanResponse| ServerEvent::PlanReady {
+        let ready = |r: &qsync_api::PlanResponse| ServerEvent::PlanReady {
             key: r.key.clone(),
             outcome: PlanOutcome::ColdPlanned,
             predicted_iteration_us: r.predicted_iteration_us,

@@ -9,7 +9,7 @@
 //! planner threads; replies stream back **as they complete** — callers
 //! correlate by the echoed `id`, not by line order. Scheduling honors the
 //! request's optional `priority`, `client_id`, `deadline_ms` and `weight`
-//! fields (see [`crate::request::PlanRequest`]); a request without a
+//! fields (see [`PlanRequest`]); a request without a
 //! `client_id` is fair-queued under its **connection identity**, so one
 //! flooding connection cannot starve the others.
 //!
@@ -21,55 +21,61 @@
 //! thin adapter over that core; the TCP path multiplexes all connections
 //! onto an epoll reactor ([`crate::transport`]).
 //!
-//! Elasticity deltas are barriers, applied in **waves** by one function
+//! Elasticity events cluster in time — a spot reclaim degrades several
+//! devices at once, a scale-down removes ranks back to back — so deltas
+//! ([`qsync_api::delta`]) are barriers applied in **waves** by one function
 //! (`ServeCore::run_delta_wave`): every delta queued once the oldest has
 //! waited out the collection window (`--delta-window-ms`, zero by default)
 //! is taken together, the wave waits for every plan submitted (on any
-//! connection) before it, then applies as one [`PlanEngine`] batch. A
-//! threaded core runs waves on its single delta thread and fans the warm
-//! re-plans out through the scheduler's **batch** class; the threadless
-//! simulation core ([`crate::sim`]) runs the same function from its pump
-//! and the re-plans inline. Either way the connection that submitted a
-//! delta keeps streaming; in particular a `Stats` read taken mid-quiesce
-//! answers immediately from counters instead of blocking behind the
-//! barrier.
+//! connection) before it, then [`PlanEngine::apply_deltas_with`] composes
+//! same-cluster deltas, invalidates once and emits the re-plan chains as one
+//! batch — there is no second batching layer. A threaded core runs waves on
+//! its single delta thread and fans the warm re-plans out through the
+//! scheduler's **batch** class; the threadless simulation core
+//! ([`crate::sim`]) runs the same function from its pump and the re-plans
+//! inline. Either way the connection that submitted a delta keeps streaming;
+//! a `Stats` read taken mid-quiesce answers immediately from counters.
 //!
 //! `Cancel` removes a still-queued plan request submitted **on the same
 //! connection** (a successfully cancelled plan produces no `Plan` reply; the
 //! `Cancelled` confirmation is its reply); plans queued by other connections
-//! are out of reach and report `cancelled: false`.
+//! are out of reach and report `cancelled: false`. The scheduler's job table
+//! is the only record of a queued plan — `Cancel` and connection close scan
+//! it — so a plan takes no core-owned lock on its way in or out.
 //!
 //! Connections that [`Subscribe`](ServerCommand::Subscribe) receive the
-//! server's **event stream**: each delta wave broadcasts
+//! server's **event stream** (`events.rs`): each delta wave broadcasts
 //! [`ServerEvent::CacheInvalidated`] (what was evicted), one
 //! [`ServerEvent::Replanned`] per warm re-plan, then
 //! [`ServerEvent::DeltaApplied`] per composed delta — so a watching client
 //! observes invalidate → re-plan for deltas *other* clients submit, without
-//! polling `Stats`.
+//! polling `Stats`. Overload protection is [`crate::admission`]. This file
+//! keeps connections, the one dispatch, delta waves and [`PlanServer`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use qsync_api::{
-    render_plan_hit, render_reply, ApiError, ErrorCode, PlanPayload, ServerEvent, SubscriberStats,
-    WireProto, MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION,
+    render_plan_hit, render_reply, ApiError, DeltaRequest, ErrorCode, PlanOutcome, PlanRequest,
+    PlanResponse, ServerEvent, WireProto, MAX_PROTOCOL_VERSION, MIN_PROTOCOL_VERSION,
 };
 use qsync_clock::{Clock, SystemClock};
-use qsync_obs::{CounterValue, GaugeValue, MetricsSnapshot};
+use qsync_obs::MetricsSnapshot;
 pub use qsync_api::{ServerCommand, ServerReply};
 
 use qsync_sched::{Dispatch, JobMeta, Priority, SchedConfig, Scheduler, SubmitError};
+use qsync_store::StoreError;
 
-use crate::elastic::DeltaRequest;
+use crate::admission::{Admission, TokenBucket};
 use crate::engine::{PlanEngine, ReplanChain};
+use crate::events::EventHub;
 use crate::persist::{self, StoreConfig};
-use crate::request::{PlanOutcome, PlanRequest, PlanResponse};
 use crate::sim::SimOp;
 use crate::transport::{Outbox, TransportConfig};
 
@@ -104,87 +110,6 @@ pub(crate) enum Sink {
     Outbox(Arc<Outbox>),
 }
 
-/// Tuning of one token bucket: a steady refill rate plus a burst allowance.
-///
-/// The bucket is integer arithmetic in **token-millis** (1 command costs
-/// 1000): refill is `rate_per_sec × elapsed_ms` token-millis, capped at
-/// `burst × 1000` — deterministic for any clock, which is what lets the lab
-/// replay overload scenarios byte-for-byte on a
-/// [`ManualClock`](qsync_clock::ManualClock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TokenBucketConfig {
-    /// Sustained admission rate, commands per second.
-    pub rate_per_sec: u64,
-    /// Burst allowance: commands admitted instantly from a full bucket.
-    pub burst: u64,
-}
-
-/// Token-bucket overload protection, enforced per command at admission.
-///
-/// A shed command is **always answered** with a structured
-/// [`ErrorCode::RateLimited`] error carrying the command's `id` (legacy v0
-/// connections get the byte-compatible `Error` shape) — never a silent drop
-/// — and it is safe to retry after a backoff: the command was rejected
-/// before any state changed. The default has no limits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RateLimitConfig {
-    /// Per-connection bucket: bounds any single socket regardless of the
-    /// identities it claims.
-    pub per_conn: Option<TokenBucketConfig>,
-    /// Per-client bucket, keyed by the request's `client_id` (falling back
-    /// to the connection identity): bounds an identity that spreads itself
-    /// across many connections.
-    pub per_client: Option<TokenBucketConfig>,
-}
-
-impl RateLimitConfig {
-    /// Whether any limit is configured (the hot path's fast-out).
-    pub fn is_enabled(&self) -> bool {
-        self.per_conn.is_some() || self.per_client.is_some()
-    }
-}
-
-/// Deterministic integer token bucket (see [`TokenBucketConfig`]).
-#[derive(Debug)]
-struct TokenBucket {
-    config: TokenBucketConfig,
-    /// Current fill, in token-millis (1000 per admissible command).
-    tokens_milli: u64,
-    /// Clock-ms of the last refill.
-    last_refill_ms: u64,
-}
-
-impl TokenBucket {
-    /// A full bucket as of `now_ms`.
-    fn new(config: TokenBucketConfig, now_ms: u64) -> Self {
-        TokenBucket {
-            config,
-            tokens_milli: config.burst.saturating_mul(1000),
-            last_refill_ms: now_ms,
-        }
-    }
-
-    /// Refill for the elapsed time, then try to spend one command's worth of
-    /// tokens. Returns whether the command is admitted.
-    fn try_admit(&mut self, now_ms: u64) -> bool {
-        let elapsed_ms = now_ms.saturating_sub(self.last_refill_ms);
-        if elapsed_ms > 0 {
-            // rate_per_sec tokens/s == rate_per_sec token-millis per ms.
-            self.tokens_milli = self
-                .tokens_milli
-                .saturating_add(self.config.rate_per_sec.saturating_mul(elapsed_ms))
-                .min(self.config.burst.saturating_mul(1000));
-            self.last_refill_ms = now_ms;
-        }
-        if self.tokens_milli >= 1000 {
-            self.tokens_milli -= 1000;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Per-connection serving state, shared between the transport (which reads
 /// commands) and the workers (which produce replies).
 pub(crate) struct ConnState {
@@ -198,9 +123,9 @@ pub(crate) struct ConnState {
     pending: Mutex<usize>,
     /// Signalled when `pending` returns to zero.
     idle: Condvar,
-    /// This connection's token bucket, created lazily from the core's
-    /// [`RateLimitConfig`] on the first admission check.
-    rate: Mutex<Option<TokenBucket>>,
+    /// This connection's token bucket; `None` without a per-connection
+    /// rate limit.
+    rate: Option<Mutex<TokenBucket>>,
     sink: Sink,
 }
 
@@ -215,13 +140,15 @@ impl ConnState {
         self.id
     }
 
-    /// Serialize and enqueue one reply line in the given wire form.
-    pub(crate) fn send(&self, wire: WireProto, reply: &ServerReply) {
-        self.send_rendered(render_reply(wire, reply));
+    /// The bucket [`Admission`] spends this connection's tokens from.
+    pub(crate) fn rate_bucket(&self) -> Option<&Mutex<TokenBucket>> {
+        self.rate.as_ref()
     }
 
-    /// Enqueue one already-rendered reply line (no trailing newline).
-    fn send_rendered(&self, line: String) {
+    /// Serialize and enqueue one line that completes no accepted command
+    /// (an inline answer or an event).
+    pub(crate) fn send(&self, wire: WireProto, reply: &ServerReply) {
+        let line = render_reply(wire, reply);
         match &self.sink {
             // A dropped receiver means the stream ended; nothing to tell.
             Sink::Line(tx) => drop(tx.send(line)),
@@ -240,7 +167,7 @@ impl ConnState {
     /// whose un-flushed bytes exceed `cap` loses the event instead of
     /// growing the server's memory without bound (the stream's monotone
     /// `seq` exposes the gap to the client).
-    fn event_capacity_ok(&self, cap: usize) -> bool {
+    pub(crate) fn event_capacity_ok(&self, cap: usize) -> bool {
         match &self.sink {
             // The blocking path's writer thread drains continuously into the
             // caller-owned writer; there is no measurable backlog to bound.
@@ -249,22 +176,36 @@ impl ConnState {
         }
     }
 
+    /// Accept one command, to be answered by [`complete`](Self::complete).
     fn begin(&self) {
         *self.pending.lock().expect("pending counter poisoned") += 1;
     }
 
-    fn end(&self) {
+    /// Answer one accepted command: enqueue its reply, release its
+    /// `pending` slot, then wake the reactor **once** for both. The bytes go
+    /// first, so a reactor that reads `pending == 0` (and may close an EOF'd
+    /// connection on it) also sees them.
+    fn complete(&self, wire: WireProto, reply: &ServerReply) {
+        self.complete_rendered(render_reply(wire, reply));
+    }
+
+    /// [`complete`](Self::complete) with an already-rendered line.
+    fn complete_rendered(&self, line: String) {
+        match &self.sink {
+            Sink::Line(tx) => drop(tx.send(line)),
+            Sink::Outbox(outbox) => {
+                outbox.append_line(&line);
+            }
+        }
         let mut pending = self.pending.lock().expect("pending counter poisoned");
         *pending -= 1;
         let idle = *pending == 0;
         drop(pending);
         if idle {
             self.idle.notify_all();
-            // Wake the reactor so it can re-check closability of an EOF'd
-            // connection whose last reply just landed.
-            if let Sink::Outbox(outbox) = &self.sink {
-                outbox.mark_dirty();
-            }
+        }
+        if let Sink::Outbox(outbox) = &self.sink {
+            outbox.mark_dirty();
         }
     }
 
@@ -303,30 +244,13 @@ struct DeltaQueue {
     closed: bool,
 }
 
-/// One event-stream subscriber, with its slow-consumer accounting.
-struct Subscriber {
-    /// Wire form of the `Subscribe` command (events render in it).
-    wire: WireProto,
-    conn: Arc<ConnState>,
-    /// Events dropped on this subscription because the connection's reply
-    /// backlog was over the event cap. Reset by `Resync`.
-    dropped: u64,
-    /// Whether this subscriber opted into full adoption payloads
-    /// (`Subscribe { adopt: true }`, the replica feed). Others receive the
-    /// same events with the payload stripped.
-    adopt: bool,
-}
-
 /// The shared serving core: exactly one scheduler, engine (plan cache),
 /// delta queue and worker pool, shared by **every** connection of a server —
 /// fairness, delta barriers and the event stream are global.
 pub(crate) struct ServeCore {
     engine: Arc<PlanEngine>,
+    /// The plan queue, and the only record of a queued plan.
     sched: Scheduler<ServeJob>,
-    /// (connection, plan-request id) → scheduler ticket, so `Cancel` can find
-    /// the job — and only a job queued by the *same* connection. Workers
-    /// remove their entry at dispatch; cancels remove it early.
-    tickets: Mutex<HashMap<(u64, u64), u64>>,
     /// Planner threads this core runs. Zero is the **inline** core of the
     /// deterministic simulation: nothing runs except inside
     /// [`pump`](Self::pump), re-plan chains execute on the pumping thread,
@@ -339,30 +263,17 @@ pub(crate) struct ServeCore {
     /// How long the oldest queued delta waits (on the scheduler's clock) for
     /// near-concurrent deltas to join its wave.
     delta_window_ms: u64,
-    /// Event-stream subscribers by connection id.
-    subscribers: Mutex<HashMap<u64, Subscriber>>,
-    /// Server-wide monotone event sequence.
-    event_seq: AtomicU64,
-    /// Un-flushed bytes beyond which a subscriber stops receiving events
-    /// ([`TransportConfig::event_outbox_cap`]).
-    event_outbox_cap: usize,
+    events: EventHub,
+    admission: Admission,
     next_conn: AtomicU64,
     /// `Some` only on an inline core: the serial record of state-mutating
     /// operations in the exact order this core executed them — what the
     /// lab's cache-coherence oracle replays against a fresh engine.
-    op_log: Mutex<Option<Vec<SimOp>>>,
+    op_log: Option<Mutex<Vec<SimOp>>>,
     /// The persistent plan store, when configured: the default target of
-    /// `Snapshot`/`Load` commands, and (with an interval) the periodic
-    /// snapshot schedule. Set once right after start, before traffic.
-    store: Mutex<Option<StoreConfig>>,
-    /// Next periodic-snapshot deadline; `None` when no interval is set.
-    snapshot_due: Mutex<Option<Instant>>,
-    /// Token-bucket overload protection, enforced at the top of
-    /// [`handle_command`](Self::handle_command).
-    rate_limit: RateLimitConfig,
-    /// Per-client token buckets (the `per_client` limit), keyed by the
-    /// request's fair-share identity.
-    client_buckets: Mutex<HashMap<String, TokenBucket>>,
+    /// `Snapshot`/`Load` commands, of the shutdown snapshot and (with an
+    /// interval) of the delta thread's periodic ones.
+    store: Option<StoreConfig>,
 }
 
 /// Owner of a [`ServeCore`]'s threads; [`stop`](CoreHandle::stop) closes the
@@ -385,7 +296,7 @@ impl CoreHandle {
             let _ = thread.join();
         }
         // Quiescent now: persist the final cache state, if configured.
-        self.core.final_snapshot();
+        self.core.snapshot_to_store("shutdown");
     }
 }
 
@@ -405,24 +316,20 @@ impl ServeCore {
         transport: &TransportConfig,
         delta_window: Duration,
         clock: Arc<dyn Clock>,
+        store: Option<StoreConfig>,
     ) -> CoreHandle {
         let core = Arc::new(ServeCore {
-            engine,
             sched: Scheduler::with_clock(config, clock),
-            tickets: Mutex::new(HashMap::new()),
             workers,
             deltas: Mutex::new(DeltaQueue::default()),
             delta_ready: Condvar::new(),
             delta_window_ms: delta_window.as_millis() as u64,
-            subscribers: Mutex::new(HashMap::new()),
-            event_seq: AtomicU64::new(0),
-            event_outbox_cap: transport.event_outbox_cap,
+            events: EventHub::new(Arc::clone(&engine), transport.event_outbox_cap),
+            admission: Admission::new(transport.rate_limit, Arc::clone(engine.obs())),
             next_conn: AtomicU64::new(0),
-            op_log: Mutex::new((workers == 0).then(Vec::new)),
-            store: Mutex::new(None),
-            snapshot_due: Mutex::new(None),
-            rate_limit: transport.rate_limit,
-            client_buckets: Mutex::new(HashMap::new()),
+            op_log: (workers == 0).then(|| Mutex::new(Vec::new())),
+            store,
+            engine,
         });
         let mut threads = Vec::new();
         for i in 0..workers {
@@ -438,154 +345,48 @@ impl ServeCore {
         CoreHandle { core, threads }
     }
 
-    /// Admission control: refill-and-spend this command's token(s). Returns
-    /// the structured shed error when a bucket is empty — per-connection
-    /// checked first (that bucket bounds the socket regardless of claimed
-    /// identities), then per-client. `Batch` wrappers pass free: their
-    /// members are checked individually on recursion, so a flooded batch
-    /// draws exactly one error per member, never a wholesale drop.
-    fn check_rate_limit(&self, conn: &Arc<ConnState>, command: &ServerCommand) -> Option<ApiError> {
-        if matches!(command, ServerCommand::Batch { .. }) {
-            return None;
-        }
-        let config = self.rate_limit;
-        if !config.is_enabled() {
-            return None;
-        }
-        let obs = self.engine.obs();
-        let now = self.sched.clock().now_ms();
-        if let Some(bucket_config) = config.per_conn {
-            let mut bucket = conn.rate.lock().expect("conn rate bucket poisoned");
-            let admitted = bucket
-                .get_or_insert_with(|| TokenBucket::new(bucket_config, now))
-                .try_admit(now);
-            if !admitted {
-                obs.rate_limited_conn.inc();
-                return Some(
-                    ApiError::new(
-                        ErrorCode::RateLimited,
-                        format!(
-                            "connection rate limit exceeded ({}/s, burst {}); retry after backoff",
-                            bucket_config.rate_per_sec, bucket_config.burst
-                        ),
-                    )
-                    .with_id(command_id(command)),
-                );
-            }
-        }
-        if let Some(bucket_config) = config.per_client {
-            let client = match command {
-                ServerCommand::Plan(request) => {
-                    request.client_id.as_deref().unwrap_or(conn.identity())
-                }
-                _ => conn.identity(),
-            };
-            let mut buckets = self.client_buckets.lock().expect("client buckets poisoned");
-            let admitted = buckets
-                .entry(client.to_owned())
-                .or_insert_with(|| TokenBucket::new(bucket_config, now))
-                .try_admit(now);
-            if !admitted {
-                obs.rate_limited_client.inc();
-                return Some(
-                    ApiError::new(
-                        ErrorCode::RateLimited,
-                        format!(
-                            "client {client:?} rate limit exceeded ({}/s, burst {}); retry after backoff",
-                            bucket_config.rate_per_sec, bucket_config.burst
-                        ),
-                    )
-                    .with_id(command_id(command)),
-                );
-            }
-        }
-        None
-    }
-
-    /// Attach a persistent store: `Snapshot`/`Load` without an explicit
-    /// `path` target it, and an interval schedules periodic snapshots on the
-    /// delta thread. Called once right after start, before any traffic.
-    pub(crate) fn set_store(&self, config: StoreConfig) {
-        if let Some(interval) = config.snapshot_interval {
-            *self.snapshot_due.lock().expect("snapshot deadline poisoned") =
-                Some(Instant::now() + interval);
-        }
-        *self.store.lock().expect("store config poisoned") = Some(config);
-    }
-
-    /// Resolve a `Snapshot`/`Load` target: the explicit `path` operand wins,
-    /// else the configured store path, else `None` (reported as an error).
-    fn store_path(&self, explicit: Option<String>) -> Option<PathBuf> {
-        explicit.map(PathBuf::from).or_else(|| {
-            self.store
-                .lock()
-                .expect("store config poisoned")
-                .as_ref()
-                .map(|config| config.path.clone())
+    /// Run a `Snapshot`/`Load` against its target — the explicit `path`
+    /// operand, else the configured store — answering "no target" and a
+    /// failed `run` with faults.
+    fn on_store_path(
+        &self,
+        id: u64,
+        explicit: Option<String>,
+        what: &str,
+        run: impl FnOnce(&Path) -> Result<ServerReply, StoreError>,
+    ) -> ServerReply {
+        let configured = || self.store.as_ref().map(|store| store.path.clone());
+        let Some(path) = explicit.map(PathBuf::from).or_else(configured) else {
+            let message = "no store path: pass `path` or start the server with --store";
+            let error = ApiError::new(ErrorCode::InvalidField, message);
+            return ServerReply::Fault(error.with_id(id).with_field("path"));
+        };
+        run(&path).unwrap_or_else(|error| {
+            let message = format!("{what} failed: {error}");
+            ServerReply::Fault(ApiError::new(ErrorCode::Internal, message).with_id(id))
         })
     }
 
-    /// Time until the next periodic snapshot is due (`None` when no interval
-    /// is configured — the idle delta thread then sleeps until woken).
-    fn snapshot_timeout(&self) -> Option<Duration> {
-        self.snapshot_due
-            .lock()
-            .expect("snapshot deadline poisoned")
-            .map(|due| due.saturating_duration_since(Instant::now()))
-    }
-
-    /// Write a periodic snapshot if one is due, and re-arm the deadline.
-    fn maybe_periodic_snapshot(&self) {
-        let Some((path, interval)) = self
-            .store
-            .lock()
-            .expect("store config poisoned")
-            .as_ref()
-            .and_then(|c| c.snapshot_interval.map(|i| (c.path.clone(), i)))
-        else {
-            return;
-        };
-        {
-            let mut due = self.snapshot_due.lock().expect("snapshot deadline poisoned");
-            match *due {
-                Some(deadline) if Instant::now() >= deadline => {
-                    *due = Some(Instant::now() + interval);
-                }
-                _ => return,
-            }
-        }
-        if let Err(error) = persist::snapshot_to_path(&self.engine, &path) {
-            eprintln!("qsync-serve: periodic snapshot failed: {error}");
-        }
-    }
-
-    /// Write a final snapshot at shutdown, if a store is configured. Runs
-    /// after the worker and delta threads have joined, so the cache is
-    /// quiescent.
-    pub(crate) fn final_snapshot(&self) {
-        let Some(path) =
-            self.store.lock().expect("store config poisoned").as_ref().map(|c| c.path.clone())
-        else {
-            return;
-        };
-        if let Err(error) = persist::snapshot_to_path(&self.engine, &path) {
-            eprintln!("qsync-serve: shutdown snapshot failed: {error}");
+    /// Snapshot the cache to the configured store, if there is one; `when`
+    /// names the occasion in the (otherwise ignored) failure's message.
+    fn snapshot_to_store(&self, when: &str) {
+        let Some(store) = &self.store else { return };
+        if let Err(error) = persist::snapshot_to_path(&self.engine, &store.path) {
+            eprintln!("qsync-serve: {when} snapshot failed: {error}");
         }
     }
 
     /// Take the inline core's operation log (empty on a threaded core).
     pub(crate) fn take_op_log(&self) -> Vec<SimOp> {
-        self.op_log
-            .lock()
-            .expect("op log poisoned")
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+        match &self.op_log {
+            Some(log) => std::mem::take(&mut *log.lock().expect("op log poisoned")),
+            None => Vec::new(),
+        }
     }
 
     fn record_op(&self, op: impl FnOnce() -> SimOp) {
-        if let Some(log) = self.op_log.lock().expect("op log poisoned").as_mut() {
-            log.push(op());
+        if let Some(log) = &self.op_log {
+            log.lock().expect("op log poisoned").push(op());
         }
     }
 
@@ -646,7 +447,7 @@ impl ServeCore {
         self.record_op(|| SimOp::DeltaWave(requests.clone()));
         let wave_tid = requests.last().and_then(|r| r.trace_id).unwrap_or(0);
         let results = self.engine.apply_deltas_with(&requests, |chains| {
-            self.broadcast(ServerEvent::CacheInvalidated {
+            self.events.broadcast(ServerEvent::CacheInvalidated {
                 keys: chains.iter().map(|c| c.entry.response.key.clone()).collect(),
                 trace_id: wave_tid,
             });
@@ -659,12 +460,12 @@ impl ServeCore {
                 chains.iter().map(|chain| self.engine.run_replan_chain(chain)).collect()
             };
             for response in &responses {
-                self.broadcast(ServerEvent::Replanned {
+                self.events.broadcast(ServerEvent::Replanned {
                     key: response.key.clone(),
                     outcome: response.outcome,
                     predicted_iteration_us: response.predicted_iteration_us,
                     trace_id: response.trace_id.unwrap_or(0),
-                    adopt: self.adopt_payload(&response.key),
+                    adopt: None,
                 });
             }
             responses
@@ -672,7 +473,7 @@ impl ServeCore {
         for (task, result) in tasks.into_iter().zip(results) {
             let reply = match result {
                 Ok(outcome) => {
-                    self.broadcast(ServerEvent::DeltaApplied {
+                    self.events.broadcast(ServerEvent::DeltaApplied {
                         id: outcome.id,
                         old_cluster_fingerprint: outcome.old_cluster_fingerprint.clone(),
                         new_cluster_fingerprint: outcome.new_cluster_fingerprint.clone(),
@@ -684,8 +485,7 @@ impl ServeCore {
                 }
                 Err(error) => ServerReply::Fault(error),
             };
-            task.conn.send(task.wire, &reply);
-            task.conn.end();
+            task.conn.complete(task.wire, &reply);
         }
         true
     }
@@ -694,13 +494,18 @@ impl ServeCore {
     /// transport threads, sleeping in between until a delta is queued, the
     /// oldest queued one's collection window lapses, a periodic snapshot
     /// falls due or the core stops. Periodic snapshots ride this thread —
-    /// there is no dedicated snapshot thread.
+    /// there is no dedicated snapshot thread — so their deadline is a local.
     fn delta_loop(&self) {
+        let interval = self.store.as_ref().and_then(|store| store.snapshot_interval);
+        let mut snapshot_due = interval.map(|interval| Instant::now() + interval);
         loop {
             if self.run_delta_wave() {
                 continue;
             }
-            self.maybe_periodic_snapshot();
+            if snapshot_due.is_some_and(|due| Instant::now() >= due) {
+                snapshot_due = interval.map(|interval| Instant::now() + interval);
+                self.snapshot_to_store("periodic");
+            }
             let queue = self.deltas.lock().expect("delta queue poisoned");
             let wait = match self.wave_due_in(&queue) {
                 Some(Duration::ZERO) => continue,
@@ -708,7 +513,8 @@ impl ServeCore {
                 // instead of sleeping out the whole window in real time.
                 Some(window) => Some(window.min(Duration::from_millis(50))),
                 None if queue.closed => return,
-                None => self.snapshot_timeout(),
+                // Idle: until the next snapshot, or until woken.
+                None => snapshot_due.map(|due| due.saturating_duration_since(Instant::now())),
             };
             // A wakeup only means "look again"; every condition is re-read
             // at the top of the loop.
@@ -729,24 +535,18 @@ impl ServeCore {
             identity: format!("conn-{id}"),
             pending: Mutex::new(0),
             idle: Condvar::new(),
-            rate: Mutex::new(None),
+            rate: self.admission.conn_bucket(self.sched.clock().now_ms()),
             sink,
         })
     }
 
-    /// Drop a (closed) connection's server-side footprint: cancel every
-    /// still-queued plan it submitted and end its event subscription.
+    /// Drop a (closed) connection's server-side footprint: end its event
+    /// subscription and cancel every still-queued plan it submitted.
     pub(crate) fn drop_conn(&self, conn_id: u64) {
-        self.subscribers.lock().expect("subscriber map poisoned").remove(&conn_id);
-        let orphaned: Vec<u64> = {
-            let mut tickets = self.tickets.lock().expect("ticket map poisoned");
-            let doomed: Vec<(u64, u64)> =
-                tickets.keys().filter(|(conn, _)| *conn == conn_id).copied().collect();
-            doomed.into_iter().filter_map(|key| tickets.remove(&key)).collect()
-        };
-        for ticket in orphaned {
-            self.sched.cancel(ticket);
-        }
+        self.events.unsubscribe(conn_id);
+        self.sched.cancel_all_where(
+            |job| matches!(job, ServeJob::Plan { conn, .. } if conn.id == conn_id),
+        );
     }
 
     /// The observability bundle shared with the engine (the transport
@@ -755,128 +555,13 @@ impl ServeCore {
         self.engine.obs()
     }
 
-    /// Broadcast one event to every subscribed connection. A subscriber
-    /// that has stopped reading (its reply buffer past the cap) is skipped:
-    /// events are droppable server push, and an unbounded outbox would let
-    /// one stalled watcher grow server memory with every delta wave. The
-    /// dropped events appear to that client as a gap in the monotone `seq`;
-    /// they are counted per subscriber (surfaced by `Stats`/`Metrics`) and
-    /// recoverable through `Resync`.
-    fn broadcast(&self, event: ServerEvent) {
-        let obs = Arc::clone(self.engine.obs());
-        let mut subscribers = self.subscribers.lock().expect("subscriber map poisoned");
-        if subscribers.is_empty() {
-            return;
-        }
-        let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
-        // Every subscriber sees the same event under the same seq, but only
-        // those that opted in (`Subscribe { adopt: true }`) receive the full
-        // adoption payload; the rest get the stripped form, rendered once.
-        let mut stripped: Option<ServerEvent> = None;
-        for sub in subscribers.values_mut() {
-            if sub.conn.event_capacity_ok(self.event_outbox_cap) {
-                obs.events_emitted.inc();
-                let event = if sub.adopt {
-                    event.clone()
-                } else {
-                    stripped.get_or_insert_with(|| event.without_adopt()).clone()
-                };
-                sub.conn.send(sub.wire, &ServerReply::Event { seq, event });
-            } else {
-                sub.dropped += 1;
-                obs.events_dropped.inc();
-            }
-        }
-    }
-
-    /// Whether any current subscriber asked for adoption payloads. Building
-    /// a payload clones the full cached plan, so broadcasters skip the work
-    /// when nobody is following.
-    fn wants_adopt(&self) -> bool {
-        self.subscribers
-            .lock()
-            .expect("subscriber map poisoned")
-            .values()
-            .any(|sub| sub.adopt)
-    }
-
-    /// The adoption payload for a just-completed plan: the cached entry
-    /// under the response's key, cloned — or `None` when no subscriber wants
-    /// payloads (or the entry was already evicted again).
-    fn adopt_payload(&self, key: &str) -> Option<PlanPayload> {
-        if !self.wants_adopt() {
-            return None;
-        }
-        let entry = self.engine.cache().peek(key)?;
-        Some(PlanPayload {
-            request: entry.request,
-            response: entry.response,
-            inference_pdag: entry.inference_pdag,
-        })
-    }
-
-    /// Per-subscriber event accounting (for `Stats` and the metrics
-    /// snapshot), in connection-id order.
-    fn subscriber_stats(&self) -> Vec<SubscriberStats> {
-        let subscribers = self.subscribers.lock().expect("subscriber map poisoned");
-        let mut stats: Vec<SubscriberStats> = subscribers
-            .iter()
-            .map(|(&conn, sub)| SubscriberStats { conn, dropped: sub.dropped })
-            .collect();
-        stats.sort_by_key(|s| s.conn);
-        stats
-    }
-
     /// The full server metrics snapshot: the engine's registry + derived
     /// values, plus the scheduler and event-stream dynamics only the
     /// streaming core knows.
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.engine.metrics_snapshot();
-        let sched = self.sched.stats();
-        for (class, stats) in [
-            ("interactive", sched.interactive),
-            ("batch", sched.batch),
-            ("background", sched.background),
-        ] {
-            snap.gauges.push(GaugeValue {
-                name: format!("qsync_sched_queue_depth{{class=\"{class}\"}}"),
-                value: stats.depth as i64,
-            });
-            for (kind, value) in [
-                ("dispatched", stats.dispatched),
-                ("completed", stats.completed),
-                ("shed", stats.shed),
-            ] {
-                snap.counters.push(CounterValue {
-                    name: format!("qsync_sched_{kind}{{class=\"{class}\"}}"),
-                    value,
-                });
-            }
-        }
-        for (name, value) in [
-            ("qsync_sched_cancelled_total", sched.cancelled),
-            ("qsync_sched_expired_total", sched.expired),
-            ("qsync_sched_deadline_met_total", sched.deadline_met),
-            ("qsync_sched_deadline_misses_total", sched.deadline_misses),
-            ("qsync_sched_aged_total", sched.aged),
-        ] {
-            snap.counters.push(CounterValue { name: name.to_string(), value });
-        }
-        snap.gauges.push(GaugeValue {
-            name: "qsync_sched_deficit_carry".to_string(),
-            value: self.sched.deficit_carry() as i64,
-        });
-        let subscribers = self.subscriber_stats();
-        snap.gauges.push(GaugeValue {
-            name: "qsync_event_subscribers".to_string(),
-            value: subscribers.len() as i64,
-        });
-        for sub in &subscribers {
-            snap.counters.push(CounterValue {
-                name: format!("qsync_events_dropped{{conn=\"{}\"}}", sub.conn),
-                value: sub.dropped,
-            });
-        }
+        crate::metrics::append_sched(&mut snap, &self.sched);
+        self.events.append_metrics(&mut snap);
         snap
     }
 
@@ -923,14 +608,10 @@ impl ServeCore {
     fn stamp_trace(&self, cmd: &mut ServerCommand, stamped: &mut Vec<u64>) {
         let trace = &self.engine.obs().trace;
         match cmd {
-            ServerCommand::Plan(request) => {
-                let id = request.trace_id.filter(|&t| t != 0).unwrap_or_else(|| trace.mint());
-                request.trace_id = Some(id);
-                stamped.push(id);
-            }
-            ServerCommand::Delta(request) => {
-                let id = request.trace_id.filter(|&t| t != 0).unwrap_or_else(|| trace.mint());
-                request.trace_id = Some(id);
+            ServerCommand::Plan(PlanRequest { trace_id, .. })
+            | ServerCommand::Delta(DeltaRequest { trace_id, .. }) => {
+                let id = trace_id.filter(|&t| t != 0).unwrap_or_else(|| trace.mint());
+                *trace_id = Some(id);
                 stamped.push(id);
             }
             ServerCommand::Batch { cmds, .. } => {
@@ -950,7 +631,7 @@ impl ServeCore {
         // Overload protection runs before any other handling: a shed command
         // costs the server one token-bucket check and one error line, and
         // touches neither the scheduler nor the engine.
-        if let Some(error) = self.check_rate_limit(conn, &command) {
+        if let Some(error) = self.admission.admit(conn, &command, self.sched.clock().now_ms()) {
             conn.send_err(wire, error);
             return;
         }
@@ -964,22 +645,11 @@ impl ServeCore {
                 }
                 let request_id = request.id;
                 conn.begin();
-                // Hold the ticket-map lock across the submit: a woken worker
-                // checks the map at dispatch, so inserting after an unlocked
-                // submit could leave a stale entry for an already-dispatched
-                // job.
-                let mut tickets = self.tickets.lock().expect("ticket map poisoned");
-                match self.sched.submit(ServeJob::Plan { request, conn: Arc::clone(conn), wire }, meta)
-                {
-                    Ok(ticket) => {
-                        tickets.insert((conn.id, request_id), ticket);
-                    }
-                    Err(rejected) => {
-                        drop(tickets);
-                        // Admission control: shed immediately.
-                        conn.send_err(wire, submit_error(&rejected.error).with_id(request_id));
-                        conn.end();
-                    }
+                let job = ServeJob::Plan { request, conn: Arc::clone(conn), wire };
+                if let Err(rejected) = self.sched.submit(job, meta) {
+                    // Admission control: shed immediately.
+                    let error = submit_error(&rejected.error).with_id(request_id);
+                    conn.complete(wire, &ServerReply::Fault(error));
                 }
             }
             ServerCommand::Stats { id } => {
@@ -990,7 +660,7 @@ impl ServeCore {
                     stats: self.engine.cache().stats(),
                     sched: Some(self.sched.stats()),
                     deltas: self.engine.delta_stats(),
-                    subscribers: self.subscriber_stats(),
+                    subscribers: self.events.stats(),
                 });
             }
             ServerCommand::Metrics { id } => {
@@ -1012,26 +682,25 @@ impl ServeCore {
                 // the two shows up both in `keys` and as a seq at or past
                 // the baseline, so the client double-applies instead of
                 // missing.
-                let seq = self.event_seq.load(Ordering::Relaxed);
+                let seq = self.events.seq();
                 let keys = self.engine.cache().keys();
-                let dropped = self
-                    .subscribers
-                    .lock()
-                    .expect("subscriber map poisoned")
-                    .get_mut(&conn.id)
-                    .map(|sub| std::mem::take(&mut sub.dropped))
-                    .unwrap_or(0);
+                let dropped = self.events.take_dropped(conn.id);
                 conn.send(wire, &ServerReply::Resynced { id, seq, keys, dropped });
             }
             ServerCommand::Cancel { id, plan_id } => {
-                let ticket =
-                    self.tickets.lock().expect("ticket map poisoned").remove(&(conn.id, plan_id));
-                let cancelled = ticket.is_some_and(|t| self.sched.cancel(t));
-                conn.send(wire, &ServerReply::Cancelled { id, plan_id, cancelled });
+                // Newest first: of two queued plans sharing an id, the later
+                // submission is the one a client can still mean.
+                let cancelled = self.sched.cancel_newest_where(|job| {
+                    matches!(job, ServeJob::Plan { request, conn: owner, .. }
+                        if owner.id == conn.id && request.id == plan_id)
+                });
+                let reply = ServerReply::Cancelled { id, plan_id, cancelled };
                 if cancelled {
-                    // The cancelled plan will never reply; the confirmation
-                    // above was its reply.
-                    conn.end();
+                    // The cancelled plan will never reply; this confirmation
+                    // is its reply.
+                    conn.complete(wire, &reply);
+                } else {
+                    conn.send(wire, &reply);
                 }
             }
             ServerCommand::Delta(request) => {
@@ -1085,55 +754,36 @@ impl ServeCore {
                 }
             }
             ServerCommand::Subscribe { id, adopt } => {
-                self.subscribers
-                    .lock()
-                    .expect("subscriber map poisoned")
-                    .insert(conn.id, Subscriber { wire, conn: Arc::clone(conn), dropped: 0, adopt });
+                self.events.subscribe(conn, wire, adopt);
                 conn.send(wire, &ServerReply::Subscribed { id });
             }
             ServerCommand::Unsubscribe { id } => {
-                self.subscribers.lock().expect("subscriber map poisoned").remove(&conn.id);
+                self.events.unsubscribe(conn.id);
                 conn.send(wire, &ServerReply::Unsubscribed { id });
             }
             ServerCommand::Snapshot { id, path } => {
                 // An admin write: runs inline on the transport thread (the
                 // cache is concurrent; no barrier needed) so it can't be
                 // starved by queued planning work.
-                let reply = match self.store_path(path) {
-                    None => ServerReply::Fault(no_store_error(id)),
-                    Some(path) => match persist::snapshot_to_path(&self.engine, &path) {
-                        Ok((entries, bytes)) => ServerReply::Snapshotted {
-                            id,
-                            path: path.display().to_string(),
-                            entries,
-                            bytes,
-                        },
-                        Err(error) => ServerReply::Fault(
-                            ApiError::new(ErrorCode::Internal, format!("snapshot failed: {error}"))
-                                .with_id(id),
-                        ),
-                    },
-                };
+                let reply = self.on_store_path(id, path, "snapshot", |path| {
+                    let (entries, bytes) = persist::snapshot_to_path(&self.engine, path)?;
+                    let path = path.display().to_string();
+                    Ok(ServerReply::Snapshotted { id, path, entries, bytes })
+                });
                 conn.send(wire, &reply);
             }
             ServerCommand::Load { id, path } => {
-                let reply = match self.store_path(path) {
-                    None => ServerReply::Fault(no_store_error(id)),
-                    Some(path) => match persist::load_from_path(&self.engine, &path) {
-                        Ok(stats) => ServerReply::Loaded {
-                            id,
-                            path: path.display().to_string(),
-                            plans: stats.plans,
-                            memos: stats.memos,
-                            skipped: stats.skipped,
-                            bytes: stats.bytes,
-                        },
-                        Err(error) => ServerReply::Fault(
-                            ApiError::new(ErrorCode::Internal, format!("load failed: {error}"))
-                                .with_id(id),
-                        ),
-                    },
-                };
+                let reply = self.on_store_path(id, path, "load", |path| {
+                    let stats = persist::load_from_path(&self.engine, path)?;
+                    Ok(ServerReply::Loaded {
+                        id,
+                        path: path.display().to_string(),
+                        plans: stats.plans,
+                        memos: stats.memos,
+                        skipped: stats.skipped,
+                        bytes: stats.bytes,
+                    })
+                });
                 conn.send(wire, &reply);
             }
             ServerCommand::FetchSnapshot { id } => {
@@ -1166,11 +816,6 @@ impl ServeCore {
         obs.dispatch_wait_ms.record(wait_ms);
         match job.take_payload() {
             ServeJob::Plan { request, conn, wire } => {
-                let mut tickets = self.tickets.lock().expect("ticket map poisoned");
-                if tickets.get(&(conn.id, request.id)) == Some(&job.id()) {
-                    tickets.remove(&(conn.id, request.id));
-                }
-                drop(tickets);
                 let trace_id = request.trace_id.unwrap_or(0);
                 if trace_id != 0 {
                     // The dispatch span covers the time the job sat in
@@ -1204,12 +849,12 @@ impl ServeCore {
                             // news: fire-and-forget watchers key on it, and
                             // adopt-subscribed replicas mirror the entry.
                             if response.outcome != PlanOutcome::CacheHit {
-                                self.broadcast(ServerEvent::PlanReady {
+                                self.events.broadcast(ServerEvent::PlanReady {
                                     key: response.key.clone(),
                                     outcome: response.outcome,
                                     predicted_iteration_us: response.predicted_iteration_us,
                                     trace_id: response.trace_id.unwrap_or(0),
-                                    adopt: self.adopt_payload(&response.key),
+                                    adopt: None,
                                 });
                             }
                             (ServerReply::Plan(response), hit_body)
@@ -1218,12 +863,10 @@ impl ServeCore {
                     }
                 };
                 let write_start = obs.trace.now_us();
-                match (&reply, &hit_body) {
-                    (ServerReply::Plan(hit), Some(body)) => {
-                        conn.send_rendered(render_plan_hit(wire, hit, body))
-                    }
-                    _ => conn.send(wire, &reply),
-                }
+                conn.complete_rendered(match (&reply, &hit_body) {
+                    (ServerReply::Plan(hit), Some(body)) => render_plan_hit(wire, hit, body),
+                    _ => render_reply(wire, &reply),
+                });
                 if trace_id != 0 {
                     obs.trace.span(
                         trace_id,
@@ -1232,7 +875,6 @@ impl ServeCore {
                         format!("to {}", conn.identity()),
                     );
                 }
-                conn.end();
             }
             ServeJob::Replan { index, chain, tx } => {
                 let _ = tx.send((index, self.engine.run_replan_chain(&chain)));
@@ -1279,39 +921,6 @@ impl ServeCore {
     }
 }
 
-/// The error for `Snapshot`/`Load` on a server with no configured store and
-/// no explicit `path` operand.
-fn no_store_error(id: u64) -> ApiError {
-    ApiError::new(
-        ErrorCode::InvalidField,
-        "no store path: pass `path` or start the server with --store",
-    )
-    .with_id(id)
-    .with_field("path")
-}
-
-/// The `id` operand of any command (every command shape carries one; a plan
-/// or delta's is its request id) — what a rate-limit shed error echoes so
-/// the client can correlate it.
-fn command_id(command: &ServerCommand) -> u64 {
-    match command {
-        ServerCommand::Plan(request) => request.id,
-        ServerCommand::Delta(request) => request.id,
-        ServerCommand::Stats { id }
-        | ServerCommand::Metrics { id }
-        | ServerCommand::Trace { id, .. }
-        | ServerCommand::Resync { id }
-        | ServerCommand::Cancel { id, .. }
-        | ServerCommand::Hello { id, .. }
-        | ServerCommand::Batch { id, .. }
-        | ServerCommand::Subscribe { id, .. }
-        | ServerCommand::Unsubscribe { id }
-        | ServerCommand::Snapshot { id, .. }
-        | ServerCommand::Load { id, .. }
-        | ServerCommand::FetchSnapshot { id } => *id,
-    }
-}
-
 /// Map a scheduler admission failure to its protocol error code, keeping the
 /// v0 message text.
 fn submit_error(error: &SubmitError) -> ApiError {
@@ -1348,7 +957,7 @@ impl PlanServer {
     }
 
     /// A server with an explicit scheduler configuration (policy, per-class
-    /// queue caps, quantum, expired-job shedding).
+    /// queue caps, expired-job shedding, aging bound).
     pub fn with_sched(engine: Arc<PlanEngine>, workers: usize, sched: SchedConfig) -> Self {
         PlanServer {
             engine,
@@ -1414,52 +1023,37 @@ impl PlanServer {
         Arc::clone(&self.clock)
     }
 
-    /// Start this server's core: its planner threads plus the delta thread,
-    /// with the configured store attached (and warm-loaded).
+    /// Start this server's core — its planner threads plus the delta thread
+    /// — over the configured store, warm-loading the snapshot file first if
+    /// one exists. A load failure (corrupt, unreadable) is reported to
+    /// stderr and the server boots cold — a bad snapshot must never prevent
+    /// serving.
     pub(crate) fn start_core(&self) -> CoreHandle {
-        let handle = ServeCore::start(
+        if let Some(store) = self.store.as_ref().filter(|store| store.path.exists()) {
+            match persist::load_from_path(&self.engine, &store.path) {
+                Ok(stats) => eprintln!(
+                    "qsync-serve: warm boot from {}: {} plans, {} memos, {} skipped ({} bytes)",
+                    store.path.display(),
+                    stats.plans,
+                    stats.memos,
+                    stats.skipped,
+                    stats.bytes
+                ),
+                Err(error) => eprintln!(
+                    "qsync-serve: store load failed ({error}); starting cold from {}",
+                    store.path.display()
+                ),
+            }
+        }
+        ServeCore::start(
             Arc::clone(&self.engine),
             self.workers,
             self.sched.clone(),
             &self.transport,
             self.delta_window,
             self.clock(),
-        );
-        self.attach_store(&handle.core);
-        handle
-    }
-
-    /// The store configuration, if any.
-    pub fn store(&self) -> Option<&StoreConfig> {
-        self.store.as_ref()
-    }
-
-    /// Wire the configured store into a freshly started core and warm-load
-    /// the snapshot file if one exists. Load failures (corrupt, unreadable)
-    /// are reported to stderr and the server boots cold — a bad snapshot
-    /// must never prevent serving.
-    fn attach_store(&self, core: &Arc<ServeCore>) {
-        let Some(store) = &self.store else {
-            return;
-        };
-        core.set_store(store.clone());
-        if !store.path.exists() {
-            return;
-        }
-        match persist::load_from_path(&self.engine, &store.path) {
-            Ok(stats) => eprintln!(
-                "qsync-serve: warm boot from {}: {} plans, {} memos, {} skipped ({} bytes)",
-                store.path.display(),
-                stats.plans,
-                stats.memos,
-                stats.skipped,
-                stats.bytes
-            ),
-            Err(error) => eprintln!(
-                "qsync-serve: store load failed ({error}); starting cold from {}",
-                store.path.display()
-            ),
-        }
+            self.store.clone(),
+        )
     }
 
     /// Serve a JSON-line stream until EOF — the blocking adapter over the
@@ -1528,454 +1122,4 @@ impl PlanServer {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::ModelSpec;
-    use qsync_cluster::topology::ClusterSpec;
-
-    fn plan_line(id: u64) -> String {
-        let request = PlanRequest::new(
-            id,
-            ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden: 32, classes: 4 },
-            ClusterSpec::hybrid_small(),
-        );
-        serde_json::to_string(&ServerCommand::Plan(request)).unwrap()
-    }
-
-    fn parse_replies(raw: &[u8]) -> Vec<ServerReply> {
-        String::from_utf8_lossy(raw)
-            .lines()
-            .map(|l| serde_json::from_str::<ServerReply>(l).expect("reply parses"))
-            .collect()
-    }
-
-    #[test]
-    fn serves_a_stream_of_commands() {
-        let input = format!("{}\n{}\n{}\n", plan_line(1), plan_line(2), r#"{"Stats":{"id":3}}"#);
-        let server = PlanServer::new(4);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let replies = parse_replies(&out);
-        assert_eq!(replies.len(), 3);
-        // Stats answers immediately (no barrier), so the streamed reply may
-        // predate the plan completions — only its presence is asserted here.
-        assert!(replies.iter().any(|r| matches!(r, ServerReply::Stats { id: 3, .. })));
-        // After EOF every worker has drained: identical requests were one
-        // miss then one hit.
-        let stats = server.engine().cache().stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn hit_after_same_key_replacement_is_spliced_from_the_new_entry() {
-        // One worker, one connection: replies arrive in request order.
-        let server = PlanServer::new(1);
-        let serve = |input: String| -> Vec<String> {
-            let mut out: Vec<u8> = Vec::new();
-            server.serve_lines(input.as_bytes(), &mut out).unwrap();
-            String::from_utf8(out).unwrap().lines().map(str::to_owned).collect()
-        };
-        // A hit line must be the canonical rendering of the response it
-        // carries, and that response must be `entry`'s.
-        let assert_hit_of = |line: &str, entry: &PlanResponse| {
-            let ServerReply::Plan(hit) = serde_json::from_str(line).expect("reply parses") else {
-                panic!("expected a Plan reply: {line}");
-            };
-            assert_eq!(render_reply(WireProto::V0, &ServerReply::Plan(hit.clone())), line);
-            let want = PlanResponse {
-                id: hit.id,
-                outcome: PlanOutcome::CacheHit,
-                elapsed_us: hit.elapsed_us,
-                trace_id: hit.trace_id,
-                ..entry.clone()
-            };
-            assert_eq!(hit, want);
-        };
-
-        // Cold plan, then two hits — the second spliced from the body the
-        // first one rendered.
-        let lines = serve(format!("{}\n{}\n{}\n", plan_line(1), plan_line(2), plan_line(3)));
-        assert_eq!(lines.len(), 3);
-        let ServerReply::Plan(cold) = serde_json::from_str(&lines[0]).unwrap() else {
-            panic!("expected a Plan reply: {}", lines[0]);
-        };
-        assert_eq!(cold.outcome, PlanOutcome::ColdPlanned);
-        assert_hit_of(&lines[1], &cold);
-        assert_hit_of(&lines[2], &cold);
-
-        // Replace the entry under the SAME key with a different plan, as a
-        // replica adopting its primary's re-plan does.
-        let engine = server.engine();
-        let old = engine.cache().peek(&cold.key).expect("entry resident");
-        let adopted = PlanResponse {
-            predicted_iteration_us: old.response.predicted_iteration_us * 2.0,
-            promotions_accepted: old.response.promotions_accepted + 5,
-            warm_demotions: 2,
-            outcome: PlanOutcome::WarmReplanned,
-            ..old.response.clone()
-        };
-        assert!(engine.adopt_plan(old.request, adopted.clone(), old.inference_pdag));
-        let lines = serve(format!("{}\n{}\n", plan_line(4), plan_line(5)));
-        assert_eq!(lines.len(), 2);
-        assert_hit_of(&lines[0], &adopted);
-        assert_hit_of(&lines[1], &adopted);
-    }
-
-    #[test]
-    fn bad_lines_produce_error_replies() {
-        let input = "this is not json\n";
-        let server = PlanServer::new(1);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let replies = parse_replies(&out);
-        assert_eq!(replies.len(), 1);
-        // Legacy lines draw the legacy error shape, byte-compatible with v0.
-        assert!(matches!(&replies[0], ServerReply::Error { id: None, .. }));
-    }
-
-    #[test]
-    fn enveloped_commands_get_enveloped_replies() {
-        let plan: ServerCommand = serde_json::from_str(&plan_line(4)).unwrap();
-        let input = format!(
-            "{}\n{}\n",
-            serde_json::to_string(&qsync_api::RequestEnvelope::v1(plan)).unwrap(),
-            r#"{"v":1,"id":9,"cmd":{"Stats":{"id":9}}}"#,
-        );
-        let server = PlanServer::new(2);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let envelopes: Vec<qsync_api::ReplyEnvelope> = String::from_utf8_lossy(&out)
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("enveloped reply parses"))
-            .collect();
-        assert_eq!(envelopes.len(), 2);
-        assert!(envelopes.iter().all(|e| e.v == qsync_api::PROTOCOL_VERSION));
-        assert!(envelopes
-            .iter()
-            .any(|e| matches!(&e.reply, ServerReply::Plan(p) if p.id == 4)));
-        assert!(envelopes.iter().any(|e| matches!(&e.reply, ServerReply::Stats { id: 9, .. })));
-    }
-
-    #[test]
-    fn mixed_wire_forms_share_one_connection() {
-        // A legacy Stats and an enveloped Stats on the same stream: each is
-        // answered in its own form.
-        let input = format!("{}\n{}\n", r#"{"Stats":{"id":1}}"#, r#"{"v":1,"cmd":{"Stats":{"id":2}}}"#);
-        let server = PlanServer::new(1);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let legacy = lines.iter().find(|l| !l.contains("\"v\":")).expect("legacy reply");
-        let enveloped = lines.iter().find(|l| l.contains("\"v\":")).expect("enveloped reply");
-        assert!(matches!(
-            serde_json::from_str::<ServerReply>(legacy).unwrap(),
-            ServerReply::Stats { id: 1, .. }
-        ));
-        let envelope: qsync_api::ReplyEnvelope = serde_json::from_str(enveloped).unwrap();
-        assert!(matches!(envelope.reply, ServerReply::Stats { id: 2, .. }));
-    }
-
-    #[test]
-    fn hello_advertises_the_supported_version_range() {
-        let server = PlanServer::new(1);
-        let hello = ServerCommand::Hello { id: 5, min_v: 1, max_v: 1 };
-        let input = format!("{}\n", serde_json::to_string(&hello).unwrap());
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let reply = parse_replies(&out).pop().expect("one reply");
-        let ServerReply::Hello { id, min_v, max_v, server: ident } = reply else {
-            panic!("expected hello reply, got {reply:?}")
-        };
-        assert_eq!(id, 5);
-        assert_eq!(min_v, MIN_PROTOCOL_VERSION);
-        assert_eq!(max_v, MAX_PROTOCOL_VERSION);
-        assert!(ident.starts_with("qsync-serve/"), "{ident}");
-    }
-
-    #[test]
-    fn queue_cap_zero_sheds_every_plan() {
-        let engine = PlanEngine::shared();
-        let sched = SchedConfig { class_caps: [0; 3], ..SchedConfig::default() };
-        let server = PlanServer::with_sched(engine, 2, sched);
-        let input = format!("{}\n{}\n", plan_line(1), plan_line(2));
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let replies = parse_replies(&out);
-        assert_eq!(replies.len(), 2);
-        for reply in &replies {
-            match reply {
-                ServerReply::Error { id: Some(_), message } => {
-                    assert!(message.contains("shed"), "unexpected message {message:?}");
-                }
-                other => panic!("expected shed error, got {other:?}"),
-            }
-        }
-        assert_eq!(server.engine().cache().stats().misses, 0, "nothing was planned");
-    }
-
-    #[test]
-    fn shed_of_an_enveloped_plan_reports_the_queue_full_code() {
-        let engine = PlanEngine::shared();
-        let sched = SchedConfig { class_caps: [0; 3], ..SchedConfig::default() };
-        let server = PlanServer::with_sched(engine, 1, sched);
-        let plan: ServerCommand = serde_json::from_str(&plan_line(7)).unwrap();
-        let input =
-            format!("{}\n", serde_json::to_string(&qsync_api::RequestEnvelope::v1(plan)).unwrap());
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let envelope: qsync_api::ReplyEnvelope =
-            serde_json::from_str(String::from_utf8_lossy(&out).lines().next().unwrap()).unwrap();
-        let ServerReply::Fault(error) = envelope.reply else {
-            panic!("expected structured fault, got {:?}", envelope.reply)
-        };
-        assert_eq!(error.code, ErrorCode::QueueFull);
-        assert_eq!(error.id, Some(7));
-        assert!(error.message.contains("shed"));
-    }
-
-    #[test]
-    fn cancel_of_unknown_plan_reports_false() {
-        let input = r#"{"Cancel":{"id":5,"plan_id":99}}"#.to_string() + "\n";
-        let server = PlanServer::new(1);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let replies = parse_replies(&out);
-        assert_eq!(
-            replies,
-            vec![ServerReply::Cancelled { id: 5, plan_id: 99, cancelled: false }]
-        );
-    }
-
-    #[test]
-    fn stats_reply_carries_scheduler_counters() {
-        let input = format!("{}\n{}\n", plan_line(1), r#"{"Stats":{"id":2}}"#);
-        let server = PlanServer::new(1);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let stats = parse_replies(&out)
-            .into_iter()
-            .find_map(|r| match r {
-                ServerReply::Stats { sched, .. } => Some(sched),
-                _ => None,
-            })
-            .expect("stats reply present");
-        let sched = stats.expect("streaming path reports scheduler stats");
-        assert_eq!(sched.policy, "drr");
-        assert_eq!(sched.interactive.submitted, 1);
-    }
-
-    #[test]
-    fn batch_dispatches_inner_commands_in_order() {
-        let plan: ServerCommand = serde_json::from_str(&plan_line(21)).unwrap();
-        let batch = ServerCommand::Batch {
-            id: 20,
-            cmds: vec![plan, ServerCommand::Stats { id: 22 }],
-        };
-        let input = format!(
-            "{}\n",
-            serde_json::to_string(&qsync_api::RequestEnvelope::v1(batch)).unwrap()
-        );
-        let server = PlanServer::new(2);
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let replies: Vec<ServerReply> = String::from_utf8_lossy(&out)
-            .lines()
-            .map(|l| serde_json::from_str::<qsync_api::ReplyEnvelope>(l).unwrap().reply)
-            .collect();
-        assert_eq!(replies.len(), 2, "one reply per inner command, none for the batch itself");
-        assert!(replies.iter().any(|r| matches!(r, ServerReply::Plan(p) if p.id == 21)));
-        assert!(replies.iter().any(|r| matches!(r, ServerReply::Stats { id: 22, .. })));
-
-        // Nested batches are rejected with a structured fault.
-        let nested = ServerCommand::Batch {
-            id: 30,
-            cmds: vec![ServerCommand::Batch { id: 31, cmds: vec![] }],
-        };
-        let input = format!(
-            "{}\n",
-            serde_json::to_string(&qsync_api::RequestEnvelope::v1(nested)).unwrap()
-        );
-        let mut out: Vec<u8> = Vec::new();
-        server.serve_lines(input.as_bytes(), &mut out).unwrap();
-        let envelope: qsync_api::ReplyEnvelope =
-            serde_json::from_str(String::from_utf8_lossy(&out).lines().next().unwrap()).unwrap();
-        let ServerReply::Fault(error) = envelope.reply else { panic!("expected fault") };
-        assert_eq!(error.code, ErrorCode::InvalidField);
-        assert_eq!(error.id, Some(30));
-        assert_eq!(error.field.as_deref(), Some("cmds"));
-    }
-
-    #[test]
-    fn batch_members_get_parse_spans() {
-        let engine = PlanEngine::shared();
-        let handle = PlanServer::with_engine(Arc::clone(&engine), 1).start_core();
-        let (tx, _rx) = mpsc::channel();
-        let conn = handle.core.register_conn(Sink::Line(tx));
-        let plan: ServerCommand = serde_json::from_str(&plan_line(21)).unwrap();
-        let ServerCommand::Plan(mut request) = plan else { panic!("plan_line yields a Plan") };
-        request.trace_id = Some(555);
-        let mut delta_request = DeltaRequest::new(
-            22,
-            ClusterSpec::hybrid_small(),
-            qsync_api::ClusterDelta::Degraded {
-                rank: 0,
-                memory_fraction: 0.9,
-                compute_fraction: 0.9,
-            },
-        );
-        delta_request.trace_id = Some(556);
-        let batch = ServerCommand::Batch {
-            id: 20,
-            cmds: vec![ServerCommand::Plan(request), ServerCommand::Delta(delta_request)],
-        };
-        let line =
-            serde_json::to_string(&qsync_api::RequestEnvelope::v1(batch)).unwrap();
-        // The parse span is recorded synchronously in handle_line, before the
-        // inner commands dispatch — so it is visible as soon as the call
-        // returns, for every traced payload of the batch.
-        handle.core.handle_line(&conn, &line);
-        for trace_id in [555, 556] {
-            let spans = engine.obs().trace.spans_for(trace_id, 16);
-            assert!(
-                spans.iter().any(|s| s.stage == "parse"),
-                "batch member trace {trace_id} is missing its parse span: {spans:?}"
-            );
-        }
-        handle.stop();
-    }
-
-    fn degrade_line(id: u64) -> String {
-        let cluster = ClusterSpec::hybrid_small();
-        let rank = cluster.inference_ranks()[0];
-        let delta = qsync_api::ClusterDelta::Degraded {
-            rank,
-            memory_fraction: 0.5,
-            compute_fraction: 0.9,
-        };
-        serde_json::to_string(&ServerCommand::Delta(DeltaRequest::new(id, cluster, delta))).unwrap()
-    }
-
-    /// The `coalesced` count of every `Delta` reply among `lines`, by id.
-    fn coalesced_by_id(lines: &[String]) -> Vec<(u64, usize)> {
-        let mut seen: Vec<(u64, usize)> = lines
-            .iter()
-            .filter_map(|l| match serde_json::from_str::<ServerReply>(l).expect("reply parses") {
-                ServerReply::Delta(outcome) => Some((outcome.id, outcome.coalesced)),
-                _ => None,
-            })
-            .collect();
-        seen.sort_unstable();
-        seen
-    }
-
-    #[test]
-    fn collection_window_batches_near_concurrent_deltas_into_one_wave() {
-        use crate::sim::{SimConfig, SimServer};
-        let windowed = || {
-            let config =
-                SimConfig { delta_window: Duration::from_millis(400), ..SimConfig::default() };
-            let mut server = SimServer::with_config(config);
-            let mut conn = server.connect();
-            conn.send_line(&plan_line(1));
-            server.step();
-            assert_eq!(conn.recv_lines().len(), 1, "plan answered");
-            // Two deltas staggered well within the window: without it the
-            // second would find the first's wave already applied.
-            conn.send_line(&degrade_line(10));
-            server.advance(60);
-            conn.send_line(&degrade_line(11));
-            server.step();
-            assert!(conn.recv_lines().is_empty(), "both deltas wait out the window");
-            (server, conn)
-        };
-
-        let (mut server, mut conn) = windowed();
-        server.advance(400);
-        assert_eq!(coalesced_by_id(&conn.recv_lines()), vec![(10, 2), (11, 2)]);
-        let stats = server.engine().delta_stats();
-        assert_eq!((stats.waves, stats.events), (1, 2), "one collection window, one wave");
-
-        // Shutdown mid-window: the drain lets virtual time pass, the window
-        // lapses and both deltas are still answered (as one wave).
-        let (mut server, mut conn) = windowed();
-        server.shutdown();
-        assert_eq!(coalesced_by_id(&conn.recv_lines()), vec![(10, 2), (11, 2)]);
-        assert_eq!(server.engine().delta_stats().waves, 1);
-    }
-
-    #[test]
-    fn threaded_core_runs_one_delta_thread_beside_its_workers() {
-        let handle = PlanServer::new(3).start_core();
-        assert_eq!(handle.threads.len(), 3 + 1, "workers + the delta thread");
-        handle.stop();
-    }
-
-    #[test]
-    fn delta_racing_shutdown_is_answered_exactly_once() {
-        use std::sync::atomic::AtomicBool;
-        let handle = PlanServer::new(2).start_core();
-        let core = Arc::clone(&handle.core);
-        let (tx, rx) = mpsc::channel();
-        let conn = core.register_conn(Sink::Line(tx));
-        let stopped = Arc::new(AtomicBool::new(false));
-        let sent = Arc::new(AtomicU64::new(0));
-        let sender = {
-            let (core, stopped, sent) = (Arc::clone(&core), Arc::clone(&stopped), Arc::clone(&sent));
-            thread::spawn(move || {
-                // Stream deltas across the stop, then a few more after it.
-                let mut after_stop = 0;
-                while after_stop < 5 {
-                    if stopped.load(Ordering::SeqCst) {
-                        after_stop += 1;
-                    }
-                    core.handle_line(&conn, &degrade_line(sent.fetch_add(1, Ordering::SeqCst)));
-                }
-            })
-        };
-        while sent.load(Ordering::SeqCst) < 10 {
-            thread::yield_now();
-        }
-        handle.stop();
-        stopped.store(true, Ordering::SeqCst);
-        sender.join().expect("sender thread");
-        drop(core);
-        let sent = sent.load(Ordering::SeqCst);
-
-        let mut replies = vec![0u32; sent as usize];
-        let (mut applied, mut refused) = (0, 0);
-        for line in rx {
-            match serde_json::from_str::<ServerReply>(&line).expect("reply parses") {
-                ServerReply::Delta(outcome) => {
-                    applied += 1;
-                    replies[outcome.id as usize] += 1;
-                }
-                ServerReply::Error { id: Some(id), message } => {
-                    assert!(message.contains("shutting down"), "unexpected error: {message}");
-                    refused += 1;
-                    replies[id as usize] += 1;
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert!(replies.iter().all(|&n| n == 1), "a delta was answered {replies:?} times");
-        assert!(applied >= 1 && refused >= 5, "applied {applied}, refused {refused} of {sent}");
-    }
-
-    #[test]
-    fn anonymous_requests_fair_queue_under_the_connection_identity() {
-        let engine = PlanEngine::shared();
-        let handle = PlanServer::with_engine(Arc::clone(&engine), 1).start_core();
-        let (tx_a, _rx_a) = mpsc::channel();
-        let (tx_b, _rx_b) = mpsc::channel();
-        let a = handle.core.register_conn(Sink::Line(tx_a));
-        let b = handle.core.register_conn(Sink::Line(tx_b));
-        assert_ne!(a.identity(), b.identity(), "each connection gets its own DRR queue");
-        // And an explicit client_id overrides the connection identity — the
-        // submit path is exercised end-to-end by the transport e2e tests.
-        handle.stop();
-    }
-}
+mod tests;

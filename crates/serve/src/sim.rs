@@ -25,13 +25,12 @@ use std::time::Duration;
 
 use polling::{Event, Interest};
 
+use qsync_api::{DeltaRequest, PlanRequest};
 use qsync_clock::ManualClock;
 use qsync_sched::SchedConfig;
 
 use crate::cache::CacheConfig;
-use crate::elastic::DeltaRequest;
 use crate::engine::PlanEngine;
-use crate::request::PlanRequest;
 use crate::server::ServeCore;
 use crate::transport::{NetStream, Reactor, ShutdownSignal, TransportConfig, LISTENER_KEY};
 
@@ -292,7 +291,7 @@ impl SimNet {
 
 /// Configuration of a [`SimServer`] — the same scheduler/transport/engine
 /// knobs the production binary exposes, with simulation-friendly defaults.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     /// Scheduler policy and queue caps.
     pub sched: SchedConfig,
@@ -308,18 +307,6 @@ pub struct SimConfig {
     /// Cooperative preemption budget for the brute-force initial pass
     /// ([`PlanEngine::with_plan_budget`]); `None` runs it exhaustively.
     pub plan_budget_evals: Option<u64>,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            sched: SchedConfig::default(),
-            transport: TransportConfig::default(),
-            cache: CacheConfig::default(),
-            delta_window: Duration::ZERO,
-            plan_budget_evals: None,
-        }
-    }
 }
 
 /// The whole plan server — reactor, core, scheduler, engine, delta waves —
@@ -366,6 +353,7 @@ impl SimServer {
             &config.transport,
             config.delta_window,
             clock.clone() as Arc<dyn qsync_clock::Clock>,
+            None,
         )
         .core;
         let net = Arc::new(SimNet::default());
@@ -558,5 +546,110 @@ impl SimConn {
     /// Whether the server has closed this connection.
     pub fn server_closed(&self) -> bool {
         self.pipe.is_server_closed()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! `Cancel` and connection close against plans that are still queued —
+    //! which on this core means: within one reactor pass, before the pump.
+
+    use super::*;
+    use qsync_api::{ModelSpec, ServerCommand, ServerReply};
+    use qsync_cluster::topology::ClusterSpec;
+
+    fn plan_request(id: u64, hidden: usize) -> PlanRequest {
+        let model = ModelSpec::SmallMlp { batch: 8, in_features: 16, hidden, classes: 4 };
+        PlanRequest::new(id, model, ClusterSpec::hybrid_small())
+    }
+
+    fn plan_line(id: u64, hidden: usize) -> String {
+        serde_json::to_string(&ServerCommand::Plan(plan_request(id, hidden))).unwrap()
+    }
+
+    fn cancel_line(id: u64, plan_id: u64) -> String {
+        serde_json::to_string(&ServerCommand::Cancel { id, plan_id }).unwrap()
+    }
+
+    fn replies(conn: &mut SimConn) -> Vec<ServerReply> {
+        conn.recv_lines().iter().map(|l| serde_json::from_str(l).expect("reply parses")).collect()
+    }
+
+    fn cancelled_total(server: &SimServer) -> u64 {
+        server.metrics().counter("qsync_sched_cancelled_total").expect("counter exported")
+    }
+
+    #[test]
+    fn cancel_of_a_queued_plan_is_its_reply_and_frees_the_connection() {
+        let mut server = SimServer::new();
+        let mut conn = server.connect();
+        conn.send_line(&plan_line(1, 32));
+        conn.send_line(&cancel_line(2, 1));
+        conn.close_write();
+        server.step();
+        // The confirmation, and no Plan reply.
+        let confirmation = ServerReply::Cancelled { id: 2, plan_id: 1, cancelled: true };
+        assert_eq!(replies(&mut conn), vec![confirmation]);
+        assert!(conn.server_closed(), "nothing is owed: the half-closed connection drains");
+        assert!(server.take_op_log().is_empty(), "the cancelled plan never reached the engine");
+        assert_eq!(cancelled_total(&server), 1);
+    }
+
+    #[test]
+    fn cancel_takes_the_newer_of_two_queued_plans_sharing_an_id() {
+        let mut server = SimServer::new();
+        let mut conn = server.connect();
+        conn.send_line(&plan_line(5, 32));
+        conn.send_line(&plan_line(5, 48));
+        conn.send_line(&cancel_line(6, 5));
+        server.step();
+        let older_key = plan_request(5, 32).cache_key();
+        let replies = replies(&mut conn);
+        assert!(
+            matches!(replies.as_slice(), [
+                ServerReply::Cancelled { id: 6, plan_id: 5, cancelled: true },
+                ServerReply::Plan(plan),
+            ] if plan.id == 5 && plan.key == older_key),
+            "the older submission still replies: {replies:?}"
+        );
+        let ops = server.take_op_log();
+        assert!(
+            matches!(ops.as_slice(), [SimOp::Plan(request)] if request.cache_key() == older_key),
+            "only the older plan ran: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn cancel_cannot_reach_another_connections_plan() {
+        let mut server = SimServer::new();
+        let mut owner = server.connect();
+        let mut other = server.connect();
+        // One step: both are accepted, then `owner` (the lower key) is read
+        // before `other`, and both before the pump.
+        owner.send_line(&plan_line(1, 32));
+        other.send_line(&cancel_line(9, 1));
+        server.step();
+        let refusal = ServerReply::Cancelled { id: 9, plan_id: 1, cancelled: false };
+        assert_eq!(replies(&mut other), vec![refusal]);
+        assert!(matches!(replies(&mut owner).as_slice(), [ServerReply::Plan(plan)] if plan.id == 1));
+        assert_eq!(cancelled_total(&server), 0);
+    }
+
+    #[test]
+    fn dropping_a_connection_cancels_every_plan_it_still_has_queued() {
+        let mut server = SimServer::new();
+        let conn = server.connect();
+        for id in 1..=3 {
+            conn.send_line(&plan_line(id, 32));
+        }
+        // Reactor passes without the pump: accept, then read and submit.
+        server.reactors[0].poll_step().unwrap();
+        server.reactors[0].poll_step().unwrap();
+        let queued = "qsync_sched_queue_depth{class=\"interactive\"}";
+        assert_eq!(server.metrics().gauge(queued), Some(3));
+        conn.drop_hard();
+        server.step();
+        assert_eq!((cancelled_total(&server), server.metrics().gauge(queued)), (3, Some(0)));
+        assert!(server.take_op_log().is_empty(), "none of the dropped connection's plans ran");
     }
 }

@@ -57,6 +57,7 @@ use polling::{Event, Interest, Poller};
 use qsync_api::WireProto;
 use qsync_clock::Clock;
 
+use crate::admission::RateLimitConfig;
 use crate::server::{PlanServer, ServeCore, ServerReply, Sink};
 use crate::sim::{SimNet, SimStream};
 
@@ -122,7 +123,6 @@ pub struct TransportConfig {
     /// How long accepts stay paused after a resource-exhaustion accept
     /// error (e.g. `EMFILE`): the backlog keeps the listener readable, so
     /// without a pause the reactor would spin hot on the failing `accept`.
-    /// Configurable via `--accept-backoff-ms` on the `qsync-serve` binary.
     pub accept_backoff: Duration,
     /// Number of reactor threads the transport shards connections across
     /// (min 1). Reactor 0 owns the listener and hands each accepted
@@ -131,9 +131,8 @@ pub struct TransportConfig {
     /// available cores.
     pub reactors: usize,
     /// Token-bucket overload protection, enforced per command at admission
-    /// (see [`RateLimitConfig`](crate::server::RateLimitConfig)). Default:
-    /// no limits.
-    pub rate_limit: crate::server::RateLimitConfig,
+    /// (see [`RateLimitConfig`]). Default: no limits.
+    pub rate_limit: RateLimitConfig,
 }
 
 impl Default for TransportConfig {
@@ -145,7 +144,7 @@ impl Default for TransportConfig {
             event_outbox_cap: 4 << 20,
             accept_backoff: Duration::from_millis(250),
             reactors: 1,
-            rate_limit: crate::server::RateLimitConfig::default(),
+            rate_limit: RateLimitConfig::default(),
         }
     }
 }
@@ -383,15 +382,21 @@ impl Outbox {
     /// Queue one reply line and wake the reactor to flush it. Replies to a
     /// connection that already closed are dropped silently.
     pub(crate) fn push_line(&self, line: &str) {
-        {
-            let mut buf = self.buf.lock().expect("outbox poisoned");
-            if buf.closed {
-                return;
-            }
-            buf.bytes.extend_from_slice(line.as_bytes());
-            buf.bytes.push(b'\n');
+        if self.append_line(line) {
+            self.mark_dirty();
         }
-        self.mark_dirty();
+    }
+
+    /// Queue one reply line **without** waking the reactor: the caller owes
+    /// a [`mark_dirty`](Self::mark_dirty). Returns whether it was buffered.
+    pub(crate) fn append_line(&self, line: &str) -> bool {
+        let mut buf = self.buf.lock().expect("outbox poisoned");
+        if buf.closed {
+            return false;
+        }
+        buf.bytes.extend_from_slice(line.as_bytes());
+        buf.bytes.push(b'\n');
+        true
     }
 
     /// Flag this connection for the reactor's next flush/closability pass.

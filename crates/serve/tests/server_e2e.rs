@@ -227,3 +227,26 @@ fn indicator_and_constraint_variants_serve_distinct_plans() {
     assert_ne!(tight_plan.key, default_plan.key);
     assert_eq!(engine.cache().len(), 3);
 }
+
+#[test]
+fn a_flag_the_subcommand_does_not_take_is_an_error_not_a_no_op() {
+    use std::process::{Command, Stdio};
+    // With stdin closed a server that swallowed the flag would serve the
+    // empty stream and exit 0.
+    for args in [
+        ["serve", "--no-such-flag", "1"],
+        ["serve", "--listen", "127.0.0.1:0"], // the flag is --tcp
+        ["plan", "--workers", "2"],           // a `serve` flag
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_qsync-serve"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run qsync-serve");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {}", args[1])), "{args:?}: {stderr}");
+        let valid = if args[0] == "serve" { "--tcp" } else { "--model" };
+        assert!(stderr.contains(valid), "{args:?} should list the valid flags: {stderr}");
+    }
+}
