@@ -25,7 +25,7 @@ fn recovery_candidates(
     pdag: &qsync_graph::PrecisionDag,
 ) -> Vec<(qsync_graph::NodeId, Precision)> {
     let candidates = sys.candidates_for(rank);
-    sys.dag
+    sys.dag()
         .adjustable_ops()
         .into_iter()
         .filter_map(|id| {
@@ -65,10 +65,10 @@ fn bench_allocator(c: &mut Criterion) {
             // The pre-refactor loop body: clone the DAG, cascade the move, check
             // memory, replicate a full plan and replay the global DFG.
             let mut tentative = initial.clone();
-            let _ = tentative.set(&sys.dag, node, next);
+            let _ = tentative.set(sys.dag(), node, next);
             let mem_ok = sys.memory_ok(rank, &tentative);
             let plan =
-                PrecisionPlan::from_inference_pdag("qsync_tentative", &sys.dag, &sys.cluster, &tentative);
+                PrecisionPlan::from_inference_pdag("qsync_tentative", sys.dag(), &sys.cluster, &tentative);
             (mem_ok, sys.predict_iteration_us(&plan))
         })
     });

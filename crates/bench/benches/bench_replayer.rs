@@ -12,7 +12,7 @@ fn bench_replayer(c: &mut Criterion) {
     group.sample_size(10);
     let system = setup::small_system("bert", ClusterSpec::cluster_a(2, 2), 1);
     for p in [Precision::Fp16, Precision::Int8] {
-        let plan = PrecisionPlan::uniform(&system.dag, &system.cluster, p);
+        let plan = PrecisionPlan::uniform(system.dag(), &system.cluster, p);
         group.bench_with_input(BenchmarkId::new("predict", p.to_string()), &plan, |b, plan| {
             b.iter(|| system.predict_iteration_us(std::hint::black_box(plan)))
         });

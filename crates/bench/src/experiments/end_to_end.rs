@@ -77,7 +77,7 @@ fn evaluate_model(system: &QSyncSystem, tag: u64) -> ModelBlock {
         accuracy: system.accuracy(&plan, tag.wrapping_add(2)),
         throughput_it_s: Some(system.predict(&plan).iterations_per_second()),
     });
-    ModelBlock { model: system.dag.name.clone(), rows }
+    ModelBlock { model: system.dag().name.clone(), rows }
 }
 
 /// Regenerate one of the end-to-end tables.

@@ -10,6 +10,7 @@ use qsync_cluster::cost::casting::CastingCostCalculator;
 use qsync_cluster::device::{Device, GpuModel};
 use qsync_cluster::profiler::Profiler;
 use qsync_core::replayer::CostMapper;
+use qsync_core::{ModelContext, QSyncConfig};
 use qsync_lp_kernels::precision::Precision;
 use qsync_graph::models::{bert_base, vgg16};
 use qsync_graph::PrecisionDag;
@@ -56,9 +57,12 @@ pub fn cost_composition() -> CostComposition {
     let convs: Vec<_> = vgg.nodes().iter().filter(|n| n.kind.family() == "conv2d").collect();
     let conv = convs[convs.len() - 2].id;
 
-    for (dag, node, label) in [(&bert, linear, "linear"), (&vgg, conv, "conv")] {
+    let config = QSyncConfig::default();
+    for (dag, node, label) in [(bert, linear, "linear"), (vgg, conv, "conv")] {
+        let model = ModelContext::new(dag, config.n_buckets, config.seed);
+        let dag = model.dag();
         let profile = profiler.profile(dag, &device, &Precision::PAPER_CANDIDATES, 1);
-        let mapper = CostMapper::new(dag, &profile, &casting, &device, 4);
+        let mapper = CostMapper::new(&model, &profile, &casting, &device);
         for p in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             // The paper measures the operator in isolation: only this operator runs at
             // the low precision, so its inputs arrive in FP32 and must be cast.

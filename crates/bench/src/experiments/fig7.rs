@@ -12,6 +12,7 @@ use qsync_cluster::cost::casting::CastingCostCalculator;
 use qsync_cluster::device::{Device, GpuModel};
 use qsync_cluster::profiler::Profiler;
 use qsync_core::replayer::CostMapper;
+use qsync_core::{ModelContext, QSyncConfig};
 use qsync_lp_kernels::precision::Precision;
 use qsync_lp_kernels::quant::minmax::{minmax_optimized, minmax_vanilla};
 use qsync_graph::models::resnet50;
@@ -97,13 +98,15 @@ pub struct Int8Overhead {
 /// Compute the extra end-to-end overhead of INT8 vs FP16 for ResNet-50 (batch 256) on the
 /// simulated T4 and A10, with and without dequantization fusion.
 pub fn int8_overhead(seed: u64) -> Int8Overhead {
-    let dag = resnet50(256, 224);
+    let config = QSyncConfig::default();
+    let model = ModelContext::new(resnet50(256, 224), config.n_buckets, config.seed);
+    let dag = model.dag();
     let profiler = Profiler::default();
     let rows = [GpuModel::T4, GpuModel::A10]
         .into_iter()
         .map(|gpu| {
             let device = Device::full(0, gpu);
-            let profile = profiler.profile(&dag, &device, &Precision::PAPER_CANDIDATES, seed);
+            let profile = profiler.profile(dag, &device, &Precision::PAPER_CANDIDATES, seed);
             let compute_time = |fusion: bool, precision: Precision| -> f64 {
                 let mut casting = CastingCostCalculator::for_device_with_fusion(&device, fusion);
                 if !fusion {
@@ -122,9 +125,9 @@ pub fn int8_overhead(seed: u64) -> Int8Overhead {
                         }
                     }
                 }
-                let mapper = CostMapper::new(&dag, &profile, &casting, &device, 4);
+                let mapper = CostMapper::new(&model, &profile, &casting, &device);
                 mapper
-                    .build_local_dfg(&PrecisionDag::uniform(&dag, precision), 0)
+                    .build_local_dfg(&PrecisionDag::uniform(dag, precision), 0)
                     .compute_time_us()
             };
             let fp16 = compute_time(true, Precision::Fp16);

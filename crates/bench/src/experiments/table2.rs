@@ -44,7 +44,7 @@ fn evaluate(system: &QSyncSystem, guide: &dyn SensitivityIndicator, tag: u64) ->
     // (regardless of which indicator guided the search) — that is exactly what Table II
     // measures: a better indicator picks a plan with less real gradient-variance damage.
     let ratio = system.variance_ratio(&plan);
-    let task = TaskProfile::for_model(&system.dag.name).expect("calibrated task");
+    let task = TaskProfile::for_model(&system.dag().name).expect("calibrated task");
     AccuracyModel::new(task, system.config.seed).final_accuracy(ratio, 0.0, tag)
 }
 
@@ -62,7 +62,7 @@ pub fn indicator_table(models: &[&str], seed: u64) -> IndicatorTable {
         let qsync_b = evaluate(&sys_b, &sys_b.indicator(), tag.wrapping_add(200));
         let hess_b = evaluate(
             &sys_b,
-            &HessianIndicator { stats: sys_b.stats.clone() },
+            &HessianIndicator { stats: sys_b.stats().clone() },
             tag.wrapping_add(300),
         );
         rows.push(IndicatorRow {

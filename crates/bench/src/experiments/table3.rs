@@ -44,7 +44,7 @@ pub fn replay_table(seed: u64) -> ReplayTable {
     let dag = bert_base(12, 384);
     let cluster = ClusterSpec::cluster_a(0, 2);
     let system = QSyncSystem::new(dag, cluster, QSyncConfig { seed, ..QSyncConfig::default() });
-    let dag = &system.dag;
+    let dag = system.dag();
 
     let mut configs: Vec<(String, PrecisionDag)> = Vec::new();
     // Half-Linears: every linear operator at FP16.

@@ -13,7 +13,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use qsync_lp_kernels::precision::Precision;
 use qsync_graph::{ModelDag, NodeId};
@@ -24,16 +23,41 @@ use crate::device::Device;
 /// Pure execution cost of one operator at one precision (casting not included).
 pub type OpProfile = OpCost;
 
-/// Profiled costs for one device: `(node, precision) -> cost`.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+/// Profiled costs for one device: a dense `node × candidate precision` table.
+///
+/// Every node is profiled at the same candidate set, so the table is one flat
+/// row-major array (`node · n_candidates + column`): a lookup is an index
+/// computation plus a scan of at most a handful of candidate precisions —
+/// the allocator's inner loops hit it once per touched operator.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ProfileDb {
-    entries: HashMap<(usize, Precision), OpProfile>,
+    /// The profiled precisions; position = column.
+    precisions: Vec<Precision>,
+    /// Row-major `node × column` costs.
+    costs: Vec<OpProfile>,
 }
 
 impl ProfileDb {
+    /// Tabulate `cost(node, precision)` for nodes `0..n_nodes` at every precision of
+    /// `precisions`, calling `cost` in node-major, precision-minor order.
+    pub fn tabulate(
+        n_nodes: usize,
+        precisions: &[Precision],
+        mut cost: impl FnMut(NodeId, Precision) -> OpProfile,
+    ) -> Self {
+        let mut costs = Vec::with_capacity(n_nodes * precisions.len());
+        for node in 0..n_nodes {
+            for &p in precisions {
+                costs.push(cost(NodeId(node), p));
+            }
+        }
+        ProfileDb { precisions: precisions.to_vec(), costs }
+    }
+
     /// Look up the profiled cost of a node at a precision.
     pub fn get(&self, node: NodeId, precision: Precision) -> Option<OpProfile> {
-        self.entries.get(&(node.0, precision)).copied()
+        let column = self.precisions.iter().position(|&p| p == precision)?;
+        self.costs.get(node.0 * self.precisions.len() + column).copied()
     }
 
     /// Look up with a fallback to FP32 (used for precisions that were not profiled).
@@ -43,19 +67,20 @@ impl ProfileDb {
             .unwrap_or_default()
     }
 
-    /// Insert an entry.
-    pub fn insert(&mut self, node: NodeId, precision: Precision, cost: OpProfile) {
-        self.entries.insert((node.0, precision), cost);
-    }
-
     /// Number of profiled (node, precision) pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.costs.len()
     }
 
     /// `true` when nothing has been profiled.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.costs.is_empty()
+    }
+
+    /// Heap bytes the table holds (what a byte-bounded cache charges for it).
+    pub fn heap_bytes(&self) -> usize {
+        self.costs.capacity() * std::mem::size_of::<OpProfile>()
+            + self.precisions.capacity() * std::mem::size_of::<Precision>()
     }
 }
 
@@ -109,8 +134,18 @@ impl Profiler {
         OpCost { fwd_us: analytic.fwd_us * f, bwd_us: analytic.bwd_us * f }
     }
 
+    /// The noise-free table of a device: [`Profiler::true_cost`] of every node at every
+    /// precision of `precisions` — what the "hardware" of the ground-truth executor runs.
+    pub fn truth(&self, dag: &ModelDag, device: &Device, precisions: &[Precision]) -> ProfileDb {
+        ProfileDb::tabulate(dag.len(), precisions, |node, p| self.true_cost(dag, device, node, p))
+    }
+
     /// Profile a model on a device: measure every node at every candidate precision the
     /// device can express, with measurement noise controlled by `measurement_seed`.
+    ///
+    /// The result depends on the device only through its id (hardware factor), GPU
+    /// model and compute fraction — not its memory fraction, and not the other devices
+    /// of the cluster — so one table serves every cluster shape that agrees on those.
     pub fn profile(
         &self,
         dag: &ModelDag,
@@ -118,16 +153,12 @@ impl Profiler {
         precisions: &[Precision],
         measurement_seed: u64,
     ) -> ProfileDb {
-        let mut db = ProfileDb::default();
         let mut rng = ChaCha8Rng::seed_from_u64(measurement_seed ^ 0xDEADBEEF);
-        for node in dag.nodes() {
-            for &p in precisions {
-                let truth = self.true_cost(dag, device, node.id, p);
-                let noise = (box_muller(&mut rng) * self.measurement_noise_std).exp();
-                db.insert(node.id, p, OpCost { fwd_us: truth.fwd_us * noise, bwd_us: truth.bwd_us * noise });
-            }
-        }
-        db
+        ProfileDb::tabulate(dag.len(), precisions, |node, p| {
+            let truth = self.true_cost(dag, device, node, p);
+            let noise = (box_muller(&mut rng) * self.measurement_noise_std).exp();
+            OpCost { fwd_us: truth.fwd_us * noise, bwd_us: truth.bwd_us * noise }
+        })
     }
 }
 

@@ -14,7 +14,9 @@
 //!    and the predicted overall throughput does not drop below the initial plan's
 //!    throughput (`T_min`), and pushes the operator's next step back onto the heap.
 //!
-//! Both phases run on the incremental [`DeltaEvaluator`]: each candidate is staged as a
+//! Both phases run on **one** incremental [`DeltaEvaluator`] per cold allocation
+//! ([`Allocator::allocate_cold`]: phase 1 leaves it positioned at the initial
+//! assignment, phase 2 continues on it): each candidate is staged as a
 //! transaction, its memory and latency effects are answered from cached per-operator
 //! deltas, and the move is committed or rolled back — no per-candidate DAG clone, plan
 //! replication or full-DFG rebuild. The non-incremental code paths are preserved as
@@ -116,6 +118,22 @@ pub struct InitialPassReport {
     pub preempted: bool,
 }
 
+/// Everything one cold allocation produces: the plan and its report, plus phase 1's
+/// memoizable product and work report — from a single evaluator, so a caller that
+/// memoizes initial settings does not pay a second phase-1 → phase-2 hand-over.
+#[derive(Debug, Clone)]
+pub struct ColdAllocation {
+    /// The recovered plan.
+    pub plan: PrecisionPlan,
+    /// Statistics of the run.
+    pub report: AllocationReport,
+    /// Phase 1's assignment and `T_min`, as [`Allocator::initial_setting_budgeted`]
+    /// would return them.
+    pub initial: InitialSetting,
+    /// How much combinatorial work phase 1 did and whether the budget preempted it.
+    pub pass: InitialPassReport,
+}
+
 /// The QSync allocator.
 pub struct Allocator<'a> {
     /// The assembled system (predictor, memory estimator, cluster).
@@ -152,7 +170,7 @@ impl<'a> Allocator<'a> {
         max_evals: Option<u64>,
     ) -> (DeltaEvaluator<'a>, InitialPassReport) {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let device = &sys.cluster.devices[rank];
         let candidates = sys.candidates_for(rank);
         let lowest = candidates[0];
@@ -168,7 +186,7 @@ impl<'a> Allocator<'a> {
         let capacity = device.available_memory_bytes();
         let slack = capacity.saturating_sub(base_mem);
 
-        let groups = find_repeating_subgraphs(dag);
+        let groups = sys.model().subgraphs();
         let total_lowest_bytes: u64 = groups
             .iter()
             .flat_map(|g| g.instances.iter())
@@ -177,7 +195,7 @@ impl<'a> Allocator<'a> {
             .sum::<u64>()
             .max(1);
 
-        for group in &groups {
+        for group in groups {
             for instance in &group.instances {
                 if instance.len() > 6 {
                     continue; // brute force only on small blocks; large ones stay lowest
@@ -214,7 +232,7 @@ impl<'a> Allocator<'a> {
         let sys = self.system;
         let inference = sys.cluster.inference_ranks();
         if inference.is_empty() {
-            let plan = PrecisionPlan::oracle(&sys.dag, &sys.cluster);
+            let plan = PrecisionPlan::oracle(sys.dag(), &sys.cluster);
             let t = sys.predict_iteration_us(&plan);
             return (
                 plan,
@@ -223,11 +241,29 @@ impl<'a> Allocator<'a> {
         }
         // All inference devices in the paper's clusters are identical; compute the plan
         // for the first one and replicate it.
-        let rank = inference[0];
-        let eval = self.initial_eval(rank);
-        let t_min = eval.iteration_us();
-        let report = AllocationReport { t_min_us: t_min, final_us: t_min, ..Default::default() };
-        self.recover(indicator, eval, t_min, report)
+        let cold = self.allocate_cold(indicator, inference[0], None);
+        (cold.plan, cold.report)
+    }
+
+    /// The cold allocation for inference rank `rank`, both phases on one evaluator:
+    /// phase 1 under the cooperative `max_evals` budget (`None` = unbounded), then
+    /// recovery from where it stopped. Also returns phase 1's [`InitialSetting`] —
+    /// exactly what [`initial_setting_budgeted`](Self::initial_setting_budgeted) would —
+    /// so the caller can memoize it; the plan is byte-identical to feeding that setting
+    /// to [`allocate_from_initial`](Self::allocate_from_initial).
+    pub fn allocate_cold(
+        &self,
+        indicator: &dyn SensitivityIndicator,
+        rank: usize,
+        max_evals: Option<u64>,
+    ) -> ColdAllocation {
+        let (eval, pass) = self.initial_eval_budgeted(rank, max_evals);
+        let t_min_us = eval.iteration_us();
+        let initial = InitialSetting { pdag: eval.pdag().clone(), t_min_us };
+        let report =
+            AllocationReport { t_min_us, final_us: t_min_us, ..Default::default() };
+        let (plan, report) = self.recover(indicator, eval, t_min_us, report);
+        ColdAllocation { plan, report, initial, pass }
     }
 
     /// Run phase 1 alone and package its product for memoization.
@@ -264,7 +300,7 @@ impl<'a> Allocator<'a> {
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
         let inference = sys.cluster.inference_ranks();
-        if inference.is_empty() || initial.pdag.len() != sys.dag.len() {
+        if inference.is_empty() || initial.pdag.len() != sys.dag().len() {
             return self.allocate(indicator);
         }
         let rank = inference[0];
@@ -321,7 +357,7 @@ impl<'a> Allocator<'a> {
         t_min_override: Option<f64>,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let inference = sys.cluster.inference_ranks();
         if inference.is_empty() {
             return self.allocate(indicator);
@@ -402,7 +438,7 @@ impl<'a> Allocator<'a> {
         mut report: AllocationReport,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let tol = 1.0 + sys.config.throughput_tolerance;
         let candidates = sys.candidates_for(eval.rank());
         let next_of = |p: Precision| -> Option<Precision> {
@@ -454,7 +490,7 @@ fn clamp_warm(
     candidates: &[Precision],
     lowest: Precision,
 ) -> PrecisionDag {
-    let dag = &sys.dag;
+    let dag = sys.dag();
     let mut pdag = PrecisionDag::uniform(dag, lowest);
     for id in dag.adjustable_ops() {
         let wanted = warm.get(id);
@@ -466,19 +502,6 @@ fn clamp_warm(
     pdag
 }
 
-/// Enumerate the precision combinations of one subgraph instance and return the
-/// latency-minimal one whose extra memory (relative to all-lowest) fits `budget`.
-///
-/// Per-node byte costs are tabulated once per (instance, candidate set) before the
-/// enumeration — the loop no longer recomputes `instance_bytes` for every combination —
-/// and each combination is scored from the evaluator's cached node costs inside a
-/// staged transaction that is rolled back afterwards.
-///
-/// `evals_left` is the cooperative-preemption budget shared across the whole
-/// initial pass: each scored combination spends one; at zero the enumeration
-/// stops and the best combination found so far is returned (the caller
-/// commits it — the checkpoint). `report` accumulates the spend.
-#[allow(clippy::too_many_arguments)]
 /// Combinations per parallel work chunk, floor. A function of nothing but
 /// this constant and the scored-set length (see `qsync_pool::chunk_plan`), so
 /// the chunk layout — and therefore the reduction order — is identical at
@@ -495,8 +518,18 @@ fn decode_combo(combo_idx: usize, n_candidates: usize, digits: &mut [usize]) {
     }
 }
 
-/// Brute-force scan of one repeated-subgraph instance, parallelized on the
-/// qsync-pool with a byte-identical contract at every pool size.
+/// Enumerate the precision combinations of one subgraph instance and return the
+/// latency-minimal one whose extra memory (relative to all-lowest) fits `budget` —
+/// parallelized on the qsync-pool with a byte-identical contract at every pool size.
+///
+/// Per-node byte costs are tabulated once per (instance, candidate set) before the
+/// enumeration, and each combination is scored from the evaluator's cached node costs
+/// inside a staged transaction that is rolled back afterwards.
+///
+/// `evals_left` is the cooperative-preemption budget shared across the whole
+/// initial pass: each scored combination spends one; at zero the enumeration
+/// stops and the best combination found so far is returned (the caller
+/// commits it — the checkpoint). `report` accumulates the spend.
 ///
 /// The scan runs in two phases:
 ///
@@ -509,7 +542,9 @@ fn decode_combo(combo_idx: usize, n_candidates: usize, digits: &mut [usize]) {
 ///    where `--plan-budget-evals` preemption is decided, which keeps the
 ///    preemption point byte-identical to the historical sequential scan.
 /// 2. **Score (parallel).** Split the scored set into index-ordered chunks
-///    (`chunk_plan`, length-only). Each chunk clones the committed evaluator
+///    (`chunk_plan`, length-only). Each chunk clones the committed evaluator's
+///    working state (assignment, cached node costs, memory tables — the topology
+///    and DFG skeleton stay borrowed from the model context, not copied)
 ///    and scores its combinations with the same stage/cost/rollback cycle
 ///    the sequential scan used; per-combination costs depend only on the
 ///    committed state, never on scan order. Chunk argmins (strict `<`, so
@@ -533,7 +568,7 @@ fn brute_force_instance(
     // Byte tables: bytes of each instance node at each candidate precision, and the
     // extra over the all-lowest assignment (the only quantity the budget check needs).
     let extra_bytes: Vec<Vec<u64>> = {
-        let dag = &eval.system().dag;
+        let dag = eval.system().dag();
         instance
             .iter()
             .map(|id| {
@@ -638,7 +673,7 @@ impl<'a> Allocator<'a> {
     /// Reference phase 1: the non-incremental [`Allocator::initial_for_device`].
     pub fn initial_for_device_reference(&self, rank: usize) -> PrecisionDag {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let device = &sys.cluster.devices[rank];
         let candidates = sys.candidates_for(rank);
         let lowest = candidates[0];
@@ -651,7 +686,7 @@ impl<'a> Allocator<'a> {
         let capacity = device.available_memory_bytes();
         let slack = capacity.saturating_sub(base_mem);
 
-        let mapper = CostMapper::new(dag, sys.profile(rank), sys.casting(rank), device, sys.config.n_buckets);
+        let mapper = CostMapper::new(sys.model(), sys.profile(rank), sys.casting(rank), device);
         let groups = find_repeating_subgraphs(dag);
         let total_lowest_bytes: u64 = groups
             .iter()
@@ -694,7 +729,7 @@ impl<'a> Allocator<'a> {
         lowest: Precision,
         budget: u64,
     ) -> Vec<Precision> {
-        let dag = &self.system.dag;
+        let dag = self.system.dag();
         let k = instance.len();
         let n_comb = candidates.len().pow(k as u32);
         let mut best_combo = vec![lowest; k];
@@ -749,7 +784,7 @@ impl<'a> Allocator<'a> {
         let sys = self.system;
         let inference = sys.cluster.inference_ranks();
         if inference.is_empty() {
-            let plan = PrecisionPlan::oracle(&sys.dag, &sys.cluster);
+            let plan = PrecisionPlan::oracle(sys.dag(), &sys.cluster);
             let t = sys.predict_iteration_us(&plan);
             return (
                 plan,
@@ -759,7 +794,7 @@ impl<'a> Allocator<'a> {
         let rank = inference[0];
         let pdag = self.initial_for_device_reference(rank);
         let initial_plan =
-            PrecisionPlan::from_inference_pdag("qsync_initial", &sys.dag, &sys.cluster, &pdag);
+            PrecisionPlan::from_inference_pdag("qsync_initial", sys.dag(), &sys.cluster, &pdag);
         let t_min = sys.predict_iteration_us(&initial_plan);
         let report =
             AllocationReport { t_min_us: t_min, final_us: t_min, full_predicts: 1, ..Default::default() };
@@ -774,7 +809,7 @@ impl<'a> Allocator<'a> {
         warm: &PrecisionDag,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let inference = sys.cluster.inference_ranks();
         if inference.is_empty() {
             return self.allocate_reference(indicator);
@@ -861,7 +896,7 @@ impl<'a> Allocator<'a> {
         mut report: AllocationReport,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
-        let dag = &sys.dag;
+        let dag = sys.dag();
         let tol = 1.0 + sys.config.throughput_tolerance;
         let candidates = sys.candidates_for(rank);
         let next_of = |p: Precision| -> Option<Precision> {
@@ -935,9 +970,9 @@ mod tests {
         let (plan, _) = alloc.allocate(&sys.indicator());
         let rank = sys.cluster.inference_ranks()[0];
         let lowest = sys.candidates_for(rank)[0];
-        let n_lowest = plan.count_adjustable_at(&sys.dag, rank, lowest);
+        let n_lowest = plan.count_adjustable_at(sys.dag(), rank, lowest);
         assert!(
-            n_lowest < sys.dag.adjustable_ops().len(),
+            n_lowest < sys.dag().adjustable_ops().len(),
             "no operator was recovered above {lowest}"
         );
     }
@@ -949,7 +984,7 @@ mod tests {
         let (plan, _) = alloc.allocate(&sys.indicator());
         let rank = sys.cluster.inference_ranks()[0];
         let lowest = sys.candidates_for(rank)[0];
-        let uniform = PrecisionPlan::uniform(&sys.dag, &sys.cluster, lowest);
+        let uniform = PrecisionPlan::uniform(sys.dag(), &sys.cluster, lowest);
         assert!(sys.variance_ratio(&plan) < sys.variance_ratio(&uniform));
     }
 
@@ -959,8 +994,8 @@ mod tests {
         let (plan, _) = Allocator::new(&sys).allocate(&sys.indicator());
         for rank in sys.cluster.training_ranks() {
             assert_eq!(
-                plan.count_adjustable_at(&sys.dag, rank, Precision::Fp32),
-                sys.dag.adjustable_ops().len()
+                plan.count_adjustable_at(sys.dag(), rank, Precision::Fp32),
+                sys.dag().adjustable_ops().len()
             );
         }
     }
@@ -973,8 +1008,8 @@ mod tests {
         let (plan_tight, _) = Allocator::new(&tight).allocate(&tight.indicator());
         let rank_roomy = roomy.cluster.inference_ranks()[0];
         let rank_tight = tight.cluster.inference_ranks()[0];
-        let fp32_roomy = plan_roomy.count_adjustable_at(&roomy.dag, rank_roomy, Precision::Fp32);
-        let fp32_tight = plan_tight.count_adjustable_at(&tight.dag, rank_tight, Precision::Fp32);
+        let fp32_roomy = plan_roomy.count_adjustable_at(roomy.dag(), rank_roomy, Precision::Fp32);
+        let fp32_tight = plan_tight.count_adjustable_at(tight.dag(), rank_tight, Precision::Fp32);
         assert!(
             fp32_tight <= fp32_roomy,
             "tight memory ({fp32_tight} fp32 ops) should not recover more than roomy memory ({fp32_roomy})"
@@ -989,7 +1024,7 @@ mod tests {
         let pdag = alloc.initial_for_device(rank);
         // The initial plan is either memory-feasible or the most compressed possible.
         let lowest = sys.candidates_for(rank)[0];
-        let most_compressed = PrecisionDag::uniform(&sys.dag, lowest);
+        let most_compressed = PrecisionDag::uniform(sys.dag(), lowest);
         assert!(
             sys.memory_ok(rank, &pdag)
                 || sys.memory_bytes(rank, &pdag) <= sys.memory_bytes(rank, &most_compressed)
@@ -1061,13 +1096,13 @@ mod tests {
         // The checkpointed setting is still valid: feasible (or maximally
         // compressed) and consistent enough to drive recovery.
         let lowest = sys.candidates_for(rank)[0];
-        let most_compressed = PrecisionDag::uniform(&sys.dag, lowest);
+        let most_compressed = PrecisionDag::uniform(sys.dag(), lowest);
         assert!(
             sys.memory_ok(rank, &a.pdag)
                 || sys.memory_bytes(rank, &a.pdag) <= sys.memory_bytes(rank, &most_compressed)
         );
         let (plan, _) = alloc.allocate_from_initial(&sys.indicator(), &a);
-        assert_eq!(plan.device(rank).len(), sys.dag.len());
+        assert_eq!(plan.device(rank).len(), sys.dag().len());
         // A zero budget degenerates to uniform lowest — the ultimate
         // checkpoint — and still plans.
         let (zero, zero_report) = alloc.initial_setting_budgeted(rank, Some(0));

@@ -17,7 +17,7 @@ use crate::system::QSyncSystem;
 pub fn uniform_precision_plan(system: &QSyncSystem) -> PrecisionPlan {
     let inference = system.cluster.inference_ranks();
     let Some(&rank) = inference.first() else {
-        return PrecisionPlan::oracle(&system.dag, &system.cluster);
+        return PrecisionPlan::oracle(system.dag(), &system.cluster);
     };
     let mut candidates: Vec<_> = system
         .candidates_for(rank)
@@ -26,14 +26,14 @@ pub fn uniform_precision_plan(system: &QSyncSystem) -> PrecisionPlan {
         .collect();
     candidates.reverse(); // highest low-precision first (FP16, then INT8, ...)
     for &p in &candidates {
-        let pdag = PrecisionDag::uniform(&system.dag, p);
+        let pdag = PrecisionDag::uniform(system.dag(), p);
         if system.memory_ok(rank, &pdag) {
-            return PrecisionPlan::uniform(&system.dag, &system.cluster, p);
+            return PrecisionPlan::uniform(system.dag(), &system.cluster, p);
         }
     }
     // Nothing fits: return the most compressed assignment anyway.
     let lowest = system.candidates_for(rank)[0];
-    PrecisionPlan::uniform(&system.dag, &system.cluster, lowest)
+    PrecisionPlan::uniform(system.dag(), &system.cluster, lowest)
 }
 
 /// Outcome of planning a dynamic-batch-sizing run.
@@ -51,7 +51,7 @@ pub struct DbsOutcome {
 /// but give faster devices larger local batches so every device takes about the same
 /// time at FP32. No quantization is used.
 pub fn dynamic_batch_sizing(system: &QSyncSystem) -> DbsOutcome {
-    let dag = &system.dag;
+    let dag = system.dag();
     let cluster = &system.cluster;
     let world = cluster.world_size();
     let base_batch = dag.batch_size.max(1);
@@ -97,14 +97,14 @@ pub fn dynamic_batch_sizing(system: &QSyncSystem) -> DbsOutcome {
 /// Accuracy of the DBS baseline for a calibrated task (BatchNorm models pay the
 /// batch-size penalty; LayerNorm models do not).
 pub fn dbs_accuracy(system: &QSyncSystem, trial_tag: u64) -> Option<AccuracyOutcome> {
-    let task = TaskProfile::for_model(&system.dag.name)?;
+    let task = TaskProfile::for_model(&system.dag().name)?;
     let model = AccuracyModel::new(task, system.config.seed);
     Some(model.dynamic_batch_sizing(trial_tag))
 }
 
 /// Accuracy of the ORACLE (FP32, no quantization) run for a calibrated task.
 pub fn oracle_accuracy(system: &QSyncSystem, trial_tag: u64) -> Option<AccuracyOutcome> {
-    let task = TaskProfile::for_model(&system.dag.name)?;
+    let task = TaskProfile::for_model(&system.dag().name)?;
     let model = AccuracyModel::new(task, system.config.seed);
     Some(model.oracle(trial_tag))
 }
@@ -129,8 +129,8 @@ mod tests {
         let plan = uniform_precision_plan(&sys);
         let rank = sys.cluster.inference_ranks()[0];
         assert_eq!(
-            plan.count_adjustable_at(&sys.dag, rank, Precision::Fp16),
-            sys.dag.adjustable_ops().len()
+            plan.count_adjustable_at(sys.dag(), rank, Precision::Fp16),
+            sys.dag().adjustable_ops().len()
         );
     }
 
@@ -145,8 +145,8 @@ mod tests {
         );
         let plan = uniform_precision_plan(&sys);
         let rank = sys.cluster.inference_ranks()[0];
-        let fp32 = plan.count_adjustable_at(&sys.dag, rank, Precision::Fp32);
-        assert!(fp32 < sys.dag.adjustable_ops().len(), "UP should have quantized something");
+        let fp32 = plan.count_adjustable_at(sys.dag(), rank, Precision::Fp32);
+        assert!(fp32 < sys.dag().adjustable_ops().len(), "UP should have quantized something");
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
         assert!(out.batch_allocation[v100] > out.batch_allocation[t4]);
         // Global batch preserved.
         let total: usize = out.batch_allocation.iter().sum();
-        assert_eq!(total, sys.dag.batch_size * sys.cluster.world_size());
+        assert_eq!(total, sys.dag().batch_size * sys.cluster.world_size());
     }
 
     #[test]
@@ -167,7 +167,7 @@ mod tests {
         // quantization makes the inference GPUs fast enough to keep up at full batch.
         let sys = system(ClusterSpec::hybrid_small());
         let dbs = dynamic_batch_sizing(&sys);
-        let up = PrecisionPlan::uniform(&sys.dag, &sys.cluster, Precision::Fp16);
+        let up = PrecisionPlan::uniform(sys.dag(), &sys.cluster, Precision::Fp16);
         let up_us = sys.predict_iteration_us(&up);
         assert!(up_us < dbs.iteration_us, "UP {up_us} should beat DBS {}", dbs.iteration_us);
     }

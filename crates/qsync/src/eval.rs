@@ -24,6 +24,15 @@
 //! plan construction, trace materialisation) is all eliminated. The remaining
 //! per-candidate cost is a branch-light fused sum over two flat arrays.
 //!
+//! What an evaluator owns follows what it depends on. The graph-shaped parts — the
+//! topology and the op sequence of the local-DFG skeleton — are **per model** and
+//! borrowed from the system's [`ModelContext`]; the profile table behind each cost
+//! mapper is **per (model, device)** and borrowed from the system; only the working
+//! state is the evaluator's own: the assignment, the cached node costs, the memory
+//! tables and the small per-rank timelines (**per cluster shape**). Building one costs
+//! a node-cost pass per inference rank and a skeleton walk per training rank; cloning
+//! one copies the working state only.
+//!
 //! Changes are transactional: [`DeltaEvaluator::begin`] opens a transaction,
 //! [`DeltaEvaluator::stage`] applies any number of operator moves, and
 //! [`DeltaEvaluator::commit`] / [`DeltaEvaluator::rollback`] keep or undo them — which
@@ -37,8 +46,9 @@
 use std::collections::BTreeSet;
 
 use qsync_lp_kernels::precision::Precision;
-use qsync_graph::{DagTopology, DfgOp, LocalDfg, NodeId, OpCategory, PrecisionDag};
+use qsync_graph::{DfgOp, LocalDfg, NodeId, OpCategory, PrecisionDag};
 
+use crate::context::ModelContext;
 use crate::replayer::cost_mapper::NodeCost;
 use crate::replayer::CostMapper;
 use crate::system::QSyncSystem;
@@ -77,23 +87,24 @@ struct Undo {
 /// contributions for the allocator's constraint rank, and cached per-node timeline
 /// costs for every inference rank. See the module docs for the evaluation strategy.
 ///
-/// `Clone` snapshots the evaluator's entire working state (precision DAG,
-/// cached per-node costs, memory tables). The parallel brute-force scan in
-/// the allocator clones the committed evaluator once per work chunk so each
-/// chunk scores combinations on private state; per-combination costs are a
-/// pure function of the committed state, so a clone scores exactly what the
-/// original would.
+/// The graph-shaped parts — topology and the DFG skeleton — are *borrowed* from the
+/// system's [`ModelContext`], so building an evaluator derives neither and `Clone`
+/// copies only the working state (precision DAG, cached per-node costs, memory
+/// tables, the small per-rank timelines). The parallel brute-force scan in the
+/// allocator clones the committed evaluator once per work chunk so each chunk scores
+/// combinations on private state; per-combination costs are a pure function of the
+/// committed state, so a clone scores exactly what the original would.
 ///
 /// [`PrecisionPlan::from_inference_pdag`]: crate::plan::PrecisionPlan::from_inference_pdag
 #[derive(Clone)]
 pub struct DeltaEvaluator<'a> {
     sys: &'a QSyncSystem,
+    /// The system's per-model context: graph, topology and the op sequence of the
+    /// (precision-independent) local-DFG skeleton.
+    model: &'a ModelContext,
     /// The inference rank whose memory constraint the allocator enforces.
     rank: usize,
     pdag: PrecisionDag,
-    topology: DagTopology,
-    /// Op sequence of the (precision-independent) local-DFG skeleton.
-    template: Vec<DfgOp>,
     /// All-reduce duration per communication slot (payloads are FP32 gradients and do
     /// not depend on the precision assignment).
     slot_durs: Vec<f64>,
@@ -124,12 +135,11 @@ impl<'a> DeltaEvaluator<'a> {
     /// Build the evaluator for `pdag` on the system's cluster, enforcing the memory
     /// constraint of inference rank `rank`.
     pub fn new(sys: &'a QSyncSystem, rank: usize, pdag: PrecisionDag) -> Self {
-        let dag = &sys.dag;
+        let model: &ModelContext = sys.model();
+        let (dag, topology) = (model.dag(), model.topology());
         assert_eq!(pdag.len(), dag.len(), "precision DAG does not match the model");
-        let topology = DagTopology::new(dag);
-        let skeleton = LocalDfg::from_model(dag, 0, sys.config.n_buckets);
-        let template: Vec<DfgOp> = skeleton.entries.iter().map(|e| e.op.clone()).collect();
-        let slot_durs: Vec<f64> = template
+        let slot_durs: Vec<f64> = model
+            .template()
             .iter()
             .filter_map(|op| match op {
                 DfgOp::AllReduce { bytes, .. } => Some(sys.comm().allreduce_us(*bytes)),
@@ -146,13 +156,8 @@ impl<'a> DeltaEvaluator<'a> {
         let mut costs = Vec::new();
         let mut inf_optimizer = Vec::new();
         for device in &sys.cluster.devices {
-            let mapper = CostMapper::new(
-                dag,
-                sys.profile(device.id),
-                sys.casting(device.id),
-                device,
-                sys.config.n_buckets,
-            );
+            let mapper =
+                CostMapper::new(model, sys.profile(device.id), sys.casting(device.id), device);
             if device.is_inference() {
                 roles.push(Role::Inference(mappers.len()));
                 costs.push(topology.topo().iter().fold(
@@ -192,10 +197,9 @@ impl<'a> DeltaEvaluator<'a> {
 
         DeltaEvaluator {
             sys,
+            model,
             rank,
             pdag,
-            topology,
-            template,
             slot_durs,
             roles,
             fixed_ready,
@@ -261,10 +265,15 @@ impl<'a> DeltaEvaluator<'a> {
     /// already at `precision`).
     pub fn stage(&mut self, id: NodeId, precision: Precision) -> usize {
         let undo = self.undo.as_mut().expect("no open transaction");
-        let dag = &self.sys.dag;
+        let topology = self.model.topology();
         let log_start = undo.bits.len();
-        let n_changed =
-            self.pdag.set_incremental_logged(dag, &self.topology, id, precision, &mut undo.bits);
+        let n_changed = self.pdag.set_incremental_logged(
+            self.model.dag(),
+            topology,
+            id,
+            precision,
+            &mut undo.bits,
+        );
         if n_changed == 0 {
             return 0;
         }
@@ -275,7 +284,7 @@ impl<'a> DeltaEvaluator<'a> {
         let mut affected: BTreeSet<NodeId> = BTreeSet::new();
         for &n in &changed {
             affected.insert(n);
-            for &s in self.topology.succs(n) {
+            for &s in topology.succs(n) {
                 affected.insert(s);
             }
         }
@@ -291,15 +300,15 @@ impl<'a> DeltaEvaluator<'a> {
         // every node whose precision or stored bytes changed.
         let mut dirty: BTreeSet<NodeId> = changed.iter().copied().collect();
         let mut work: BTreeSet<(usize, NodeId)> =
-            changed.iter().map(|&n| (self.topology.position(n), n)).collect();
+            changed.iter().map(|&n| (topology.position(n), n)).collect();
         while let Some((_, n)) = work.pop_first() {
             let nb = stored_bytes_of(self.sys, &self.pdag, &self.stored_bytes, n);
             if nb != self.stored_bytes[n.0] {
                 undo.stored.push((n.0, self.stored_bytes[n.0]));
                 self.stored_bytes[n.0] = nb;
                 dirty.insert(n);
-                for &s in self.topology.succs(n) {
-                    work.insert((self.topology.position(s), s));
+                for &s in topology.succs(n) {
+                    work.insert((topology.position(s), s));
                 }
             }
         }
@@ -358,7 +367,7 @@ impl<'a> DeltaEvaluator<'a> {
             let mut ready = vec![0.0f64; n_slots];
             let mut t = 0.0f64;
             let mut slot = 0usize;
-            for op in &self.template {
+            for op in self.model.template() {
                 match op {
                     DfgOp::Forward(id) => {
                         let c = &costs[id.0];
@@ -458,7 +467,7 @@ fn timeline(local: &LocalDfg, n_slots: usize) -> (Vec<f64>, f64, f64) {
 /// Bytes per element of the activation node `id` stores for its backward pass —
 /// `MemoryEstimator::estimate`'s `stored_bytes` rule.
 fn stored_bytes_of(sys: &QSyncSystem, pdag: &PrecisionDag, stored: &[u64], id: NodeId) -> u64 {
-    let node = sys.dag.node(id);
+    let node = sys.dag().node(id);
     match node.kind.category() {
         OpCategory::PrecisionAdjustable => pdag.get(id).bytes() as u64,
         _ => node.inputs.iter().map(|p| stored[p.0]).min().unwrap_or(4),
@@ -469,7 +478,7 @@ fn stored_bytes_of(sys: &QSyncSystem, pdag: &PrecisionDag, stored: &[u64], id: N
 /// optimizer state, the low-precision weight copy and the saved activation — the exact
 /// per-node terms `MemoryEstimator::estimate` accumulates.
 fn mem_contrib_of(sys: &QSyncSystem, pdag: &PrecisionDag, stored: &[u64], id: NodeId) -> u64 {
-    let node = sys.dag.node(id);
+    let node = sys.dag().node(id);
     let estimator = sys.memory_estimator();
     let params = node.kind.param_count() as u64;
     let mut c = params * 4 + params * 4 + params * estimator.optimizer.state_bytes_per_param() as u64;
@@ -502,7 +511,7 @@ mod tests {
     }
 
     fn full_latency(sys: &QSyncSystem, pdag: &PrecisionDag) -> f64 {
-        let plan = PrecisionPlan::from_inference_pdag("ref", &sys.dag, &sys.cluster, pdag);
+        let plan = PrecisionPlan::from_inference_pdag("ref", sys.dag(), &sys.cluster, pdag);
         sys.predict_iteration_us(&plan)
     }
 
@@ -511,7 +520,7 @@ mod tests {
         let sys = system();
         let rank = sys.cluster.inference_ranks()[0];
         for p in [Precision::Int8, Precision::Fp16, Precision::Fp32] {
-            let pdag = PrecisionDag::uniform(&sys.dag, p);
+            let pdag = PrecisionDag::uniform(sys.dag(), p);
             let eval = DeltaEvaluator::new(&sys, rank, pdag.clone());
             assert_eq!(eval.iteration_us().to_bits(), full_latency(&sys, &pdag).to_bits());
             assert_eq!(eval.memory_bytes(), sys.memory_bytes(rank, &pdag));
@@ -522,15 +531,15 @@ mod tests {
     fn staged_moves_track_the_full_predictor_bitwise() {
         let sys = system();
         let rank = sys.cluster.inference_ranks()[0];
-        let mut shadow = PrecisionDag::uniform(&sys.dag, Precision::Int8);
+        let mut shadow = PrecisionDag::uniform(sys.dag(), Precision::Int8);
         let mut eval = DeltaEvaluator::new(&sys, rank, shadow.clone());
-        let ops = sys.dag.adjustable_ops();
+        let ops = sys.dag().adjustable_ops();
         let steps =
             [(0usize, Precision::Fp16), (1, Precision::Fp32), (0, Precision::Fp32), (2, Precision::Fp16)];
         for (i, p) in steps {
             eval.propose(ops[i], p);
             eval.commit();
-            let _ = shadow.set(&sys.dag, ops[i], p);
+            let _ = shadow.set(sys.dag(), ops[i], p);
             assert_eq!(eval.pdag(), &shadow);
             assert_eq!(eval.iteration_us().to_bits(), full_latency(&sys, &shadow).to_bits());
             assert_eq!(eval.memory_bytes(), sys.memory_bytes(rank, &shadow));
@@ -541,11 +550,11 @@ mod tests {
     fn rollback_restores_every_observable() {
         let sys = system();
         let rank = sys.cluster.inference_ranks()[0];
-        let pdag = PrecisionDag::uniform(&sys.dag, Precision::Int8);
+        let pdag = PrecisionDag::uniform(sys.dag(), Precision::Int8);
         let mut eval = DeltaEvaluator::new(&sys, rank, pdag.clone());
         let before_t = eval.iteration_us().to_bits();
         let before_m = eval.memory_bytes();
-        let ops = sys.dag.adjustable_ops();
+        let ops = sys.dag().adjustable_ops();
         eval.begin();
         eval.stage(ops[0], Precision::Fp32);
         eval.stage(ops[1], Precision::Fp16);
@@ -562,8 +571,8 @@ mod tests {
         let sys = system();
         let rank = sys.cluster.inference_ranks()[0];
         let mut eval =
-            DeltaEvaluator::new(&sys, rank, PrecisionDag::uniform(&sys.dag, Precision::Fp16));
-        let op = sys.dag.adjustable_ops()[0];
+            DeltaEvaluator::new(&sys, rank, PrecisionDag::uniform(sys.dag(), Precision::Fp16));
+        let op = sys.dag().adjustable_ops()[0];
         assert_eq!(eval.propose(op, Precision::Fp16), 0);
         eval.commit();
     }
@@ -572,16 +581,15 @@ mod tests {
     fn instance_cost_matches_the_brute_force_expression() {
         let sys = system();
         let rank = sys.cluster.inference_ranks()[0];
-        let pdag = PrecisionDag::uniform(&sys.dag, Precision::Fp16);
+        let pdag = PrecisionDag::uniform(sys.dag(), Precision::Fp16);
         let eval = DeltaEvaluator::new(&sys, rank, pdag.clone());
         let mapper = CostMapper::new(
-            &sys.dag,
+            sys.model(),
             sys.profile(rank),
             sys.casting(rank),
             &sys.cluster.devices[rank],
-            sys.config.n_buckets,
         );
-        let instance = sys.dag.adjustable_ops();
+        let instance = sys.dag().adjustable_ops();
         let expected: f64 = instance
             .iter()
             .map(|&id| {

@@ -7,6 +7,8 @@
 //!   random baselines, statistics collection and the Fig. 8 rank traces.
 //! * [`replayer`] — the cost mapper (Algorithm 1) and the global-DFG simulator
 //!   (Equation 6).
+//! * [`context`] — the per-model part of a system (graph, topology, DFG skeleton,
+//!   repeating subgraphs, statistics), built once per model and shared.
 //! * [`system`] — the assembled Predictor (`E(·)`, `M_i(·)`), ground-truth executor and
 //!   accuracy hook for one (model, cluster) pair.
 //! * [`allocator`] — the precision allocator: fastest-feasible initial plan per
@@ -22,6 +24,7 @@
 
 pub mod allocator;
 pub mod baselines;
+pub mod context;
 pub mod eval;
 pub mod indicator;
 pub mod plan;
@@ -29,6 +32,7 @@ pub mod replayer;
 pub mod system;
 
 pub use allocator::{AllocationReport, Allocator};
+pub use context::ModelContext;
 pub use eval::DeltaEvaluator;
 pub use baselines::{dbs_accuracy, dynamic_batch_sizing, oracle_accuracy, uniform_precision_plan, DbsOutcome};
 pub use indicator::{

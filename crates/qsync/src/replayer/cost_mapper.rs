@@ -18,7 +18,9 @@ use qsync_cluster::cost::casting::CastingCostCalculator;
 use qsync_cluster::device::Device;
 use qsync_cluster::profiler::ProfileDb;
 use qsync_lp_kernels::precision::Precision;
-use qsync_graph::{DfgNode, DfgOp, LocalDfg, ModelDag, NodeId, OpCategory, PrecisionDag};
+use qsync_graph::{DfgNode, DfgOp, LocalDfg, NodeId, OpCategory, PrecisionDag};
+
+use crate::context::ModelContext;
 
 /// The four timeline contributions of one operator under a precision assignment: the
 /// two cast slots and the two pure-execution slots the cost mapper would emit for it.
@@ -41,21 +43,19 @@ pub struct NodeCost {
 /// Builds timed local DFGs from a model, a precision assignment, profiled operator costs
 /// and a casting-cost calculator.
 ///
-/// `Clone` is shallow (the mapper is a bundle of shared references plus two
-/// scalars), which is what lets [`DeltaEvaluator`](crate::eval::DeltaEvaluator)
+/// `Clone` is shallow (the mapper is a bundle of shared references plus one
+/// scalar), which is what lets [`DeltaEvaluator`](crate::eval::DeltaEvaluator)
 /// clone itself cheaply for the parallel brute-force scan.
 #[derive(Clone)]
 pub struct CostMapper<'a> {
-    /// The model graph.
-    pub dag: &'a ModelDag,
+    /// The model: graph plus the prebuilt local-DFG skeleton (and its bucket count).
+    pub model: &'a ModelContext,
     /// Profiled pure operator execution costs for this device.
     pub profile: &'a ProfileDb,
     /// Casting-cost calculator for this device.
     pub casting: &'a CastingCostCalculator,
     /// The device (used for optimizer-step cost).
     pub device: &'a Device,
-    /// Number of gradient all-reduce buckets.
-    pub n_buckets: usize,
     /// Multiplier applied to every casting cost (1.0 = normal; 0.0 disables casting
     /// modelling, which is the "w/o cost mapper" / DPro ablation of Table III).
     pub casting_scale: f64,
@@ -64,13 +64,12 @@ pub struct CostMapper<'a> {
 impl<'a> CostMapper<'a> {
     /// Create a cost mapper with casting modelling enabled.
     pub fn new(
-        dag: &'a ModelDag,
+        model: &'a ModelContext,
         profile: &'a ProfileDb,
         casting: &'a CastingCostCalculator,
         device: &'a Device,
-        n_buckets: usize,
     ) -> Self {
-        CostMapper { dag, profile, casting, device, n_buckets, casting_scale: 1.0 }
+        CostMapper { model, profile, casting, device, casting_scale: 1.0 }
     }
 
     /// Disable casting-cost modelling (the DPro-style baseline).
@@ -82,7 +81,8 @@ impl<'a> CostMapper<'a> {
     /// Forward-pass casting cost of one node under the current precision DAG:
     /// input casts (lines 6-10 of Algorithm 1) plus the weight cast (lines 11-15).
     pub fn forward_cast_us(&self, pdag: &PrecisionDag, id: NodeId) -> f64 {
-        let node = self.dag.node(id);
+        let dag = self.model.dag();
+        let node = dag.node(id);
         let p = pdag.get(id);
         let mut cost = 0.0;
         // Input casts: every predecessor whose output precision differs from the
@@ -95,7 +95,7 @@ impl<'a> CostMapper<'a> {
         for pred in &node.inputs {
             let produced = pdag.output_precision(*pred);
             if produced != consumed {
-                cost += self.casting.predict_us(produced, consumed, self.dag.node(*pred).output_numel());
+                cost += self.casting.predict_us(produced, consumed, dag.node(*pred).output_numel());
             }
         }
         // Weight cast: the FP32 master weight is converted to the execution precision.
@@ -109,7 +109,7 @@ impl<'a> CostMapper<'a> {
     /// incoming output-gradient to the backward execution precision, and (for
     /// fixed-point operators) dequantizing the weight gradient back to FP32.
     pub fn backward_cast_us(&self, pdag: &PrecisionDag, id: NodeId) -> f64 {
-        let node = self.dag.node(id);
+        let node = self.model.dag().node(id);
         if node.kind.category() != OpCategory::PrecisionAdjustable {
             return 0.0;
         }
@@ -147,16 +147,17 @@ impl<'a> CostMapper<'a> {
 
     /// Optimizer-step latency: three memory passes over every FP32 parameter.
     pub fn optimizer_us(&self) -> f64 {
-        let bytes = self.dag.param_count() as f64 * 4.0 * 3.0;
+        let bytes = self.model.dag().param_count() as f64 * 4.0 * 3.0;
         bytes / self.device.memory_bandwidth_bytes() * 1e6 + 10.0
     }
 
-    /// Build the complete timed local DFG for this device under `pdag`.
+    /// Build the complete timed local DFG for this device under `pdag`, walking the
+    /// model context's prebuilt skeleton.
     pub fn build_local_dfg(&self, pdag: &PrecisionDag, device_rank: usize) -> LocalDfg {
-        let skeleton = LocalDfg::from_model(self.dag, device_rank, self.n_buckets);
-        let mut entries = Vec::with_capacity(skeleton.entries.len() * 2);
-        for e in skeleton.entries {
-            match e.op {
+        let template = self.model.template();
+        let mut entries = Vec::with_capacity(template.len() * 2);
+        for op in template {
+            match *op {
                 DfgOp::Forward(id) => {
                     let p = pdag.get(id);
                     let cast = self.forward_cast_us(pdag, id);
@@ -182,7 +183,7 @@ impl<'a> CostMapper<'a> {
                 DfgOp::Optimizer => {
                     entries.push(DfgNode { op: DfgOp::Optimizer, duration_us: self.optimizer_us() });
                 }
-                other => entries.push(DfgNode { op: other, duration_us: e.duration_us }),
+                ref other => entries.push(DfgNode { op: other.clone(), duration_us: 0.0 }),
             }
         }
         LocalDfg { device: device_rank, entries }
@@ -199,7 +200,7 @@ impl<'a> CostMapper<'a> {
         new_precision: Precision,
         device_rank: usize,
     ) -> (Vec<NodeId>, LocalDfg) {
-        let changed = pdag.set(self.dag, op, new_precision);
+        let changed = pdag.set(self.model.dag(), op, new_precision);
         (changed, self.build_local_dfg(pdag, device_rank))
     }
 }
@@ -212,7 +213,7 @@ mod tests {
     use qsync_graph::models::small_mlp;
 
     struct Fixture {
-        dag: ModelDag,
+        model: ModelContext,
         profile: ProfileDb,
         casting: CastingCostCalculator,
         device: Device,
@@ -223,14 +224,14 @@ mod tests {
         let device = Device::full(0, GpuModel::T4);
         let profile = Profiler::default().profile(&dag, &device, &Precision::PAPER_CANDIDATES, 1);
         let casting = CastingCostCalculator::for_device(&device);
-        Fixture { dag, profile, casting, device }
+        Fixture { model: ModelContext::new(dag, 2, 42), profile, casting, device }
     }
 
     #[test]
     fn fp32_plan_has_no_cast_entries() {
         let f = fixture();
-        let mapper = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let pdag = PrecisionDag::full_precision(&f.dag);
+        let mapper = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let pdag = PrecisionDag::full_precision(f.model.dag());
         let dfg = mapper.build_local_dfg(&pdag, 0);
         assert!(dfg
             .entries
@@ -241,8 +242,8 @@ mod tests {
     #[test]
     fn low_precision_plans_insert_cast_entries() {
         let f = fixture();
-        let mapper = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let pdag = PrecisionDag::uniform(&f.dag, Precision::Int8);
+        let mapper = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let pdag = PrecisionDag::uniform(f.model.dag(), Precision::Int8);
         let dfg = mapper.build_local_dfg(&pdag, 0);
         let casts = dfg
             .entries
@@ -263,10 +264,10 @@ mod tests {
         // On a T4 the INT8/FP16 kernels are enough faster that the plan's total compute
         // time drops even after paying the casting costs — the premise of the paper.
         let f = fixture();
-        let mapper = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let t32 = mapper.build_local_dfg(&PrecisionDag::full_precision(&f.dag), 0).compute_time_us();
+        let mapper = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let t32 = mapper.build_local_dfg(&PrecisionDag::full_precision(f.model.dag()), 0).compute_time_us();
         let t16 = mapper
-            .build_local_dfg(&PrecisionDag::uniform(&f.dag, Precision::Fp16), 0)
+            .build_local_dfg(&PrecisionDag::uniform(f.model.dag(), Precision::Fp16), 0)
             .compute_time_us();
         assert!(t16 < t32, "fp16 {t16} should be faster than fp32 {t32}");
     }
@@ -274,9 +275,9 @@ mod tests {
     #[test]
     fn disabling_casting_underestimates_low_precision_time() {
         let f = fixture();
-        let with = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let without = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2).without_casting();
-        let pdag = PrecisionDag::uniform(&f.dag, Precision::Int8);
+        let with = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let without = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device).without_casting();
+        let pdag = PrecisionDag::uniform(f.model.dag(), Precision::Int8);
         let t_with = with.build_local_dfg(&pdag, 0).compute_time_us();
         let t_without = without.build_local_dfg(&pdag, 0).compute_time_us();
         assert!(t_without < t_with);
@@ -285,10 +286,10 @@ mod tests {
     #[test]
     fn cost_mapping_cascades_and_changes_the_timeline() {
         let f = fixture();
-        let mapper = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let mut pdag = PrecisionDag::uniform(&f.dag, Precision::Fp16);
+        let mapper = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let mut pdag = PrecisionDag::uniform(f.model.dag(), Precision::Fp16);
         let before = mapper.build_local_dfg(&pdag, 0).compute_time_us();
-        let target = f.dag.adjustable_ops()[1];
+        let target = f.model.dag().adjustable_ops()[1];
         let (changed, dfg) = mapper.cost_mapping(&mut pdag, target, Precision::Fp32, 0);
         assert!(changed.contains(&target));
         assert!(!changed.is_empty());
@@ -299,9 +300,9 @@ mod tests {
     #[test]
     fn weight_cast_scales_with_weight_size() {
         let f = fixture();
-        let mapper = CostMapper::new(&f.dag, &f.profile, &f.casting, &f.device, 2);
-        let pdag = PrecisionDag::uniform(&f.dag, Precision::Fp16);
-        let ops = f.dag.adjustable_ops();
+        let mapper = CostMapper::new(&f.model, &f.profile, &f.casting, &f.device);
+        let pdag = PrecisionDag::uniform(f.model.dag(), Precision::Fp16);
+        let ops = f.model.dag().adjustable_ops();
         // fc2 (1024x1024) has a much larger weight than fc3 (16x1024).
         let big = mapper.forward_cast_us(&pdag, ops[1]);
         let small = mapper.forward_cast_us(&pdag, ops[2]);

@@ -6,18 +6,38 @@
 //! happen in [`QSyncSystem::new`]; the predictor functions (`E(·)`, `M_i(·)`) are
 //! [`QSyncSystem::predict`] and [`QSyncSystem::memory_bytes`]; the allocator
 //! (`crate::allocator`) interacts with them to produce the optimized plan.
+//!
+//! A system is assembled from parts that differ in **what they depend on**, so a caller
+//! planning many (model, cluster) pairs profiles once and plans many times:
+//!
+//! * **per model** — the [`ModelContext`] (graph, topology, DFG skeleton, repeating
+//!   subgraphs, synthetic statistics), shared behind an `Arc`;
+//! * **per (model, device)** — one profiled [`ProfileDb`] per device
+//!   ([`QSyncSystem::profile_device`]), a function of the device's id, GPU model and
+//!   compute fraction only — *not* of its memory fraction or of the other devices —
+//!   shared behind an `Arc` each;
+//! * **per cluster shape** — the casting calculators, the [`CommModel`] and the
+//!   configuration, cheap enough to rebuild on every assembly.
+//!
+//! [`QSyncSystem::from_parts`] is the one assembly path; [`QSyncSystem::new`] builds
+//! every part from scratch and hands them to it. The noise-free "hardware truth" tables
+//! are needed only by the ground-truth executor and are built lazily on its first use.
+
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use qsync_cluster::comm::CommModel;
 use qsync_cluster::cost::casting::CastingCostCalculator;
 use qsync_cluster::cost::memory::{MemoryEstimator, OptimizerKind};
+use qsync_cluster::device::Device;
 use qsync_cluster::profiler::{ProfileDb, Profiler};
 use qsync_cluster::topology::ClusterSpec;
 use qsync_lp_kernels::precision::Precision;
 use qsync_graph::{GlobalDfg, ModelDag, PrecisionDag};
 use qsync_train::accuracy::{AccuracyModel, AccuracyOutcome, TaskProfile};
 
+use crate::context::ModelContext;
 use crate::indicator::{ModelStatistics, SensitivityIndicator, VarianceIndicator};
 use crate::plan::PrecisionPlan;
 use crate::replayer::{CostMapper, SimResult, Simulator};
@@ -59,16 +79,16 @@ impl Default for QSyncConfig {
 
 /// The assembled QSync system for one (model, cluster) pair.
 pub struct QSyncSystem {
-    /// The model being trained.
-    pub dag: ModelDag,
     /// The hybrid cluster running the job.
     pub cluster: ClusterSpec,
     /// Run configuration.
     pub config: QSyncConfig,
-    /// Indicator statistics (profiled or synthetic).
-    pub stats: ModelStatistics,
-    profiles: Vec<ProfileDb>,
-    true_profiles: Vec<ProfileDb>,
+    model: Arc<ModelContext>,
+    profiles: Vec<Arc<ProfileDb>>,
+    /// The "hardware truth": the profiles' deterministic per-op factors without the
+    /// measurement noise. Only the ground-truth executor reads them, so they are built
+    /// on its first call.
+    truth: OnceLock<Vec<Arc<ProfileDb>>>,
     castings: Vec<CastingCostCalculator>,
     comm: CommModel,
     profiler: Profiler,
@@ -76,36 +96,73 @@ pub struct QSyncSystem {
 }
 
 impl QSyncSystem {
-    /// Build the system: profile every device, calibrate casting models, and generate
-    /// indicator statistics (synthetic, seeded by `config.seed`).
+    /// Build the system from scratch: derive the model context, profile every device,
+    /// calibrate casting models, and generate indicator statistics (synthetic, seeded by
+    /// `config.seed`).
     pub fn new(dag: ModelDag, cluster: ClusterSpec, config: QSyncConfig) -> Self {
-        let profiler = Profiler::default();
-        let mut profiles = Vec::with_capacity(cluster.world_size());
-        let mut true_profiles = Vec::with_capacity(cluster.world_size());
-        let mut castings = Vec::with_capacity(cluster.world_size());
-        for device in &cluster.devices {
-            profiles.push(profiler.profile(&dag, device, &Precision::PAPER_CANDIDATES, config.profile_seed));
-            // The "hardware truth": the same deterministic per-op factors, no measurement noise.
-            let mut truth = ProfileDb::default();
-            for node in dag.nodes() {
-                for &p in &Precision::PAPER_CANDIDATES {
-                    truth.insert(node.id, p, profiler.true_cost(&dag, device, node.id, p));
-                }
-            }
-            true_profiles.push(truth);
-            castings.push(CastingCostCalculator::for_device(device));
-        }
-        let comm = CommModel::for_cluster(&cluster);
-        let stats = ModelStatistics::synthetic(&dag, config.seed);
-        let mem_estimator = MemoryEstimator::with_optimizer(config.optimizer);
-        QSyncSystem { dag, cluster, config, stats, profiles, true_profiles, castings, comm, profiler, mem_estimator }
+        let model = Arc::new(ModelContext::new(dag, config.n_buckets, config.seed));
+        let profiles = cluster
+            .devices
+            .iter()
+            .map(|device| Arc::new(Self::profile_device(model.dag(), device, config.profile_seed)))
+            .collect();
+        Self::from_parts(model, profiles, cluster, config)
     }
 
-    /// Replace the indicator statistics (e.g. with real observations from the executable
-    /// training engine).
-    pub fn with_stats(mut self, stats: ModelStatistics) -> Self {
-        self.stats = stats;
-        self
+    /// Profile one device for a model — the per-(model, device) part of a system.
+    pub fn profile_device(dag: &ModelDag, device: &Device, profile_seed: u64) -> ProfileDb {
+        Profiler::default().profile(dag, device, &Precision::PAPER_CANDIDATES, profile_seed)
+    }
+
+    /// Assemble a system from a shared model context and one shared profile table per
+    /// device of `cluster` (in rank order), building only the cheap per-shape parts.
+    ///
+    /// The parts must have been built for this configuration: `model` with
+    /// `config.n_buckets` and `config.seed`, each table by
+    /// [`QSyncSystem::profile_device`] for the device at its rank with
+    /// `config.profile_seed`. The result is then indistinguishable from
+    /// [`QSyncSystem::new`].
+    pub fn from_parts(
+        model: Arc<ModelContext>,
+        profiles: Vec<Arc<ProfileDb>>,
+        cluster: ClusterSpec,
+        config: QSyncConfig,
+    ) -> Self {
+        assert_eq!(profiles.len(), cluster.world_size(), "one profile table per device");
+        assert_eq!(
+            (model.n_buckets(), model.stats_seed()),
+            (config.n_buckets, config.seed),
+            "model context built for another configuration"
+        );
+        let castings = cluster.devices.iter().map(CastingCostCalculator::for_device).collect();
+        let comm = CommModel::for_cluster(&cluster);
+        let mem_estimator = MemoryEstimator::with_optimizer(config.optimizer);
+        QSyncSystem {
+            cluster,
+            config,
+            model,
+            profiles,
+            truth: OnceLock::new(),
+            castings,
+            comm,
+            profiler: Profiler::default(),
+            mem_estimator,
+        }
+    }
+
+    /// The model being trained.
+    pub fn dag(&self) -> &ModelDag {
+        self.model.dag()
+    }
+
+    /// Indicator statistics of the model (synthetic, seeded by `config.seed`).
+    pub fn stats(&self) -> &ModelStatistics {
+        self.model.stats()
+    }
+
+    /// The shared per-model context.
+    pub fn model(&self) -> &Arc<ModelContext> {
+        &self.model
     }
 
     /// The precision candidates an inference device can execute, lowest first.
@@ -120,7 +177,7 @@ impl QSyncSystem {
 
     /// The QSync variance indicator built from the current statistics.
     pub fn indicator(&self) -> VarianceIndicator {
-        VarianceIndicator::new(self.stats.clone())
+        VarianceIndicator::new(self.stats().clone())
     }
 
     /// Predictor `E(·)`: replay the plan and return the full simulation result.
@@ -137,9 +194,13 @@ impl QSyncSystem {
     /// a casting bias the predictor does not know about, and per-iteration noise) would
     /// actually measure for one iteration.
     pub fn ground_truth_iteration_us(&self, plan: &PrecisionPlan, iteration_seed: u64) -> f64 {
-        let base = self
-            .simulate_with(plan, &self.true_profiles, self.config.ground_truth_casting_bias)
-            .iteration_us;
+        let truth = self.truth.get_or_init(|| {
+            let candidates = &Precision::PAPER_CANDIDATES;
+            let table = |device| Arc::new(self.profiler.truth(self.dag(), device, candidates));
+            self.cluster.devices.iter().map(table).collect()
+        });
+        let base =
+            self.simulate_with(plan, truth, self.config.ground_truth_casting_bias).iteration_us;
         // Deterministic per-iteration jitter.
         let mut h = iteration_seed
             .wrapping_mul(0x9E3779B97F4A7C15)
@@ -166,18 +227,22 @@ impl QSyncSystem {
         self.simulate_with(plan, &self.profiles, 0.0).iteration_us
     }
 
-    fn simulate_with(&self, plan: &PrecisionPlan, profiles: &[ProfileDb], casting_scale: f64) -> SimResult {
+    fn simulate_with(
+        &self,
+        plan: &PrecisionPlan,
+        profiles: &[Arc<ProfileDb>],
+        casting_scale: f64,
+    ) -> SimResult {
         let locals = self
             .cluster
             .devices
             .iter()
             .map(|device| {
                 let mut mapper = CostMapper::new(
-                    &self.dag,
+                    &self.model,
                     &profiles[device.id],
                     &self.castings[device.id],
                     device,
-                    self.config.n_buckets,
                 );
                 mapper.casting_scale = casting_scale;
                 mapper.build_local_dfg(plan.device(device.id), device.id)
@@ -189,7 +254,7 @@ impl QSyncSystem {
     /// Memory estimator `M_i(·)` for one rank under a precision DAG.
     pub fn memory_bytes(&self, rank: usize, pdag: &PrecisionDag) -> u64 {
         let _ = rank;
-        self.mem_estimator.estimate_bytes(&self.dag, pdag)
+        self.mem_estimator.estimate_bytes(self.dag(), pdag)
     }
 
     /// Whether the plan fits the device's available memory.
@@ -204,7 +269,7 @@ impl QSyncSystem {
             .iter()
             .map(|&rank| {
                 let pdag = plan.device(rank);
-                indicator.total(&self.dag, &|id| pdag.get(id))
+                indicator.total(self.dag(), &|id| pdag.get(id))
             })
             .sum()
     }
@@ -219,7 +284,7 @@ impl QSyncSystem {
             .first()
             .map(|&r| self.candidates_for(r)[0])
             .unwrap_or(Precision::Fp16);
-        let reference = PrecisionPlan::uniform(&self.dag, &self.cluster, reference_precision);
+        let reference = PrecisionPlan::uniform(self.dag(), &self.cluster, reference_precision);
         let ref_var = self.plan_variance(&reference, &indicator);
         if ref_var <= 0.0 {
             return 0.0;
@@ -230,7 +295,7 @@ impl QSyncSystem {
     /// Final-accuracy outcome of training under a plan, using the accuracy-response model
     /// for the task matching this model (if calibrated).
     pub fn accuracy(&self, plan: &PrecisionPlan, trial_tag: u64) -> Option<AccuracyOutcome> {
-        let task = TaskProfile::for_model(&self.dag.name)?;
+        let task = TaskProfile::for_model(&self.dag().name)?;
         let model = AccuracyModel::new(task, self.config.seed);
         Some(model.final_accuracy(self.variance_ratio(plan), 0.0, trial_tag))
     }
@@ -278,8 +343,8 @@ mod tests {
     #[test]
     fn uniform_fp16_is_faster_than_oracle() {
         let s = system();
-        let oracle = s.predict_iteration_us(&PrecisionPlan::oracle(&s.dag, &s.cluster));
-        let fp16 = s.predict_iteration_us(&PrecisionPlan::uniform(&s.dag, &s.cluster, Precision::Fp16));
+        let oracle = s.predict_iteration_us(&PrecisionPlan::oracle(s.dag(), &s.cluster));
+        let fp16 = s.predict_iteration_us(&PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Fp16));
         assert!(fp16 <= oracle, "fp16 {fp16} should not be slower than oracle {oracle}");
     }
 
@@ -287,15 +352,72 @@ mod tests {
     fn predictor_is_close_to_ground_truth() {
         let s = system();
         for plan in [
-            PrecisionPlan::uniform(&s.dag, &s.cluster, Precision::Fp16),
-            PrecisionPlan::uniform(&s.dag, &s.cluster, Precision::Int8),
-            PrecisionPlan::oracle(&s.dag, &s.cluster),
+            PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Fp16),
+            PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Int8),
+            PrecisionPlan::oracle(s.dag(), &s.cluster),
         ] {
             let predicted = s.predict_iteration_us(&plan);
             let truth = s.ground_truth_mean_us(&plan, 5);
             let err = (predicted - truth).abs() / truth;
             assert!(err < 0.05, "{}: error {err}", plan.name);
         }
+    }
+
+    #[test]
+    fn ground_truth_tables_are_built_on_first_use_only() {
+        let s = system();
+        let plan = PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Int8);
+        let _ = s.predict(&plan);
+        let _ = s.dpro_iteration_us(&plan);
+        let _ = crate::allocator::Allocator::new(&s).allocate(&s.indicator());
+        assert!(s.truth.get().is_none(), "the predictor and the allocator never need the truth");
+        let _ = s.ground_truth_iteration_us(&plan, 0);
+        assert_eq!(s.truth.get().map(Vec::len), Some(s.cluster.world_size()));
+    }
+
+    #[test]
+    fn ground_truth_is_the_same_bits_whenever_it_is_first_asked_for() {
+        let plan_of = |s: &QSyncSystem| PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Int8);
+        let truth_first = system();
+        let a = truth_first.ground_truth_iteration_us(&plan_of(&truth_first), 3);
+        let predict_first = system();
+        let _ = predict_first.predict(&plan_of(&predict_first));
+        let b = predict_first.ground_truth_iteration_us(&plan_of(&predict_first), 3);
+        assert_eq!(a.to_bits(), b.to_bits());
+
+        // And equals a direct reconstruction from `Profiler::true_cost`: the noise-free
+        // tables, the biased casting model, the replay, then the per-iteration jitter.
+        let s = &truth_first;
+        let plan = plan_of(s);
+        let tables: Vec<ProfileDb> = s
+            .cluster
+            .devices
+            .iter()
+            .map(|device| {
+                ProfileDb::tabulate(s.dag().len(), &Precision::PAPER_CANDIDATES, |node, p| {
+                    s.profiler().true_cost(s.dag(), device, node, p)
+                })
+            })
+            .collect();
+        let locals = s
+            .cluster
+            .devices
+            .iter()
+            .map(|device| {
+                let mut mapper =
+                    CostMapper::new(s.model(), &tables[device.id], s.casting(device.id), device);
+                mapper.casting_scale = s.config.ground_truth_casting_bias;
+                mapper.build_local_dfg(plan.device(device.id), device.id)
+            })
+            .collect();
+        let base = Simulator::new(s.comm().clone()).simulate(&GlobalDfg::new(locals)).iteration_us;
+        let mut h = 3u64.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(s.config.seed);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+        h ^= h >> 33;
+        let z = ((h as f64) / (u64::MAX as f64) - 0.5) * 2.0 * 1.732;
+        let expected = base * (1.0 + z * s.config.ground_truth_noise_std);
+        assert_eq!(a.to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -307,7 +429,7 @@ mod tests {
             ClusterSpec::cluster_a(0, 2),
             QSyncConfig::default(),
         );
-        let plan = PrecisionPlan::uniform(&s.dag, &s.cluster, Precision::Int8);
+        let plan = PrecisionPlan::uniform(s.dag(), &s.cluster, Precision::Int8);
         let truth = s.ground_truth_mean_us(&plan, 5);
         let qsync_err = (s.predict_iteration_us(&plan) - truth).abs() / truth;
         let dpro_err = (s.dpro_iteration_us(&plan) - truth).abs() / truth;
@@ -318,10 +440,10 @@ mod tests {
     #[test]
     fn variance_ratio_is_zero_for_oracle_and_one_for_uniform_lowest() {
         let s = system();
-        let oracle = PrecisionPlan::oracle(&s.dag, &s.cluster);
+        let oracle = PrecisionPlan::oracle(s.dag(), &s.cluster);
         assert_eq!(s.variance_ratio(&oracle), 0.0);
         let lowest = s.candidates_for(s.cluster.inference_ranks()[0])[0];
-        let uniform = PrecisionPlan::uniform(&s.dag, &s.cluster, lowest);
+        let uniform = PrecisionPlan::uniform(s.dag(), &s.cluster, lowest);
         assert!((s.variance_ratio(&uniform) - 1.0).abs() < 1e-9);
     }
 
@@ -329,7 +451,7 @@ mod tests {
     fn memory_check_accepts_small_models_on_full_devices() {
         let s = system();
         let rank = s.cluster.inference_ranks()[0];
-        assert!(s.memory_ok(rank, &PrecisionDag::full_precision(&s.dag)));
+        assert!(s.memory_ok(rank, &PrecisionDag::full_precision(s.dag())));
     }
 
     #[test]
@@ -344,7 +466,7 @@ mod tests {
     #[test]
     fn accuracy_hook_returns_none_for_uncalibrated_models() {
         let s = system();
-        let plan = PrecisionPlan::oracle(&s.dag, &s.cluster);
+        let plan = PrecisionPlan::oracle(s.dag(), &s.cluster);
         assert!(s.accuracy(&plan, 0).is_none()); // small_mlp has no task profile
     }
 }

@@ -149,7 +149,7 @@ fn warm_t_min_matches_the_cold_allocators_bound() {
         let rank = shrunk.cluster.inference_ranks()[0];
         let lowest = shrunk.candidates_for(rank)[0];
         let uniform =
-            shrunk.predict_iteration_us(&PrecisionPlan::uniform(&shrunk.dag, &shrunk.cluster, lowest));
+            shrunk.predict_iteration_us(&PrecisionPlan::uniform(shrunk.dag(), &shrunk.cluster, lowest));
         let gap = uniform - warm_report.t_min_us;
         assert!(
             gap >= -1e-9,
@@ -224,11 +224,11 @@ proptest! {
     ) {
         let sys = QSyncSystem::new(dag, ClusterSpec::hybrid_small(), QSyncConfig::default());
         let rank = sys.cluster.inference_ranks()[0];
-        let ops = sys.dag.adjustable_ops();
+        let ops = sys.dag().adjustable_ops();
         prop_assert!(!ops.is_empty()); // widths.len() >= 2 guarantees a linear layer
 
         // Shadow state maintained with the non-incremental primitives.
-        let mut shadow = PrecisionDag::uniform(&sys.dag, start);
+        let mut shadow = PrecisionDag::uniform(sys.dag(), start);
         let mut eval = DeltaEvaluator::new(&sys, rank, shadow.clone());
 
         for (pick, precision, keep) in moves {
@@ -236,13 +236,13 @@ proptest! {
             eval.propose(op, precision);
             if keep {
                 eval.commit();
-                let _ = shadow.set(&sys.dag, op, precision);
+                let _ = shadow.set(sys.dag(), op, precision);
             } else {
                 eval.rollback();
             }
             prop_assert_eq!(eval.pdag(), &shadow);
             let full = sys.predict_iteration_us(&PrecisionPlan::from_inference_pdag(
-                "diff", &sys.dag, &sys.cluster, &shadow,
+                "diff", sys.dag(), &sys.cluster, &shadow,
             ));
             prop_assert_eq!(eval.iteration_us().to_bits(), full.to_bits());
             prop_assert_eq!(eval.memory_bytes(), sys.memory_bytes(rank, &shadow));

@@ -6,8 +6,10 @@
 //!
 //! 1. **Cache hit** — the key resolves to a stored entry; the cached plan is
 //!    returned byte-identically.
-//! 2. **Cold plan** — build the [`QSyncSystem`] (profiling every device), run
-//!    the full allocator, cache and return.
+//! 2. **Cold plan** — assemble the
+//!    [`QSyncSystem`](qsync_core::system::QSyncSystem) from the parts store
+//!    (building only the parts never seen: see below), run the full
+//!    allocator on one evaluator, cache and return.
 //! 3. **Warm re-plan** — on a [`ClusterDelta`](qsync_api::ClusterDelta),
 //!    evict exactly the entries planned against the old cluster fingerprint
 //!    and re-plan each by warm starting the allocator's recovery phase from
@@ -24,6 +26,19 @@
 //! share a wave is the server's call: its delta queue hands the engine
 //! everything that arrived within one collection window (see
 //! [`crate::server`]).
+//!
+//! ## What is memoized, on what, bounded by what
+//!
+//! | memo | value | key | bound |
+//! |---|---|---|---|
+//! | parts store, model half | `ModelContext` (graph, topology, DFG skeleton, subgraphs, statistics) | model fingerprint, statistics seed, bucket count | 8 MiB of parts (`parts.rs`); an insert that would cross it clears the contexts, then — if still over — the tables |
+//! | parts store, device half | one device's profile table | model fingerprint, device id, GPU model, compute-fraction bits, profile seed — *not* the memory fraction, not the other devices | (same store, same bound) |
+//! | initial-setting memo | brute-force initial setting + `T_min` | model fingerprint, effective-cluster fingerprint | 1024 entries, cleared when full |
+//!
+//! The cheap per-shape parts of a system (casting calculators, communication
+//! model, config) are rebuilt on every assembly. All three memos are
+//! value-transparent: hit, miss, a clear and a concurrent double build all
+//! give byte-identical plans.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,13 +50,14 @@ use qsync_api::{
     PlanRequest, PlanResponse,
 };
 use qsync_cluster::topology::ClusterSpec;
-use qsync_core::allocator::{AllocationReport, Allocator, InitialSetting};
+use qsync_core::allocator::{AllocationReport, Allocator, InitialPassReport, InitialSetting};
 use qsync_core::indicator::{HessianIndicator, RandomIndicator, SensitivityIndicator};
 use qsync_core::plan::PrecisionPlan;
-use qsync_core::system::QSyncSystem;
+use qsync_graph::PrecisionDag;
 
 use crate::cache::{CacheConfig, CachedPlan, PlanCache};
 use crate::metrics::ServeObs;
+use crate::parts::PartsStore;
 
 /// The cache-fronted planning engine. Cheap to share: wrap in an [`Arc`] and
 /// clone the handle across worker threads.
@@ -66,14 +82,11 @@ pub struct PlanEngine {
     /// a memoized plan is byte-identical to a from-scratch one. Bounded by
     /// [`INITIAL_MEMO_CAP`].
     initial_memo: Mutex<HashMap<(u128, u128), InitialSetting>>,
-    /// Memoized built systems — device profiles, casting models, synthetic
-    /// statistics — keyed by `(model fingerprint, effective-cluster
-    /// fingerprint, serialized config)`. [`QSyncSystem::new`] re-profiles
-    /// every device and is a pure function of that key, so repeat plans and
-    /// warm re-plans share one build instead of re-profiling the cluster.
-    /// Value-transparent like the initial-setting memo; bounded by
-    /// [`SYSTEM_MEMO_CAP`].
-    system_memo: SystemMemo,
+    /// Shared system parts — one model context per model, one profile table
+    /// per (model, device) — each keyed on exactly what it depends on, so a
+    /// new memory limit or a degraded neighbour re-profiles nothing. See
+    /// `parts.rs`.
+    parts: PartsStore,
     /// Cooperative-preemption budget for the brute-force initial pass: at
     /// most this many candidate combinations are scored per cold plan before
     /// the pass checkpoints its best-so-far and yields the worker. `None`
@@ -82,25 +95,6 @@ pub struct PlanEngine {
     /// the coherence oracle must agree on it.
     plan_budget_evals: Option<u64>,
 }
-
-/// The system memo's storage, newtyped for a summary `Debug` (a built
-/// system has no useful debug form).
-#[derive(Default)]
-struct SystemMemo(Mutex<HashMap<(u128, u128, String), Arc<QSyncSystem>>>);
-
-impl std::fmt::Debug for SystemMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.0.lock().map(|memo| memo.len()).unwrap_or(0);
-        write!(f, "SystemMemo({len} entries)")
-    }
-}
-
-/// Cap on distinct `(model, cluster, config)` system builds kept resident —
-/// long elastic runs mint a new cluster fingerprint per delta, and a built
-/// system holds per-node-per-precision profile tables for every device. On
-/// overflow the memo is cleared (rebuilds are pure, so this only costs the
-/// re-profile).
-const SYSTEM_MEMO_CAP: usize = 64;
 
 /// Cap on memoized initial settings — one per `(model, cluster shape)` ever
 /// planned, and every elasticity delta mints a new shape. Sized to the
@@ -428,6 +422,13 @@ impl PlanEngine {
                 value: shard.entries as i64,
             });
         }
+        let (part_entries, part_bytes) = self.parts.usage();
+        for (name, value) in [
+            ("qsync_engine_profile_memo_entries", part_entries),
+            ("qsync_engine_profile_memo_bytes", part_bytes),
+        ] {
+            snap.gauges.push(GaugeValue { name: name.to_string(), value: value as i64 });
+        }
         let deltas = self.delta_stats();
         for (name, value) in [
             ("qsync_delta_waves_total", deltas.waves),
@@ -488,8 +489,7 @@ impl PlanEngine {
                     started,
                 );
             }
-            let (plan, _, system) = self.run_allocator(&request, warm.as_ref());
-            warm = system.cluster.inference_ranks().first().map(|&rank| plan.device(rank).clone());
+            (_, _, warm) = self.run_allocator(&request, warm.as_ref());
         }
         unreachable!("ReplanChain.shapes is never empty")
     }
@@ -500,12 +500,10 @@ impl PlanEngine {
         request: &PlanRequest,
         key: String,
         outcome: PlanOutcome,
-        warm: Option<&qsync_graph::PrecisionDag>,
+        warm: Option<&PrecisionDag>,
         started: Instant,
     ) -> PlanResponse {
-        let (plan, report, system) = self.run_allocator(request, warm);
-        let inference_pdag =
-            system.cluster.inference_ranks().first().map(|&rank| plan.device(rank).clone());
+        let (plan, report, inference_pdag) = self.run_allocator(request, warm);
         let response = PlanResponse {
             id: request.id,
             key: key.clone(),
@@ -542,36 +540,40 @@ impl PlanEngine {
         response
     }
 
-    /// Build the system for a request and run the allocator, cold or warm.
+    /// Assemble the system for a request and run the allocator, cold or warm.
+    /// Returns the plan, its report and the inference assignment later warm
+    /// re-plans start from (`None` without inference devices).
     ///
     /// The brute-force initial setting (the uniform-precision sweep that
     /// dominates cold-plan latency) is memoized per
     /// `(model fingerprint, effective-cluster fingerprint)`: the first plan
     /// for a pair runs it and records it, every later plan — cold with a
     /// different indicator/tolerance, or a warm re-plan onto that shape —
-    /// starts from the memo. The memo is value-transparent (identical plans,
-    /// identical reports), so cache replays and the coherence oracle are
-    /// unaffected by hit/miss history.
+    /// starts from the memo. A cold miss runs both phases on one evaluator
+    /// ([`Allocator::allocate_cold`]). The memo is value-transparent
+    /// (identical plans, identical reports), so cache replays and the
+    /// coherence oracle are unaffected by hit/miss history.
     fn run_allocator(
         &self,
         request: &PlanRequest,
-        warm: Option<&qsync_graph::PrecisionDag>,
-    ) -> (PrecisionPlan, AllocationReport, Arc<QSyncSystem>) {
-        let system = self.system_for(request);
+        warm: Option<&PrecisionDag>,
+    ) -> (PrecisionPlan, AllocationReport, Option<PrecisionDag>) {
+        let system = self.parts.system_for(request, &self.obs);
         let allocator = Allocator::new(&system);
         let indicator: Box<dyn SensitivityIndicator> = match request.indicator {
             IndicatorChoice::Variance => Box::new(system.indicator()),
-            IndicatorChoice::Hessian => Box::new(HessianIndicator { stats: system.stats.clone() }),
+            IndicatorChoice::Hessian => Box::new(HessianIndicator { stats: system.stats().clone() }),
             IndicatorChoice::Random => Box::new(RandomIndicator { seed: system.config.seed }),
         };
+        let indicator = indicator.as_ref();
         let Some(&rank) = system.cluster.inference_ranks().first() else {
             // No inference devices: the allocator short-circuits to the oracle
             // plan; there is no exhaustive pass to memoize.
             let (plan, report) = match warm {
-                None => allocator.allocate(indicator.as_ref()),
-                Some(w) => allocator.allocate_warm(indicator.as_ref(), w),
+                None => allocator.allocate(indicator),
+                Some(w) => allocator.allocate_warm(indicator, w),
             };
-            return (plan, report, system);
+            return (plan, report, None);
         };
         let (model_fp, cluster_fp) = (request.model.fingerprint(), system.cluster.fingerprint());
         let memoized = self
@@ -579,58 +581,42 @@ impl PlanEngine {
             .lock()
             .expect("initial-setting memo poisoned")
             .get(&(model_fp, cluster_fp))
-            .cloned();
-        let initial = match memoized {
             // A memo restored from a snapshot of a different build could carry
             // a stale node count; fall through to a fresh sweep rather than
             // feed the allocator a mismatched assignment.
-            Some(initial) if initial.pdag.len() == system.dag.len() => {
-                self.obs.memo_hits.inc();
-                initial
+            .filter(|initial| initial.pdag.len() == system.dag().len())
+            .cloned();
+        let record = |initial: InitialSetting, pass: InitialPassReport| {
+            if pass.preempted {
+                self.obs.plan_preemptions.inc();
             }
-            _ => {
+            self.obs.memo_misses.inc();
+            self.memo_insert(model_fp, cluster_fp, initial);
+        };
+        let (plan, report) = match (memoized, warm) {
+            (Some(initial), None) => {
+                self.obs.memo_hits.inc();
+                allocator.allocate_from_initial(indicator, &initial)
+            }
+            (Some(initial), Some(w)) => {
+                self.obs.memo_hits.inc();
+                allocator.allocate_warm_with_tmin(indicator, w, initial.t_min_us)
+            }
+            (None, None) => {
+                let cold = allocator.allocate_cold(indicator, rank, self.plan_budget_evals);
+                record(cold.initial, cold.pass);
+                (cold.plan, cold.report)
+            }
+            (None, Some(w)) => {
                 let (initial, pass) =
                     allocator.initial_setting_budgeted(rank, self.plan_budget_evals);
-                if pass.preempted {
-                    self.obs.plan_preemptions.inc();
-                }
-                self.obs.memo_misses.inc();
-                self.memo_insert(model_fp, cluster_fp, initial.clone());
-                initial
+                let t_min_us = initial.t_min_us;
+                record(initial, pass);
+                allocator.allocate_warm_with_tmin(indicator, w, t_min_us)
             }
         };
-        let (plan, report) = match warm {
-            None => allocator.allocate_from_initial(indicator.as_ref(), &initial),
-            Some(w) => allocator.allocate_warm_with_tmin(indicator.as_ref(), w, initial.t_min_us),
-        };
-        (plan, report, system)
-    }
-
-    /// The built system for a request, shared through the system memo: a
-    /// pure function of `(model, effective cluster, config)`, so a memo hit
-    /// skips building the DAG and re-profiling every device. Concurrent
-    /// misses may build twice; both builds are byte-identical, either may
-    /// win the insert.
-    fn system_for(&self, request: &PlanRequest) -> Arc<QSyncSystem> {
-        let config = request.config();
-        let cluster = request.effective_cluster();
-        let key = (
-            request.model.fingerprint(),
-            cluster.fingerprint(),
-            serde_json::to_string(&config).expect("config serializes"),
-        );
-        if let Some(system) = self.system_memo.0.lock().expect("system memo poisoned").get(&key) {
-            self.obs.profile_memo_hits.inc();
-            return Arc::clone(system);
-        }
-        self.obs.profile_memo_misses.inc();
-        let system = Arc::new(QSyncSystem::new(request.model.build(), cluster, config));
-        let mut memo = self.system_memo.0.lock().expect("system memo poisoned");
-        if memo.len() >= SYSTEM_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, Arc::clone(&system));
-        system
+        let inference_pdag = plan.device(rank).clone();
+        (plan, report, Some(inference_pdag))
     }
 
     /// The memoized initial settings, sorted by key for deterministic
@@ -667,7 +653,7 @@ impl PlanEngine {
         &self,
         request: PlanRequest,
         response: PlanResponse,
-        inference_pdag: Option<qsync_graph::PrecisionDag>,
+        inference_pdag: Option<PrecisionDag>,
     ) -> bool {
         if request.validate().is_err() || request.cache_key() != response.key {
             return false;
@@ -831,6 +817,48 @@ mod tests {
         assert_eq!(after.predicted_iteration_us.to_bits(), before.predicted_iteration_us.to_bits());
         assert_eq!(engine.memo_len(), 2);
         assert_eq!(engine.obs().snapshot().counter("qsync_engine_memo_misses_total"), Some(3));
+    }
+
+    #[test]
+    fn a_new_memory_limit_reprofiles_nothing_and_a_degraded_rank_only_itself() {
+        let counts = |engine: &PlanEngine| {
+            let snap = engine.metrics_snapshot();
+            [
+                "qsync_engine_profile_memo_hits_total",
+                "qsync_engine_profile_memo_misses_total",
+                "qsync_engine_model_ctx_memo_hits_total",
+                "qsync_engine_model_ctx_memo_misses_total",
+            ]
+            .map(|name| snap.counter(name).expect("registered counter"))
+        };
+        let engine = PlanEngine::new();
+        engine.plan(&mlp_request(1, ClusterSpec::cluster_b(2, 2, 0.3))).unwrap();
+        assert_eq!(counts(&engine), [0, 4, 0, 1]);
+
+        // Same model, same devices, another memory fraction: a fresh cache
+        // key and cluster fingerprint, yet every part is resident.
+        let request = mlp_request(2, ClusterSpec::cluster_b(2, 2, 0.7));
+        let second = engine.plan(&request).unwrap();
+        assert_eq!(second.outcome, PlanOutcome::ColdPlanned);
+        assert_eq!(counts(&engine), [4, 4, 1, 1]);
+        let fresh = PlanEngine::new().plan(&request).unwrap();
+        assert_eq!(second.plan_json(), fresh.plan_json());
+        assert_eq!(second.t_min_us.to_bits(), fresh.t_min_us.to_bits());
+        assert_eq!(second.predicted_iteration_us.to_bits(), fresh.predicted_iteration_us.to_bits());
+
+        // Degrading one rank's compute re-profiles that rank alone.
+        let rank = request.cluster.inference_ranks()[0];
+        let delta = DeltaRequest::new(
+            3,
+            request.cluster.clone(),
+            ClusterDelta::Degraded { rank, memory_fraction: 0.6, compute_fraction: 0.9 },
+        );
+        let outcome = engine.apply_delta(&delta).unwrap();
+        assert_eq!(outcome.replanned.len(), 1);
+        assert_eq!(counts(&engine), [7, 5, 2, 1]);
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.gauge("qsync_engine_profile_memo_entries"), Some(6));
+        assert!(snap.gauge("qsync_engine_profile_memo_bytes").expect("bytes gauge") > 0);
     }
 
     #[test]

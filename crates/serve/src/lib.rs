@@ -93,6 +93,7 @@ pub mod cache;
 pub mod engine;
 mod events;
 pub mod metrics;
+mod parts;
 pub mod persist;
 pub mod replica;
 pub mod server;

@@ -117,11 +117,16 @@ pub struct ServeObs {
     pub memo_hits: Arc<Counter>,
     /// Plans that ran the exhaustive initial pass (and memoized it).
     pub memo_misses: Arc<Counter>,
-    /// Plans that reused a memoized built system (device profiles, casting
-    /// models, synthetic statistics) instead of re-profiling the cluster.
+    /// Device profile tables a system assembly found in the parts store
+    /// (one lookup per device of the cluster, per planned system).
     pub profile_memo_hits: Arc<Counter>,
-    /// Plans that profiled the cluster and built the system from scratch.
+    /// Device profile tables a system assembly had to profile.
     pub profile_memo_misses: Arc<Counter>,
+    /// System assemblies that found the model context (graph, topology,
+    /// DFG skeleton, statistics) in the parts store.
+    pub model_ctx_memo_hits: Arc<Counter>,
+    /// System assemblies that built the model context.
+    pub model_ctx_memo_misses: Arc<Counter>,
     /// Highest primary event seq this replica has applied (replica side).
     pub replica_applied_seq: Arc<Gauge>,
     /// Primary seq minus applied seq at the last applied event (replica side).
@@ -217,6 +222,8 @@ impl ServeObs {
             memo_misses: r.counter("qsync_engine_memo_misses_total"),
             profile_memo_hits: r.counter("qsync_engine_profile_memo_hits_total"),
             profile_memo_misses: r.counter("qsync_engine_profile_memo_misses_total"),
+            model_ctx_memo_hits: r.counter("qsync_engine_model_ctx_memo_hits_total"),
+            model_ctx_memo_misses: r.counter("qsync_engine_model_ctx_memo_misses_total"),
             replica_applied_seq: r.gauge("qsync_replica_applied_seq"),
             replica_lag_seq: r.gauge("qsync_replica_lag_seq"),
             resync_pulls: r.counter("qsync_replica_resync_pulls_total"),

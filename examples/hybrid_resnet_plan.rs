@@ -12,7 +12,7 @@ use qsync_lp_kernels::precision::Precision;
 
 fn main() {
     let system = setup::system("resnet50", setup::cluster_a(), 2024);
-    println!("ResNet-50, local batch {}, {}", system.dag.batch_size, system.cluster.name);
+    println!("ResNet-50, local batch {}, {}", system.dag().batch_size, system.cluster.name);
 
     let oracle = oracle_accuracy(&system, 0).unwrap();
     println!("\nORACLE : accuracy {:.2} ± {:.2}%   throughput †", oracle.mean, oracle.std);
@@ -35,7 +35,7 @@ fn main() {
         up_acc.mean,
         up_acc.std,
         system.predict(&up).iterations_per_second(),
-        up.summary(&system.dag, system.cluster.inference_ranks()[0]),
+        up.summary(system.dag(), system.cluster.inference_ranks()[0]),
     );
 
     let (plan, _) = Allocator::new(&system).allocate(&system.indicator());
@@ -45,14 +45,14 @@ fn main() {
         qs_acc.mean,
         qs_acc.std,
         system.predict(&plan).iterations_per_second(),
-        plan.summary(&system.dag, system.cluster.inference_ranks()[0]),
+        plan.summary(system.dag(), system.cluster.inference_ranks()[0]),
     );
 
     // Which convolutions did QSync keep at low precision?
     let t4 = system.cluster.inference_ranks()[0];
     let pdag = plan.device(t4);
     let low: Vec<&str> = system
-        .dag
+        .dag()
         .nodes()
         .iter()
         .filter(|n| {

@@ -32,18 +32,18 @@ fn main() {
         println!("== {label} — T4 has {cap_gib:.1} GiB available ==");
         println!(
             "  UP    : {:<40} memory {:.1} GiB, throughput {:.3} it/s",
-            up.summary(&system.dag, t4),
+            up.summary(system.dag(), t4),
             mem(&up),
             system.predict(&up).iterations_per_second()
         );
         println!(
             "  QSync : {:<40} memory {:.1} GiB, throughput {:.3} it/s",
-            plan.summary(&system.dag, t4),
+            plan.summary(system.dag(), t4),
             mem(&plan),
             system.predict(&plan).iterations_per_second()
         );
-        let int8 = plan.count_adjustable_at(&system.dag, t4, Precision::Int8);
-        let fp32 = plan.count_adjustable_at(&system.dag, t4, Precision::Fp32);
+        let int8 = plan.count_adjustable_at(system.dag(), t4, Precision::Int8);
+        let fp32 = plan.count_adjustable_at(system.dag(), t4, Precision::Fp32);
         println!(
             "  QSync keeps {int8} operators at INT8 and recovers {fp32} to FP32; accuracy estimate {:.2}%\n",
             system.accuracy(&plan, 0).unwrap().mean

@@ -34,9 +34,9 @@ fn main() {
     let qs_sim = system.predict(&plan);
 
     let t4 = system.cluster.inference_ranks()[0];
-    println!("uniform precision : {}", up.summary(&system.dag, t4));
+    println!("uniform precision : {}", up.summary(system.dag(), t4));
     println!("  predicted iteration: {:.2} ms ({:.3} it/s), T4 waiting {:.2} ms", up_sim.iteration_us / 1e3, up_sim.iterations_per_second(), up_sim.waiting_us(t4) / 1e3);
-    println!("qsync             : {}", plan.summary(&system.dag, t4));
+    println!("qsync             : {}", plan.summary(system.dag(), t4));
     println!("  predicted iteration: {:.2} ms ({:.3} it/s), T4 waiting {:.2} ms", qs_sim.iteration_us / 1e3, qs_sim.iterations_per_second(), qs_sim.waiting_us(t4) / 1e3);
     println!("  promotions accepted/rejected: {}/{}", report.promotions_accepted, report.promotions_rejected);
     println!("  gradient-variance ratio: UP {:.4} vs QSync {:.4} (lower is better)", system.variance_ratio(&up), system.variance_ratio(&plan));

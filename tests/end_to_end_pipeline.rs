@@ -38,7 +38,7 @@ fn memory_constraint_is_honoured_on_cluster_b() {
     let cap = sys.cluster.devices[t4].available_memory_bytes();
 
     // Full precision must exceed the constrained memory (otherwise this test is vacuous).
-    let fp32 = PrecisionPlan::oracle(&sys.dag, &sys.cluster);
+    let fp32 = PrecisionPlan::oracle(sys.dag(), &sys.cluster);
     assert!(sys.memory_bytes(t4, fp32.device(t4)) > cap);
 
     let (plan, _) = Allocator::new(&sys).allocate(&sys.indicator());
@@ -47,8 +47,8 @@ fn memory_constraint_is_honoured_on_cluster_b() {
         "allocated plan exceeds the T4's available memory"
     );
     // Some operators must remain at low precision to fit.
-    let fp32_ops = plan.count_adjustable_at(&sys.dag, t4, Precision::Fp32);
-    assert!(fp32_ops < sys.dag.adjustable_ops().len());
+    let fp32_ops = plan.count_adjustable_at(sys.dag(), t4, Precision::Fp32);
+    assert!(fp32_ops < sys.dag().adjustable_ops().len());
 }
 
 #[test]
@@ -57,13 +57,13 @@ fn training_gpus_are_never_quantized_by_any_method() {
     let plans = vec![
         uniform_precision_plan(&sys),
         Allocator::new(&sys).allocate(&sys.indicator()).0,
-        PrecisionPlan::oracle(&sys.dag, &sys.cluster),
+        PrecisionPlan::oracle(sys.dag(), &sys.cluster),
     ];
     for plan in plans {
         for rank in sys.cluster.training_ranks() {
             assert_eq!(
-                plan.count_adjustable_at(&sys.dag, rank, Precision::Fp32),
-                sys.dag.adjustable_ops().len(),
+                plan.count_adjustable_at(sys.dag(), rank, Precision::Fp32),
+                sys.dag().adjustable_ops().len(),
                 "plan {} quantized a training GPU",
                 plan.name
             );

@@ -30,8 +30,8 @@ fn assert_plan_is_valid(plan: &PrecisionPlan, spec: &ModelSpec, cluster: &Cluste
     // Training GPUs always stay FP32.
     for rank in cluster.training_ranks() {
         assert_eq!(
-            plan.count_adjustable_at(&system.dag, rank, Precision::Fp32),
-            system.dag.adjustable_ops().len(),
+            plan.count_adjustable_at(system.dag(), rank, Precision::Fp32),
+            system.dag().adjustable_ops().len(),
             "training rank {rank} not at full precision"
         );
     }
@@ -95,8 +95,8 @@ fn warm_and_cold_replans_agree_on_feasibility() {
 
     let system = system_for(&spec(), &degraded);
     let r = degraded.inference_ranks()[0];
-    let warm_fp32 = warm.plan.count_adjustable_at(&system.dag, r, Precision::Fp32);
-    let cold_fp32 = cold.plan.count_adjustable_at(&system.dag, r, Precision::Fp32);
+    let warm_fp32 = warm.plan.count_adjustable_at(system.dag(), r, Precision::Fp32);
+    let cold_fp32 = cold.plan.count_adjustable_at(system.dag(), r, Precision::Fp32);
     // Both paths run the same recovery loop to saturation; warm starts at or
     // above cold's starting point, so it cannot end lower.
     assert!(

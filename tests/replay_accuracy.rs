@@ -17,7 +17,7 @@ fn bert_system() -> QSyncSystem {
 #[test]
 fn predictor_error_is_under_five_percent_for_all_table3_configs() {
     let sys = bert_system();
-    let dag = &sys.dag;
+    let dag = sys.dag();
 
     let mut configs: Vec<(&str, PrecisionDag)> = Vec::new();
     let mut half = PrecisionDag::full_precision(dag);
@@ -44,7 +44,7 @@ fn predictor_error_is_under_five_percent_for_all_table3_configs() {
 #[test]
 fn dropping_the_cost_mapper_degrades_prediction_for_quantized_plans() {
     let sys = bert_system();
-    let plan = PrecisionPlan::uniform(&sys.dag, &sys.cluster, Precision::Int8);
+    let plan = PrecisionPlan::uniform(sys.dag(), &sys.cluster, Precision::Int8);
     let truth = sys.ground_truth_mean_us(&plan, 5);
     let with_mapper = (sys.predict_iteration_us(&plan) - truth).abs() / truth;
     let without_mapper = (sys.dpro_iteration_us(&plan) - truth).abs() / truth;
@@ -56,7 +56,7 @@ fn dropping_the_cost_mapper_degrades_prediction_for_quantized_plans() {
 #[test]
 fn ground_truth_is_reproducible_per_iteration_seed() {
     let sys = bert_system();
-    let plan = PrecisionPlan::uniform(&sys.dag, &sys.cluster, Precision::Fp16);
+    let plan = PrecisionPlan::uniform(sys.dag(), &sys.cluster, Precision::Fp16);
     assert_eq!(
         sys.ground_truth_iteration_us(&plan, 3),
         sys.ground_truth_iteration_us(&plan, 3)
