@@ -1,7 +1,7 @@
 //! # qsync-api — the versioned wire protocol of the plan-serving subsystem
 //!
 //! Every type that crosses the serving wire lives in this crate, shared by
-//! the server (`qsync-serve`) and clients (`qsync-client`, tests, benches):
+//! the server (`qsync-serve`) and clients (`qsync-client`, tests, the benchmark):
 //!
 //! * **Payloads** — [`PlanRequest`]/[`PlanResponse`] (with the full
 //!   scheduling surface: `priority`, `client_id`, `deadline_ms`, and the DRR

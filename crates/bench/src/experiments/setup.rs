@@ -43,29 +43,10 @@ pub fn paper_model(name: &str) -> ModelDag {
     }
 }
 
-/// Build a paper model at a reduced scale (for Criterion benches and quick tests):
-/// smaller batch and input resolution, same structure.
-pub fn small_scale_model(name: &str) -> ModelDag {
-    match name {
-        "resnet50" => resnet50(8, 64),
-        "vgg16" => vgg16(8, 64),
-        "vgg16bn" => vgg16bn(8, 64),
-        "bert" | "bert_base" => bert_base(2, 64),
-        "roberta" | "roberta_base" => roberta_base(2, 64),
-        other => panic!("unknown paper model {other}"),
-    }
-}
-
 /// Assemble a [`QSyncSystem`] for a paper model on a cluster.
 pub fn system(model: &str, cluster: ClusterSpec, seed: u64) -> QSyncSystem {
     let config = QSyncConfig { seed, ..QSyncConfig::default() };
     QSyncSystem::new(paper_model(model), cluster, config)
-}
-
-/// Assemble a reduced-scale system (for benches / tests).
-pub fn small_system(model: &str, cluster: ClusterSpec, seed: u64) -> QSyncSystem {
-    let config = QSyncConfig { seed, ..QSyncConfig::default() };
-    QSyncSystem::new(small_scale_model(model), cluster, config)
 }
 
 #[cfg(test)]
@@ -84,8 +65,6 @@ mod tests {
         for m in ["resnet50", "vgg16", "vgg16bn", "bert", "roberta"] {
             let dag = paper_model(m);
             assert!(dag.len() > 10, "{m}");
-            let small = small_scale_model(m);
-            assert!(small.param_count() <= dag.param_count());
         }
     }
 

@@ -1,26 +1,12 @@
 //! # qsync-bench — experiment harness regenerating every table and figure of the paper
 //!
 //! Each module under [`experiments`] computes one table/figure as a plain data structure
-//! with a `Display` implementation; the `reproduce` binary prints them and the Criterion
-//! benches exercise the underlying kernels. EXPERIMENTS.md records paper-vs-measured for
-//! every experiment.
+//! with a `Display` implementation; the `reproduce` binary prints them and writes
+//! `experiment_results.json`. Performance claims rest on `qsync_benchmark/`, not on
+//! this crate.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 
 pub use experiments::*;
-
-/// `true` when `QSYNC_BENCH_SMOKE` requests the fast CI-validation variant of
-/// a bench (reduced sample sizes / workload scale). Shared by every bench
-/// binary so the convention cannot diverge.
-pub fn smoke() -> bool {
-    std::env::var("QSYNC_BENCH_SMOKE").is_ok_and(|v| v != "0")
-}
-
-/// Absolute path of `name` at the workspace root. cargo runs benches with
-/// cwd = the package root (`crates/bench`), but the committed `BENCH_*.json`
-/// summaries live at the workspace root, where CI validates them.
-pub fn workspace_root_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(name)
-}

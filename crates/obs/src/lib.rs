@@ -20,8 +20,9 @@
 //!   reconstructed stage by stage after the fact.
 //!
 //! A [`Registry`] (and every instrument it hands out) can be constructed
-//! disabled — record calls become a branch on a `bool` — which is how the
-//! serving benches pin the metrics-on vs metrics-off overhead.
+//! disabled — record calls become a branch on a `bool` — which is how
+//! `qsync-serve`'s `obs_overhead` test pins the metrics-on vs metrics-off
+//! overhead.
 
 #![warn(missing_docs)]
 
@@ -494,7 +495,7 @@ impl Registry {
     }
 
     /// A disabled registry: every instrument it hands out drops records at a
-    /// branch. Used to pin the instrumentation overhead in benches.
+    /// branch. Used to pin the instrumentation overhead in tests.
     pub fn disabled() -> Self {
         Registry { enabled: false, inner: Mutex::new(RegistryInner::default()) }
     }

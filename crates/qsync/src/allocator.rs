@@ -20,8 +20,8 @@
 //! transaction, its memory and latency effects are answered from cached per-operator
 //! deltas, and the move is committed or rolled back — no per-candidate DAG clone, plan
 //! replication or full-DFG rebuild. The non-incremental code paths are preserved as
-//! `*_reference` methods; the differential tests assert both produce byte-identical
-//! plans, and `bench_allocator` quantifies the gap.
+//! `*_reference` methods: the reference the differential suites assert the incremental
+//! paths against, plan for plan, byte for byte.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,7 +60,7 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Statistics about one allocation run (for reporting and the ablation benches).
+/// Statistics about one allocation run (for reporting and the ablation experiments).
 #[derive(Debug, Clone, Default)]
 pub struct AllocationReport {
     /// Predicted iteration latency (us) of the initial (fastest) plan — the `T_min` bound.
@@ -662,11 +662,11 @@ fn instance_bytes(dag: &qsync_graph::ModelDag, id: NodeId, p: Precision) -> u64 
 // ---------------------------------------------------------------------------
 // Reference (non-incremental) implementations.
 //
-// These are the pre-DeltaEvaluator code paths, kept verbatim so the differential
-// tests can assert that the incremental allocator produces byte-identical plans and
-// so `bench_allocator` can quantify the speedup. They clone the precision DAG,
-// replicate it into a full `PrecisionPlan` and replay the global DFG for every
-// candidate — do not use them outside tests and benches.
+// These are the pre-DeltaEvaluator code paths, kept verbatim as the differential
+// suites' reference: they assert that the incremental allocator produces
+// byte-identical plans. They clone the precision DAG, replicate it into a full
+// `PrecisionPlan` and replay the global DFG for every candidate — do not use them
+// outside tests.
 // ---------------------------------------------------------------------------
 
 impl<'a> Allocator<'a> {

@@ -300,7 +300,7 @@ impl QSyncSystem {
         Some(model.final_accuracy(self.variance_ratio(plan), 0.0, trial_tag))
     }
 
-    /// Underlying profiler (exposed for benches that need per-op truths).
+    /// Underlying profiler (exposed for experiments that need per-op truths).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }

@@ -173,6 +173,64 @@ fn gemm_and_quant_kernels_are_byte_identical_across_pool_sizes() {
     assert_eq!(pinned, baseline, "pin_sequential diverges from the 1-thread pool");
 }
 
+/// The pool must pay for itself: on a host with at least two cores, a
+/// 2-thread pool may not lose to the 1-thread pool on a cold allocation
+/// (reduced-scale VGG-16BN on ClusterA(2,2)) or on a 384×256×384 f32 gemm.
+/// Medians of 9 runs per point. Timing-sensitive, so ignored by default and
+/// run in release on its own: `cargo test --release -p qsync-core --test
+/// pool_differential -- --ignored --test-threads=1`.
+#[test]
+#[ignore = "release-mode timing gate; run explicitly — see ci.yml"]
+fn two_pool_threads_do_not_lose_to_one() {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    if cores < 2 {
+        eprintln!("contended runner ({cores} core): skipping the pool scaling gate");
+        return;
+    }
+    // Runs alternate between the pools so load drift hits both; one
+    // untimed run each first spawns the lazy workers.
+    let pools = [Pool::with_threads(1), Pool::with_threads(2)];
+    let median_us = |f: &dyn Fn()| {
+        let mut runs = [Vec::new(), Vec::new()];
+        for pool in &pools {
+            pool.install(f);
+        }
+        for _ in 0..9 {
+            for (pool, runs) in pools.iter().zip(&mut runs) {
+                let start = std::time::Instant::now();
+                pool.install(f);
+                runs.push(start.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        runs.map(|mut runs| {
+            runs.sort_by(f64::total_cmp);
+            runs[runs.len() / 2]
+        })
+    };
+
+    let sys = QSyncSystem::new(
+        vgg16bn(8, 64),
+        ClusterSpec::cluster_a(2, 2),
+        QSyncConfig { seed: 1, ..QSyncConfig::default() },
+    );
+    let allocate = || {
+        std::hint::black_box(Allocator::new(&sys).allocate(&sys.indicator()));
+    };
+    let (m, k, n) = (384, 256, 384);
+    let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.017).collect();
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.023).collect();
+    let tile = TileConfig::fallback();
+    let gemm = || {
+        std::hint::black_box(gemm_f32(&a, &b, m, k, n, &tile));
+    };
+
+    for (name, f) in [("cold allocate", &allocate as &dyn Fn()), ("gemm_f32 384x256x384", &gemm)] {
+        let [one, two] = median_us(f);
+        eprintln!("{name}: {one:.0} us at 1 thread, {two:.0} us at 2 threads");
+        assert!(two <= one, "{name}: the 2-thread pool ({two:.0} us) lost to 1 thread ({one:.0} us)");
+    }
+}
+
 /// Random layered model for the property: same generator family as the
 /// incremental-vs-reference differential suite.
 fn random_layered_model(widths: Vec<usize>, relu: Vec<bool>, residual: Vec<bool>) -> ModelDag {

@@ -390,7 +390,7 @@ impl<T> Scheduler<T> {
         Self::with_clock(config, Arc::new(SystemClock::new()))
     }
 
-    /// A scheduler over an explicit clock (tests and virtual-time benches).
+    /// A scheduler over an explicit clock (tests and virtual-time simulations).
     pub fn with_clock(config: SchedConfig, clock: Arc<dyn Clock>) -> Self {
         Scheduler {
             shared: Arc::new(Shared {

@@ -1,5 +1,5 @@
-//! Scheduler integration tests: the ISSUE's acceptance criterion, under a
-//! deterministic virtual-time simulation.
+//! Scheduler integration tests: the fairness, flood and deadline bounds,
+//! under a deterministic virtual-time simulation.
 //!
 //! A single worker pops jobs and advances a [`ManualClock`] by each job's
 //! service time, so every queue-wait figure is exact and reproducible:
@@ -45,7 +45,7 @@ fn scheduler(policy: SchedPolicy) -> (Scheduler<&'static str>, Arc<ManualClock>)
 /// last client's jobs all wait behind three full bursts while the first
 /// client's barely wait — per-client p99 queue waits spread ~4x. DRR
 /// round-robins the clients, so every client drains at the same per-client
-/// pace and p99 waits are within 2x of each other (the acceptance criterion).
+/// pace and p99 waits are within 2x of each other.
 fn burst_skew_p99s(policy: SchedPolicy) -> BTreeMap<&'static str, u64> {
     let (sched, clock) = scheduler(policy);
     for client in ["a", "b", "c", "d"] {

@@ -122,8 +122,8 @@ pub struct ShardStats {
 }
 
 /// A thread-safe, content-addressed, sharded LRU map from cache key to
-/// [`CachedPlan`]. Hits take shard read locks and scale across cores (see
-/// `hit_throughput` in `BENCH_plan_server.json`).
+/// [`CachedPlan`]. Hits take shard read locks, so they scale across cores
+/// instead of serialising on one mutex.
 #[derive(Debug)]
 pub struct PlanCache {
     shards: Vec<RwLock<Shard>>,

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// Constructed enabled by default; [`ServeObs::disabled`] builds the same
 /// shape with recording compiled down to a branch, which is what the
-/// overhead-guard bench compares against.
+/// overhead guard (`tests/obs_overhead.rs`) compares against.
 #[derive(Debug)]
 pub struct ServeObs {
     /// The registry every instrument below is interned in; snapshot this
@@ -174,7 +174,7 @@ impl ServeObs {
     }
 
     /// The same instrument set recording nothing — every record call is one
-    /// predictable branch. The overhead-guard bench serves with this to pin
+    /// predictable branch. The overhead guard serves with this to pin
     /// the cost of the instrumentation itself.
     pub fn disabled() -> Self {
         Self::build(Registry::disabled())

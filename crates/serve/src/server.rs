@@ -85,11 +85,13 @@ const SERVER_IDENT: &str = concat!("qsync-serve/", env!("CARGO_PKG_VERSION"));
 /// One scheduler job of the serving layer.
 enum ServeJob {
     /// A client plan request; the reply is routed back to the submitting
-    /// connection in the wire form the request arrived in.
+    /// connection in the wire form the request arrived in. `queued_us` is
+    /// the trace clock at submit, where the `dispatch` span starts.
     Plan {
         request: PlanRequest,
         conn: Arc<ConnState>,
         wire: WireProto,
+        queued_us: u64,
     },
     /// One re-plan chain of a delta wave; the result is sent back to the
     /// wave leader.
@@ -645,7 +647,8 @@ impl ServeCore {
                 }
                 let request_id = request.id;
                 conn.begin();
-                let job = ServeJob::Plan { request, conn: Arc::clone(conn), wire };
+                let queued_us = self.engine.obs().trace.now_us();
+                let job = ServeJob::Plan { request, conn: Arc::clone(conn), wire, queued_us };
                 if let Err(rejected) = self.sched.submit(job, meta) {
                     // Admission control: shed immediately.
                     let error = submit_error(&rejected.error).with_id(request_id);
@@ -815,18 +818,12 @@ impl ServeCore {
         let wait_ms = job.queue_wait_ms();
         obs.dispatch_wait_ms.record(wait_ms);
         match job.take_payload() {
-            ServeJob::Plan { request, conn, wire } => {
+            ServeJob::Plan { request, conn, wire, queued_us } => {
                 let trace_id = request.trace_id.unwrap_or(0);
                 if trace_id != 0 {
                     // The dispatch span covers the time the job sat in
                     // its queue, ending now (at worker pickup).
-                    let now = obs.trace.now_us();
-                    obs.trace.span(
-                        trace_id,
-                        "dispatch",
-                        now.saturating_sub(wait_ms.saturating_mul(1000)),
-                        format!("queued {wait_ms} ms"),
-                    );
+                    obs.trace.span(trace_id, "dispatch", queued_us, format!("queued {wait_ms} ms"));
                 }
                 // `hit_body` is `Some` exactly for a cache hit: its line is
                 // spliced from the entry's rendered body, not re-serialized.

@@ -1,10 +1,12 @@
 //! End-to-end observability: request traces reconstructable over the wire,
 //! delta-wave events stamped with their originating trace id, the `Metrics`
-//! command reporting every layer, and the slow-subscriber path — dropped
-//! events counted, surfaced as client-side gaps, and recovered via `Resync`.
+//! command reporting every layer in a parseable exposition that matches the
+//! documented catalog, and the slow-subscriber path — dropped events
+//! counted, surfaced as client-side gaps, and recovered via `Resync`.
 
 use std::time::{Duration, Instant};
 
+use qsync_api::MetricsSnapshot;
 use qsync_client::EventItem;
 use qsync_cluster::topology::ClusterSpec;
 use qsync_serve::{
@@ -121,17 +123,29 @@ fn delta_wave_events_carry_the_originating_trace_id() {
     server.stop();
 }
 
-#[test]
-fn metrics_command_reports_every_layer() {
+/// One cold plan, one cache hit and one delta wave (one warm re-plan) on a
+/// live server with an event subscriber attached, then its `Metrics`
+/// snapshot: transport, scheduler, engine, cache, deltas, events and the
+/// pool bridge have all been exercised.
+fn every_layer_snapshot() -> MetricsSnapshot {
     let cluster = ClusterSpec::hybrid_small();
     let server = TestServer::spawn(PlanServer::new(2));
     let mux = server.mux_client();
+    let watcher = server.mux_client();
+    let _events = watcher.subscribe().expect("subscribe");
 
     mux.plan(mlp_request(0, &cluster)).expect("cold");
     mux.plan(mlp_request(0, &cluster)).expect("hit");
     mux.delta(degrade(&cluster, 0.5)).expect("delta");
 
     let metrics = mux.metrics().expect("metrics");
+    server.stop();
+    metrics
+}
+
+#[test]
+fn metrics_command_reports_every_layer() {
+    let metrics = every_layer_snapshot();
     // Transport layer.
     assert!(metrics.counter("qsync_transport_accepts_total").unwrap() >= 1);
     assert!(metrics.counter("qsync_transport_bytes_in_total").unwrap() > 0);
@@ -153,12 +167,139 @@ fn metrics_command_reports_every_layer() {
     assert_eq!(metrics.histogram("qsync_delta_wave_width").unwrap().count, 1);
     assert_eq!(metrics.histogram("qsync_plan_latency_us{kind=\"warm\"}").unwrap().count, 1);
     assert!(metrics.histogram("qsync_delta_fanout_us").unwrap().count >= 1);
+    for kind in ["cold", "warm", "hit"] {
+        let h = metrics.histogram(&format!("qsync_plan_latency_us{{kind=\"{kind}\"}}")).unwrap();
+        assert!(
+            h.p50() <= h.p90() && h.p90() <= h.p99(),
+            "{kind} latency percentiles not monotone: p50 {} p90 {} p99 {}",
+            h.p50(),
+            h.p90(),
+            h.p99()
+        );
+    }
     // And the whole snapshot renders as parseable text exposition.
     let text = metrics.render_prometheus();
     assert!(text.contains("# TYPE qsync_plan_latency_us histogram"));
     assert!(text.contains("qsync_cache_hits_total 1"));
+    validate_exposition(&text);
+}
 
-    server.stop();
+/// Validate the Prometheus text exposition line-by-line (a scrape target
+/// that doesn't parse is worse than none).
+fn validate_exposition(text: &str) {
+    let mut samples = 0;
+    let mut histograms: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let mut parts = rest.split_whitespace();
+            let name = parts.next().expect("# TYPE carries a metric name");
+            let kind = parts.next().expect("# TYPE carries a kind");
+            assert!(
+                matches!(kind, "counter" | "gauge" | "histogram"),
+                "unknown exposition kind {kind:?} in {line:?}"
+            );
+            if kind == "histogram" {
+                histograms.push(name);
+            }
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| {
+            panic!("sample line has no value separator: {line:?}");
+        });
+        value.parse::<f64>().unwrap_or_else(|e| {
+            panic!("sample value does not parse ({e}): {line:?}");
+        });
+        assert!(!series.is_empty(), "empty series name: {line:?}");
+        if let Some(open) = series.find('{') {
+            assert!(series.ends_with('}'), "unterminated label block: {line:?}");
+            for label in series[open + 1..series.len() - 1].split(',') {
+                let (key, val) = label
+                    .split_once('=')
+                    .unwrap_or_else(|| panic!("label without '=' in {line:?}"));
+                assert!(!key.is_empty() && val.starts_with('"') && val.ends_with('"'),
+                    "malformed label {label:?} in {line:?}");
+            }
+        }
+        samples += 1;
+    }
+    for base in histograms {
+        for suffix in ["_bucket", "_sum", "_count"] {
+            assert!(
+                text.contains(&format!("{base}{suffix}")),
+                "histogram {base} is missing its {suffix} series"
+            );
+        }
+        assert!(
+            text.contains("le=\"+Inf\""),
+            "histogram {base} exposition lacks a +Inf bucket"
+        );
+    }
+    assert!(samples > 0, "exposition rendered no samples");
+}
+
+/// The metric catalog in `docs/OBSERVABILITY.md` and the live exposition
+/// name the same metrics. A backticked `qsync_…` name in a catalog table
+/// row is one name; `{a,b}` brace groups expand to one name per
+/// alternative; a `{label="…"}` block names a label family that any label
+/// value satisfies.
+#[test]
+fn metric_catalog_matches_the_exposition() {
+    let doc = include_str!("../../../docs/OBSERVABILITY.md");
+    let catalog = doc
+        .split("## Metric catalog")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("the doc has a metric catalog section");
+    let mut documented: Vec<String> = Vec::new();
+    for row in catalog.lines().filter(|l| l.starts_with('|')) {
+        for name in row.split('`').skip(1).step_by(2).filter(|s| s.starts_with("qsync_")) {
+            documented.extend(expand_braces(name));
+        }
+    }
+
+    let metrics = every_layer_snapshot();
+    let exposed: Vec<&str> = metrics
+        .counters
+        .iter()
+        .map(|c| c.name.as_str())
+        .chain(metrics.gauges.iter().map(|g| g.name.as_str()))
+        .chain(metrics.histograms.iter().map(|h| h.name.as_str()))
+        .collect();
+
+    // A documented family `base{key="…"}` matches `base{key="<anything>"}`.
+    let matches = |doc_name: &str, name: &str| match doc_name.strip_suffix("…\"}") {
+        Some(prefix) => name
+            .strip_prefix(prefix)
+            .and_then(|value| value.strip_suffix("\"}"))
+            .is_some_and(|value| !value.contains('"')),
+        None => doc_name == name,
+    };
+    let only_in_doc: Vec<&String> =
+        documented.iter().filter(|d| !exposed.iter().any(|e| matches(d, e))).collect();
+    let only_exposed: Vec<&&str> =
+        exposed.iter().filter(|e| !documented.iter().any(|d| matches(d, e))).collect();
+    assert!(
+        only_in_doc.is_empty() && only_exposed.is_empty(),
+        "metric catalog drift — only in docs/OBSERVABILITY.md: {only_in_doc:?}; \
+         only in the exposition: {only_exposed:?}"
+    );
+}
+
+/// Expand every `{a,b,…}` brace group of a catalog name (a `{key="…"}`
+/// label block is not a brace group and is kept as written).
+fn expand_braces(name: &str) -> Vec<String> {
+    let group = name.match_indices('{').map(|(i, _)| i).find_map(|open| {
+        let close = open + name[open..].find('}')?;
+        (!name[open..close].contains('=')).then_some((open, close))
+    });
+    let Some((open, close)) = group else { return vec![name.to_string()] };
+    name[open + 1..close]
+        .split(',')
+        .flat_map(|alt| expand_braces(&format!("{}{alt}{}", &name[..open], &name[close + 1..])))
+        .collect()
 }
 
 #[test]

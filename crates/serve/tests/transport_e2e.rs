@@ -223,17 +223,20 @@ fn least_loaded_handoff_refills_drained_reactor_after_churn() {
 
 /// The 10k-connection release-mode smoke: sweep 256 → 10240 connections on a
 /// multi-reactor server; at every rung, hold all sockets open concurrently
-/// and complete one reply-routed round-trip per connection. On a
-/// multi-core, uncontended runner the p99 round-trip latency must stay flat
-/// (within 10× of the 256-conn rung); on a contended runner (fewer than 4
-/// cores) the latency gate is skipped and only the functional assertions
-/// hold. The top rung adapts to the process fd budget — the sweep never
-/// silently drops below 4096.
+/// and complete eight rounds of one reply-routed round-trip per connection,
+/// then check that the per-reactor connection gauges cover the rung. The
+/// 1024 rung's round-trip rate must stay within 10% of the 256 rung's
+/// unless reactors outnumber cores. On a multi-core, uncontended runner the
+/// p99 round-trip latency must stay flat (within 10× of the 256-conn rung);
+/// on a contended runner (fewer than 4 cores) the latency gate is skipped.
+/// The top rung adapts to the process fd budget — the sweep never silently
+/// drops below 4096.
 #[test]
 #[ignore = "release-mode scale smoke (256→10k sweep); run explicitly — see ci.yml"]
 fn ten_thousand_connection_sweep_keeps_p99_flat() {
     const TARGET: usize = 10_240;
     const WRITERS: usize = 16;
+    const ROUNDS: usize = 8;
     let limit = qsync_serve::transport::ensure_fd_limit((TARGET * 3 + 512) as u64)
         .expect("raise fd limit");
     // Three fds per connection — the test client's socket, its dup'd
@@ -251,7 +254,8 @@ fn ten_thousand_connection_sweep_keeps_p99_flat() {
     let engine = PlanEngine::shared();
     let cluster = ClusterSpec::hybrid_small();
     engine.plan(&PlanRequest::new(0, mlp(), cluster.clone())).expect("pre-warm");
-    let transport = TransportConfig { reactors: cores.clamp(2, 4), ..TransportConfig::default() };
+    let reactors = cores.clamp(2, 4);
+    let transport = TransportConfig { reactors, ..TransportConfig::default() };
     let server = TestServer::spawn(
         PlanServer::with_engine(Arc::clone(&engine), 4).with_transport(transport),
     );
@@ -286,50 +290,86 @@ fn ten_thousand_connection_sweep_keeps_p99_flat() {
 
     let mut probe = server.client();
     let mut p99_us: Vec<(usize, u64)> = Vec::new();
+    let mut per_sec_at: Vec<(usize, f64)> = Vec::new();
     for &conns in &sweep {
         wait_for_reap(&mut probe, 0);
         let started = Instant::now();
         let mut clients: Vec<Client> = (0..conns).map(|_| server.client()).collect();
         let connected = started.elapsed();
-        let latencies = std::sync::Mutex::new(Vec::<u64>::with_capacity(conns));
-        std::thread::scope(|scope| {
-            for (w, chunk) in clients.chunks_mut(conns.div_ceil(WRITERS)).enumerate() {
-                let cluster = cluster.clone();
-                let latencies = &latencies;
-                scope.spawn(move || {
-                    let mut mine = Vec::with_capacity(chunk.len());
-                    for (i, client) in chunk.iter_mut().enumerate() {
-                        let id = (w * 100_000 + i) as u64;
-                        let begin = Instant::now();
-                        client.send(&ServerCommand::Plan(PlanRequest::new(
-                            id,
-                            mlp(),
-                            cluster.clone(),
-                        )));
-                        match client.recv() {
-                            ServerReply::Plan(p) => {
-                                assert_eq!(p.id, id, "reply routed to the wrong connection");
-                                assert_eq!(p.outcome, PlanOutcome::CacheHit);
+        // Several rounds of one round-trip per connection, so the rung's
+        // rate averages over scheduler noise.
+        let latencies = std::sync::Mutex::new(Vec::<u64>::with_capacity(conns * ROUNDS));
+        for round in 0..ROUNDS {
+            std::thread::scope(|scope| {
+                for (w, chunk) in clients.chunks_mut(conns.div_ceil(WRITERS)).enumerate() {
+                    let cluster = cluster.clone();
+                    let latencies = &latencies;
+                    scope.spawn(move || {
+                        let mut mine = Vec::with_capacity(chunk.len());
+                        for (i, client) in chunk.iter_mut().enumerate() {
+                            let id = (round * 10_000_000 + w * 100_000 + i) as u64;
+                            let begin = Instant::now();
+                            client.send(&ServerCommand::Plan(PlanRequest::new(
+                                id,
+                                mlp(),
+                                cluster.clone(),
+                            )));
+                            match client.recv() {
+                                ServerReply::Plan(p) => {
+                                    assert_eq!(p.id, id, "reply routed to the wrong connection");
+                                    assert_eq!(p.outcome, PlanOutcome::CacheHit);
+                                }
+                                other => panic!("expected plan reply, got {other:?}"),
                             }
-                            other => panic!("expected plan reply, got {other:?}"),
+                            mine.push(begin.elapsed().as_micros() as u64);
                         }
-                        mine.push(begin.elapsed().as_micros() as u64);
-                    }
-                    latencies.lock().unwrap().extend(mine);
-                });
-            }
-        });
+                        latencies.lock().unwrap().extend(mine);
+                    });
+                }
+            });
+        }
+        let round_trips = started.elapsed() - connected;
         let mut latencies = latencies.into_inner().unwrap();
-        assert_eq!(latencies.len(), conns, "every connection completed its round-trip");
+        assert_eq!(latencies.len(), conns * ROUNDS, "every connection completed every round");
         latencies.sort_unstable();
         let p99 = latencies[(latencies.len() - 1) * 99 / 100];
+        let per_sec = (conns * ROUNDS) as f64 / round_trips.as_secs_f64();
+
+        // With the rung's clients still open, the per-reactor gauges must
+        // name every reactor and account for every connection (plus the
+        // probe, held open across the whole sweep).
+        probe.send(&ServerCommand::Metrics { id: 8 });
+        let ServerReply::Metrics { metrics, .. } = probe.recv() else { panic!("metrics reply") };
+        let per_reactor: Vec<i64> = metrics
+            .gauges
+            .iter()
+            .filter(|g| g.name.starts_with("qsync_transport_reactor_conns{"))
+            .map(|g| g.value)
+            .collect();
+        assert_eq!(per_reactor.len(), reactors, "one gauge per reactor: {per_reactor:?}");
+        assert_eq!(
+            per_reactor.iter().sum::<i64>(),
+            conns as i64 + 1,
+            "reactor gauges do not cover the {conns}-connection rung: {per_reactor:?}"
+        );
         eprintln!(
-            "{conns} conns: connect {:?}, round-trips {:?}, p99 {p99} us",
-            connected,
-            started.elapsed() - connected
+            "{conns} conns: connect {connected:?}, round-trips {round_trips:?} \
+             ({per_sec:.0}/s), p99 {p99} us, per reactor {per_reactor:?}"
         );
         p99_us.push((conns, p99));
+        per_sec_at.push((conns, per_sec));
         drop(clients);
+    }
+
+    // Sharded reactors must not collapse under connection count: the 1024
+    // rung keeps at least 90% of the 256 rung's round-trip rate, unless
+    // reactor threads outnumber cores (then the ratio is scheduler noise).
+    if reactors <= cores {
+        let rate = |n: usize| per_sec_at.iter().find(|&&(c, _)| c == n).map(|&(_, r)| r).unwrap();
+        let ratio = rate(1024) / rate(256);
+        assert!(ratio >= 0.9, "1024-connection throughput fell to {ratio:.2}x of the 256 rung");
+    } else {
+        eprintln!("contended runner ({reactors} reactors > {cores} cores): skipping the throughput gate");
     }
 
     if cores >= 4 {
