@@ -489,16 +489,25 @@ fn fresh_seed() {
 
 #[test]
 fn chaos_replay_keeps_the_compute_pool_sequential() {
-    // Determinism guard for the whole harness: a `SimServer` pins the
-    // qsync-pool to inline execution, and the process-global pool is lazy,
-    // so replaying chaos scripts must never spawn a pool worker thread —
-    // plan math fanning out to free-running threads would let scheduling
-    // noise into a transcript that has to be a pure function of its script.
-    for seed in [11u64, 26, 54] {
-        let plan = FaultPlan::generate(seed);
-        let transcript = run_plan(&plan);
-        check_all(&transcript).assert_ok(&transcript);
-    }
+    // Determinism guard for the whole harness: serving never fans out to
+    // the qsync-pool (planning runs on the stepping thread), so replaying
+    // chaos scripts must never spawn a pool worker thread — plan math on
+    // free-running threads would let scheduling noise into a transcript
+    // that has to be a pure function of its script. The replays run under
+    // an installed 2-thread pool, so the check holds on a 1-core host too,
+    // where the global pool has no workers to spawn.
+    let pool = qsync_pool::Pool::with_threads(2);
+    pool.install(|| {
+        for seed in [11u64, 26, 54] {
+            let plan = FaultPlan::generate(seed);
+            let transcript = run_plan(&plan);
+            check_all(&transcript).assert_ok(&transcript);
+        }
+    });
+    assert!(
+        !pool.stats().spawned,
+        "the installed compute pool spawned workers during a deterministic sim replay"
+    );
     assert!(
         !qsync_pool::global_spawned(),
         "the global compute pool spawned workers during a deterministic sim replay"

@@ -1,7 +1,7 @@
 //! `qsync-pool` — the workspace's work-stealing compute pool.
 //!
-//! Every `par_iter()` in the workspace (via the `vendor/rayon` facade) and the
-//! allocator's brute-force combination scan bottom out in [`run_chunks`]: a
+//! Every `par_iter()` in the workspace (via the `vendor/rayon` facade — the
+//! gemm/quant kernels and tensor reductions) bottoms out in [`run_chunks`]: a
 //! caller splits its work into **index-ordered chunks** and the pool executes
 //! the chunks on however many threads it has. Three properties matter more
 //! than raw speed:
@@ -17,10 +17,14 @@
 //!    sits on top), and external callers steal. Every queued job is executed
 //!    exactly once before its batch completes, so batch state can live on the
 //!    waiter's stack.
-//! 3. **A sequential escape hatch.** [`pin_sequential`] (used by the
-//!    deterministic sim/lab) and `QSYNC_POOL_THREADS=1` run every chunk
-//!    inline on the caller, in index order, without spawning anything —
-//!    byte-identical to the parallel run by property 1.
+//! 3. **Inline when there is nothing to overlap.** `QSYNC_POOL_THREADS=1` (or
+//!    a one-chunk batch) runs every chunk inline on the caller, in index
+//!    order, without spawning anything — byte-identical to the parallel run
+//!    by property 1.
+//!
+//! Planning never reaches the pool: the allocator scores on the calling
+//! thread, so a plan server's only plan-level parallelism is its planner
+//! workers.
 //!
 //! Architecture: per-worker LIFO deques (owner pushes/pops the back, thieves
 //! steal the front) + a global FIFO injector for external submissions +
@@ -28,7 +32,7 @@
 //! first parallel batch; sizing comes from `QSYNC_POOL_THREADS`, the
 //! [`PoolBuilder`], or `available_parallelism`. Counters for jobs, steals,
 //! injections and park/unpark transitions are exported as a [`PoolStats`]
-//! snapshot, surfaced as `qsync_pool_*` metrics by `qsync-serve`.
+//! snapshot ([`current_stats`]).
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -187,8 +191,7 @@ struct StatCounters {
 }
 
 /// A point-in-time snapshot of the pool's counters, cheap to take and fully
-/// decoupled from `qsync-obs` (the serve layer bridges these into its
-/// registry as `qsync_pool_*`).
+/// decoupled from `qsync-obs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads this pool runs (0 = inline/sequential pool).
@@ -347,7 +350,7 @@ impl PoolCore {
         if n == 0 {
             return;
         }
-        if self.threads == 0 || n == 1 || sequential_mode() {
+        if self.threads == 0 || n == 1 {
             for index in 0..n {
                 f(index);
             }
@@ -499,9 +502,10 @@ impl Pool {
         self.core.scope_chunks(n_chunks, &f);
     }
 
-    /// Make this pool the [`current`] pool for the duration of `f` on this
-    /// thread (and, transitively, on this pool's workers). Used by the
-    /// differential suite to compare explicit pool sizes in one process.
+    /// Make this pool the current pool — the one [`run_chunks`] and
+    /// [`current_stats`] use — for the duration of `f` on this thread (and,
+    /// transitively, on this pool's workers). Used by the differential suite
+    /// to compare explicit pool sizes in one process.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         INSTALLED.with(|stack| stack.borrow_mut().push(Arc::clone(&self.core)));
         let _pop = PopOnDrop;
@@ -542,7 +546,6 @@ thread_local! {
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
-static SEQ_DEPTH: AtomicUsize = AtomicUsize::new(0);
 
 /// The lazily-created process-wide pool (sized by `QSYNC_POOL_THREADS` /
 /// `available_parallelism`). Creating the handle is cheap; threads spawn on
@@ -562,15 +565,6 @@ pub fn current_stats() -> PoolStats {
     current_core().stats()
 }
 
-/// Effective thread count of the current pool, honoring [`pin_sequential`].
-pub fn current_threads() -> usize {
-    if sequential_mode() {
-        1
-    } else {
-        current_core().threads.max(1)
-    }
-}
-
 fn current_core() -> Arc<PoolCore> {
     INSTALLED
         .with(|stack| stack.borrow().last().cloned())
@@ -578,36 +572,9 @@ fn current_core() -> Arc<PoolCore> {
 }
 
 /// Run `f(chunk_index)` for `0..n_chunks` on the current pool. This is the
-/// single entry point the `rayon` facade and the allocator build on.
+/// single entry point the `rayon` facade builds on.
 pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
     current_core().scope_chunks(n_chunks, &f);
-}
-
-/// Process-wide sequential pinning (RAII). While any guard is alive, every
-/// `run_chunks` on every thread executes inline on its caller in index
-/// order — the deterministic sim holds one for its whole lifetime so chaos
-/// schedules never depend on OS thread timing. Byte-equality with the
-/// parallel schedule is guaranteed by the chunking contract, so pinning is
-/// an execution-mode change, never a results change.
-pub fn pin_sequential() -> SequentialGuard {
-    SEQ_DEPTH.fetch_add(1, Ordering::SeqCst);
-    SequentialGuard { _private: () }
-}
-
-/// See [`pin_sequential`].
-#[derive(Debug)]
-pub struct SequentialGuard {
-    _private: (),
-}
-
-impl Drop for SequentialGuard {
-    fn drop(&mut self) {
-        SEQ_DEPTH.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn sequential_mode() -> bool {
-    SEQ_DEPTH.load(Ordering::SeqCst) > 0
 }
 
 #[cfg(test)]
@@ -701,25 +668,7 @@ mod tests {
     #[test]
     fn install_overrides_the_global_pool() {
         let pool = Pool::with_threads(3);
-        assert_eq!(pool.install(current_threads), 3);
-    }
-
-    #[test]
-    fn sequential_guard_pins_execution_inline() {
-        let pool = Pool::with_threads(4);
-        pool.install(|| {
-            let _guard = pin_sequential();
-            assert_eq!(current_threads(), 1);
-            let caller = std::thread::current().id();
-            let order = Mutex::new(Vec::new());
-            run_chunks(12, |i| {
-                assert_eq!(std::thread::current().id(), caller);
-                order.lock().unwrap().push(i);
-            });
-            assert_eq!(*order.lock().unwrap(), (0..12).collect::<Vec<_>>());
-        });
-        // Pinning never reached the pool's queues.
-        assert!(!pool.stats().spawned);
+        assert_eq!(pool.install(current_stats).workers, 3);
     }
 
     #[test]

@@ -14,18 +14,18 @@
 //!    and the predicted overall throughput does not drop below the initial plan's
 //!    throughput (`T_min`), and pushes the operator's next step back onto the heap.
 //!
-//! Both phases run on **one** incremental [`DeltaEvaluator`] per cold allocation
-//! ([`Allocator::allocate_cold`]: phase 1 leaves it positioned at the initial
-//! assignment, phase 2 continues on it): each candidate is staged as a
-//! transaction, its memory and latency effects are answered from cached per-operator
-//! deltas, and the move is committed or rolled back — no per-candidate DAG clone, plan
-//! replication or full-DFG rebuild. The non-incremental code paths are preserved as
+//! Both phases run on **one** incremental [`DeltaEvaluator`] per cold allocation, on
+//! the calling thread ([`Allocator::allocate_cold`]: phase 1 scores every brute-force
+//! combination on it and leaves it positioned at the initial assignment, phase 2
+//! continues on it): each candidate is staged as a transaction, its memory and latency
+//! effects are answered from cached per-operator deltas, and the move is committed or
+//! rolled back — no per-candidate DAG clone, plan replication or full-DFG rebuild.
+//! The non-incremental code paths are preserved as
 //! `*_reference` methods: the reference the differential suites assert the incremental
 //! paths against, plan for plan, byte for byte.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -204,7 +204,7 @@ impl<'a> Allocator<'a> {
                     instance.iter().map(|id| instance_bytes(dag, *id, lowest)).sum();
                 let budget = (slack as u128 * inst_lowest as u128 / total_lowest_bytes as u128) as u64;
                 let best = brute_force_instance(
-                    &eval,
+                    &mut eval,
                     rank,
                     instance,
                     &candidates,
@@ -502,12 +502,6 @@ fn clamp_warm(
     pdag
 }
 
-/// Combinations per parallel work chunk, floor. A function of nothing but
-/// this constant and the scored-set length (see `qsync_pool::chunk_plan`), so
-/// the chunk layout — and therefore the reduction order — is identical at
-/// every pool size.
-const MIN_COMBOS_PER_CHUNK: usize = 16;
-
 /// Decode combination `combo_idx` into base-`n_candidates` digits (one digit
 /// = one instance node's candidate index).
 fn decode_combo(combo_idx: usize, n_candidates: usize, digits: &mut [usize]) {
@@ -519,41 +513,23 @@ fn decode_combo(combo_idx: usize, n_candidates: usize, digits: &mut [usize]) {
 }
 
 /// Enumerate the precision combinations of one subgraph instance and return the
-/// latency-minimal one whose extra memory (relative to all-lowest) fits `budget` —
-/// parallelized on the qsync-pool with a byte-identical contract at every pool size.
+/// latency-minimal one whose extra memory (relative to all-lowest) fits `budget`.
 ///
 /// Per-node byte costs are tabulated once per (instance, candidate set) before the
-/// enumeration, and each combination is scored from the evaluator's cached node costs
-/// inside a staged transaction that is rolled back afterwards.
+/// enumeration, so the feasibility check is pure arithmetic. Each feasible combination
+/// is staged on `eval` inside a transaction, scored from the evaluator's cached node
+/// costs and rolled back, so `eval` ends the scan exactly as it started. Combinations
+/// are visited in index order and only a strictly cheaper one replaces the best, so
+/// the earliest fastest combination wins.
 ///
 /// `evals_left` is the cooperative-preemption budget shared across the whole
-/// initial pass: each scored combination spends one; at zero the enumeration
-/// stops and the best combination found so far is returned (the caller
-/// commits it — the checkpoint). `report` accumulates the spend.
-///
-/// The scan runs in two phases:
-///
-/// 1. **Plan (sequential, cheap).** Enumerate combinations in index order
-///    and apply the memory-feasibility check (`extra > budget`, pure
-///    arithmetic over the byte tables) and the cooperative `evals_left`
-///    budget. Budget is only spent on feasible combinations, so the set of
-///    *scored* combinations is exactly the first `min(budget, feasible)`
-///    feasible indices — computable without touching the evaluator. This is
-///    where `--plan-budget-evals` preemption is decided, which keeps the
-///    preemption point byte-identical to the historical sequential scan.
-/// 2. **Score (parallel).** Split the scored set into index-ordered chunks
-///    (`chunk_plan`, length-only). Each chunk clones the committed evaluator's
-///    working state (assignment, cached node costs, memory tables — the topology
-///    and DFG skeleton stay borrowed from the model context, not copied)
-///    and scores its combinations with the same stage/cost/rollback cycle
-///    the sequential scan used; per-combination costs depend only on the
-///    committed state, never on scan order. Chunk argmins (strict `<`, so
-///    the earliest index wins ties) are combined in chunk order, which
-///    reproduces the sequential "first fastest combination wins" answer
-///    exactly — at 1 thread, 8 threads, or under `pin_sequential`.
+/// initial pass: each scored combination spends one (infeasible ones spend
+/// nothing); at zero the enumeration stops and the best combination found so far
+/// is returned (the caller commits it — the checkpoint). `report` accumulates the
+/// spend.
 #[allow(clippy::too_many_arguments)]
 fn brute_force_instance(
-    eval: &DeltaEvaluator<'_>,
+    eval: &mut DeltaEvaluator<'_>,
     rank: usize,
     instance: &[NodeId],
     candidates: &[Precision],
@@ -564,7 +540,6 @@ fn brute_force_instance(
 ) -> Vec<Precision> {
     let k = instance.len();
     let n_comb = candidates.len().pow(k as u32);
-    let mut best_combo = vec![lowest; k];
     // Byte tables: bytes of each instance node at each candidate precision, and the
     // extra over the all-lowest assignment (the only quantity the budget check needs).
     let extra_bytes: Vec<Vec<u64>> = {
@@ -581,9 +556,9 @@ fn brute_force_instance(
             .collect()
     };
 
-    // Phase 1: the scored set, in combination-index order.
-    let mut scored: Vec<usize> = Vec::new();
     let mut digits = vec![0usize; k];
+    let mut best_cost = f64::INFINITY;
+    let mut best_idx: Option<usize> = None;
     for combo_idx in 0..n_comb {
         decode_combo(combo_idx, candidates.len(), &mut digits);
         // Extra memory over the all-lowest assignment, served from the byte tables.
@@ -600,56 +575,26 @@ fn brute_force_instance(
             *left -= 1;
         }
         report.evals += 1;
-        scored.push(combo_idx);
-    }
-
-    // Phase 2: score the set in parallel chunks, combine argmins in order.
-    let (chunk_size, n_chunks) = qsync_pool::chunk_plan(scored.len(), MIN_COMBOS_PER_CHUNK);
-    if n_chunks == 0 {
-        return best_combo;
-    }
-    let chunk_best: Vec<Mutex<(f64, Option<usize>)>> =
-        (0..n_chunks).map(|_| Mutex::new((f64::INFINITY, None))).collect();
-    qsync_pool::run_chunks(n_chunks, |chunk_i| {
-        let lo = chunk_i * chunk_size;
-        let hi = (lo + chunk_size).min(scored.len());
-        // Private evaluator per chunk: same committed state, so the same
-        // per-combination costs the sequential scan would compute.
-        let mut local = eval.clone();
-        let mut digits = vec![0usize; k];
-        let mut best_cost = f64::INFINITY;
-        let mut best_idx: Option<usize> = None;
-        for &combo_idx in &scored[lo..hi] {
-            decode_combo(combo_idx, candidates.len(), &mut digits);
-            // Local latency of the instance under this combo (op cost + casting),
-            // answered from the evaluator's cached per-node costs.
-            local.begin();
-            for (id, &ci) in instance.iter().zip(&digits) {
-                local.stage(*id, candidates[ci]);
-            }
-            let cost = local.instance_cost(rank, instance);
-            local.rollback();
-            if cost < best_cost {
-                best_cost = cost;
-                best_idx = Some(combo_idx);
-            }
+        // Local latency of the instance under this combo (op cost + casting),
+        // answered from the evaluator's cached per-node costs.
+        eval.begin();
+        for (id, &ci) in instance.iter().zip(&digits) {
+            eval.stage(*id, candidates[ci]);
         }
-        *chunk_best[chunk_i].lock().unwrap() = (best_cost, best_idx);
-    });
-    let mut best_cost = f64::INFINITY;
-    let mut best_idx: Option<usize> = None;
-    for slot in &chunk_best {
-        let (cost, idx) = *slot.lock().unwrap();
+        let cost = eval.instance_cost(rank, instance);
+        eval.rollback();
         if cost < best_cost {
             best_cost = cost;
-            best_idx = idx;
+            best_idx = Some(combo_idx);
         }
     }
-    if let Some(combo_idx) = best_idx {
-        decode_combo(combo_idx, candidates.len(), &mut digits);
-        best_combo = digits.iter().map(|&ci| candidates[ci]).collect();
+    match best_idx {
+        Some(combo_idx) => {
+            decode_combo(combo_idx, candidates.len(), &mut digits);
+            digits.iter().map(|&ci| candidates[ci]).collect()
+        }
+        None => vec![lowest; k],
     }
-    best_combo
 }
 
 /// Bytes attributable to one operator at one precision (saved activation + weight copy),
@@ -1109,6 +1054,28 @@ mod tests {
         assert!(zero_report.preempted);
         assert_eq!(zero_report.evals, 0);
         assert_eq!(zero.pdag, most_compressed);
+
+        // Budgets straddling every regime on a pass long enough to have
+        // them: zero, mid-pass preemption (where the checkpointed
+        // best-so-far matters), exactly exhausted, unbounded.
+        let vgg = QSyncSystem::new(
+            qsync_graph::models::vgg16bn(2, 32),
+            ClusterSpec::hybrid_small(),
+            QSyncConfig::default(),
+        );
+        let alloc = Allocator::new(&vgg);
+        let rank = vgg.cluster.inference_ranks()[0];
+        let unbounded = alloc.initial_setting_budgeted(rank, None).1.evals;
+        assert!(unbounded > 8, "budget sweep needs a non-trivial eval count, got {unbounded}");
+        for budget in [0, 1, 2, 7, unbounded / 2, unbounded - 1, unbounded, unbounded + 1] {
+            let (_, report) = alloc.initial_setting_budgeted(rank, Some(budget));
+            assert_eq!(
+                report.preempted,
+                budget < unbounded,
+                "budget {budget} of {unbounded}: preemption flag"
+            );
+            assert_eq!(report.evals, budget.min(unbounded), "budget {budget}: evals spent");
+        }
     }
 
     #[test]

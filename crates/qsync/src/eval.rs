@@ -30,8 +30,7 @@
 //! mapper is **per (model, device)** and borrowed from the system; only the working
 //! state is the evaluator's own: the assignment, the cached node costs, the memory
 //! tables and the small per-rank timelines (**per cluster shape**). Building one costs
-//! a node-cost pass per inference rank and a skeleton walk per training rank; cloning
-//! one copies the working state only.
+//! a node-cost pass per inference rank and a skeleton walk per training rank.
 //!
 //! Changes are transactional: [`DeltaEvaluator::begin`] opens a transaction,
 //! [`DeltaEvaluator::stage`] applies any number of operator moves, and
@@ -65,7 +64,7 @@ enum Role {
 }
 
 /// Undo log of one open transaction.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Undo {
     /// `(node, previous precision)` pairs in change order
     /// ([`PrecisionDag::set_incremental_logged`]'s log).
@@ -88,15 +87,9 @@ struct Undo {
 /// costs for every inference rank. See the module docs for the evaluation strategy.
 ///
 /// The graph-shaped parts — topology and the DFG skeleton — are *borrowed* from the
-/// system's [`ModelContext`], so building an evaluator derives neither and `Clone`
-/// copies only the working state (precision DAG, cached per-node costs, memory
-/// tables, the small per-rank timelines). The parallel brute-force scan in the
-/// allocator clones the committed evaluator once per work chunk so each chunk scores
-/// combinations on private state; per-combination costs are a pure function of the
-/// committed state, so a clone scores exactly what the original would.
+/// system's [`ModelContext`], so building an evaluator derives neither.
 ///
 /// [`PrecisionPlan::from_inference_pdag`]: crate::plan::PrecisionPlan::from_inference_pdag
-#[derive(Clone)]
 pub struct DeltaEvaluator<'a> {
     sys: &'a QSyncSystem,
     /// The system's per-model context: graph, topology and the op sequence of the

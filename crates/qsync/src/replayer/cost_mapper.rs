@@ -42,11 +42,6 @@ pub struct NodeCost {
 
 /// Builds timed local DFGs from a model, a precision assignment, profiled operator costs
 /// and a casting-cost calculator.
-///
-/// `Clone` is shallow (the mapper is a bundle of shared references plus one
-/// scalar), which is what lets [`DeltaEvaluator`](crate::eval::DeltaEvaluator)
-/// clone itself cheaply for the parallel brute-force scan.
-#[derive(Clone)]
 pub struct CostMapper<'a> {
     /// The model: graph plus the prebuilt local-DFG skeleton (and its bucket count).
     pub model: &'a ModelContext,

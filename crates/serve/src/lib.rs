@@ -51,7 +51,7 @@
 //!   token buckets decide, before anything else looks at a command, whether
 //!   it is served or answered with a structured `RateLimited` error.
 //! * **Event stream** (`events`): `Subscribe`d connections receive
-//!   [`ServerEvent`](qsync_api::ServerEvent) lines — cache invalidations and
+//!   [`ServerEvent`] lines — cache invalidations and
 //!   warm re-plans as they happen — instead of polling `Stats`. A slow
 //!   subscriber sheds events rather than buffering unboundedly; the client
 //!   detects the seq gap and recovers with `Resync`.

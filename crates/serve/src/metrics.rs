@@ -12,13 +12,12 @@
 //! hit/miss/evict counts, scheduler shed/deadline counters) are *not*
 //! instrumented on the hot path: they are appended to the snapshot at
 //! `Metrics` time from the authoritative structures — see
-//! [`ServeCore::metrics_snapshot`](crate::server::ServeCore).
+//! `ServeCore::metrics_snapshot`.
 
 use qsync_obs::{
     Counter, CounterValue, Gauge, GaugeValue, Histogram, MetricsSnapshot, Registry, TraceLog,
 };
-use qsync_pool::PoolStats;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Hot-path instruments and the trace-span ring for one server instance.
 ///
@@ -134,31 +133,6 @@ pub struct ServeObs {
     /// Full snapshot pulls a replica performed to bootstrap or to recover
     /// from an event-seq gap or disconnect.
     pub resync_pulls: Arc<Counter>,
-
-    // ---- compute pool ----
-    /// Worker threads the process-global qsync-pool is sized to (0 = the
-    /// pool executes inline on the calling thread).
-    pub pool_threads: Arc<Gauge>,
-    /// 1 once the pool's worker threads have actually been spawned (the
-    /// pool is lazy: a sequential server never spawns them), else 0.
-    pub pool_spawned: Arc<Gauge>,
-    /// Chunk jobs currently queued in the pool (injector plus all deques).
-    pub pool_queue_depth: Arc<Gauge>,
-    /// Chunk jobs executed by the pool (workers and helping callers).
-    pub pool_jobs: Arc<Counter>,
-    /// Jobs taken from another worker's deque (work stealing).
-    pub pool_steals: Arc<Counter>,
-    /// Jobs submitted through the global injector (from non-pool threads).
-    pub pool_injected: Arc<Counter>,
-    /// Times a worker parked waiting for work.
-    pub pool_parks: Arc<Counter>,
-    /// Explicit wakeups sent to parked workers.
-    pub pool_unparks: Arc<Counter>,
-    /// The pool stats already mirrored into the instruments above. The pool
-    /// keeps its own monotonic atomics (it has no qsync-obs dependency), so
-    /// each snapshot adds only the delta since the previous sync — counters
-    /// stay monotonic even though the bridge runs on every scrape.
-    pool_synced: Mutex<PoolStats>,
 }
 
 impl Default for ServeObs {
@@ -227,43 +201,15 @@ impl ServeObs {
             replica_applied_seq: r.gauge("qsync_replica_applied_seq"),
             replica_lag_seq: r.gauge("qsync_replica_lag_seq"),
             resync_pulls: r.counter("qsync_replica_resync_pulls_total"),
-            pool_threads: r.gauge("qsync_pool_threads"),
-            pool_spawned: r.gauge("qsync_pool_spawned"),
-            pool_queue_depth: r.gauge("qsync_pool_queue_depth"),
-            pool_jobs: r.counter("qsync_pool_jobs_total"),
-            pool_steals: r.counter("qsync_pool_steals_total"),
-            pool_injected: r.counter("qsync_pool_injected_total"),
-            pool_parks: r.counter("qsync_pool_parks_total"),
-            pool_unparks: r.counter("qsync_pool_unparks_total"),
-            pool_synced: Mutex::new(PoolStats::default()),
             trace: TraceLog::default(),
             registry,
         }
     }
 
     /// Snapshot the registered instruments (static part of the `Metrics`
-    /// reply; the server appends the derived gauges on top). Refreshes the
-    /// `qsync_pool_*` instruments from the live pool first, so a `Metrics`
-    /// command or a Prometheus scrape always sees current pool activity.
+    /// reply; the server appends the derived gauges on top).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.sync_pool_stats(qsync_pool::current_stats());
         self.registry.snapshot()
-    }
-
-    /// Mirror a [`PoolStats`] reading into the `qsync_pool_*` instruments:
-    /// gauges are set outright, counters advance by the delta from the last
-    /// sync (the pool's own counters are monotonic per process).
-    fn sync_pool_stats(&self, now: PoolStats) {
-        let mut last = self.pool_synced.lock().unwrap();
-        self.pool_jobs.add(now.jobs.saturating_sub(last.jobs));
-        self.pool_steals.add(now.steals.saturating_sub(last.steals));
-        self.pool_injected.add(now.injected.saturating_sub(last.injected));
-        self.pool_parks.add(now.parks.saturating_sub(last.parks));
-        self.pool_unparks.add(now.unparks.saturating_sub(last.unparks));
-        self.pool_threads.set(now.workers as i64);
-        self.pool_spawned.set(now.spawned as i64);
-        self.pool_queue_depth.set(now.queue_depth as i64);
-        *last = now;
     }
 
     /// The per-reactor open-connection gauge
@@ -334,54 +280,6 @@ mod tests {
             snap.histogram("qsync_plan_latency_us{kind=\"warm\"}").map(|h| h.count),
             Some(0)
         );
-    }
-
-    #[test]
-    fn pool_bridge_adds_deltas_and_sets_gauges() {
-        let obs = ServeObs::new();
-        obs.sync_pool_stats(PoolStats {
-            workers: 4,
-            spawned: true,
-            jobs: 10,
-            steals: 2,
-            injected: 3,
-            parks: 1,
-            unparks: 1,
-            queue_depth: 5,
-        });
-        // A second sync must add only the delta, not re-add the totals.
-        obs.sync_pool_stats(PoolStats {
-            workers: 4,
-            spawned: true,
-            jobs: 15,
-            steals: 2,
-            injected: 4,
-            parks: 1,
-            unparks: 2,
-            queue_depth: 0,
-        });
-        let snap = obs.registry.snapshot();
-        assert_eq!(snap.counter("qsync_pool_jobs_total"), Some(15));
-        assert_eq!(snap.counter("qsync_pool_steals_total"), Some(2));
-        assert_eq!(snap.counter("qsync_pool_injected_total"), Some(4));
-        assert_eq!(snap.counter("qsync_pool_unparks_total"), Some(2));
-        assert_eq!(snap.gauge("qsync_pool_threads"), Some(4));
-        assert_eq!(snap.gauge("qsync_pool_spawned"), Some(1));
-        assert_eq!(snap.gauge("qsync_pool_queue_depth"), Some(0));
-    }
-
-    #[test]
-    fn snapshot_reports_the_live_pool_shape() {
-        let obs = ServeObs::new();
-        let snap = obs.snapshot();
-        // The bridge reads the process-global pool: whatever its size, the
-        // gauge must reflect it, and on a freshly-snapshotted obs the
-        // counters mirror the pool's own monotonic totals.
-        assert_eq!(
-            snap.gauge("qsync_pool_threads"),
-            Some(qsync_pool::current_stats().workers as i64)
-        );
-        assert!(snap.counter("qsync_pool_jobs_total").is_some());
     }
 
     #[test]

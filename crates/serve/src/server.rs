@@ -15,7 +15,7 @@
 //!
 //! There is exactly **one** scheduler, one [`PlanEngine`], one delta queue
 //! and one worker pool per server, shared by every connection
-//! ([`ServeCore`]): DRR fairness, delta quiescing and the plan cache are all
+//! (`ServeCore`): DRR fairness, delta quiescing and the plan cache are all
 //! global, and `ServeCore::handle_command` is the one place a command gets
 //! its meaning. The blocking JSONL path ([`PlanServer::serve_lines`]) is a
 //! thin adapter over that core; the TCP path multiplexes all connections
@@ -1054,7 +1054,7 @@ impl PlanServer {
     }
 
     /// Serve a JSON-line stream until EOF — the blocking adapter over the
-    /// same [`ServeCore`] the TCP reactor uses. Plan commands are scheduled
+    /// same `ServeCore` the TCP reactor uses. Plan commands are scheduled
     /// onto the worker pool; stats answer immediately; deltas run in waves on
     /// the delta thread (quiescing the scheduler, fanning re-plans out
     /// through the batch class). Returns once every accepted command has

@@ -4,7 +4,7 @@
 //!
 //! Nothing here is a mock of server logic. [`SimServer`] wires the exact
 //! production pieces together — [`crate::transport`]'s reactor over a
-//! [`SimNet`] instead of a TCP listener, a threadless
+//! `SimNet` instead of a TCP listener, a threadless
 //! [`ServeCore`](crate::server) whose scheduler queue is drained by explicit
 //! [`SimServer::step`] calls instead of worker threads, and a
 //! [`ManualClock`] that only moves when the harness says so. Because no
@@ -327,10 +327,6 @@ pub struct SimServer {
     /// All reactors, index order; 0 is the acceptor. `step` drives them in
     /// this fixed order, so multi-reactor runs stay deterministic.
     reactors: Vec<Reactor>,
-    /// Pins the qsync-pool to inline execution for this server's lifetime:
-    /// a simulated run must be a pure function of its script, so plan math
-    /// may not fan out to free-running worker threads.
-    _pool_guard: qsync_pool::SequentialGuard,
 }
 
 impl SimServer {
@@ -382,7 +378,7 @@ impl SimServer {
         }
         let ring: Vec<_> = reactors.iter().map(|r| r.shared()).collect();
         reactors[0].set_peers(ring);
-        SimServer { clock, engine, core, net, reactors, _pool_guard: qsync_pool::pin_sequential() }
+        SimServer { clock, engine, core, net, reactors }
     }
 
     /// The virtual clock. Advancing it directly does **not** run the server;

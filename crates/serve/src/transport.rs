@@ -13,7 +13,7 @@
 //!   line exceeding [`TransportConfig::max_line_bytes`] draws an `Error`
 //!   reply and a connection close instead of unbounded buffering.
 //! * **Write-side backpressure** — replies land in a per-connection
-//!   [`Outbox`]; the reactor flushes opportunistically and registers
+//!   `Outbox`; the reactor flushes opportunistically and registers
 //!   **write interest only while bytes remain** (level-triggered epoll).
 //!   When a slow reader lets the buffered bytes exceed
 //!   [`TransportConfig::max_buffered_bytes`], the reactor drops the
@@ -40,7 +40,7 @@
 //! **Virtual time and simulation.** Every time the reactor consults —
 //! the accept-backoff deadline and the shutdown drain budget — is read from
 //! an injected [`Clock`], and the socket layer is abstracted behind
-//! [`NetStream`]/[`NetListener`]/[`NetPoller`] enums whose second variants
+//! `NetStream`/`NetListener`/`NetPoller` enums whose second variants
 //! are in-memory simulated connections ([`crate::sim`]). The `qsync-lab`
 //! harness drives the *same* reactor code, step by step, on a
 //! [`ManualClock`](qsync_clock::ManualClock) with scripted faults.

@@ -125,8 +125,8 @@ fn delta_wave_events_carry_the_originating_trace_id() {
 
 /// One cold plan, one cache hit and one delta wave (one warm re-plan) on a
 /// live server with an event subscriber attached, then its `Metrics`
-/// snapshot: transport, scheduler, engine, cache, deltas, events and the
-/// pool bridge have all been exercised.
+/// snapshot: transport, scheduler, engine, cache, deltas and events have
+/// all been exercised.
 fn every_layer_snapshot() -> MetricsSnapshot {
     let cluster = ClusterSpec::hybrid_small();
     let server = TestServer::spawn(PlanServer::new(2));
@@ -306,9 +306,11 @@ fn expand_braces(name: &str) -> Vec<String> {
 fn slow_subscriber_drops_are_counted_surfaced_as_gaps_and_resynced() {
     let cluster = ClusterSpec::hybrid_small();
     // A zero event-outbox cap sheds any event broadcast while the previous
-    // one is still un-flushed — with each wave emitting several events
-    // back-to-back from the delta thread, drops are guaranteed under
-    // load while replies stay lossless.
+    // one is still un-flushed — with each wave emitting one `Replanned` per
+    // cached entry back-to-back from the delta thread, drops are guaranteed
+    // while replies stay lossless. One cached entry is not enough: its lone
+    // `Replanned` races the reactor's flush, and a quiet host can win all 8.
+    const CACHED: u64 = 8;
     let server = TestServer::spawn(
         PlanServer::new(2)
             .with_transport(TransportConfig { event_outbox_cap: 0, ..TransportConfig::default() }),
@@ -316,11 +318,15 @@ fn slow_subscriber_drops_are_counted_surfaced_as_gaps_and_resynced() {
     let watcher = server.mux_client();
     let actor = server.mux_client();
 
-    actor.plan(mlp_request(0, &cluster)).expect("populate the cache");
+    for id in 1..=CACHED {
+        let batch = id as usize;
+        let model = ModelSpec::SmallMlp { batch, in_features: 16, hidden: 32, classes: 4 };
+        actor.plan(PlanRequest::new(id, model, cluster.clone())).expect("populate the cache");
+    }
     let events = watcher.subscribe().expect("subscribe");
 
     // Flood: a chain of 8 degrade waves, each invalidating and re-planning
-    // the (single) cached entry, each broadcasting 3 events.
+    // every cached entry, each broadcasting CACHED + 2 events.
     let mut shape = cluster.clone();
     for i in 0..8 {
         let fraction = 0.9 - 0.05 * i as f64;
@@ -354,7 +360,7 @@ fn slow_subscriber_drops_are_counted_surfaced_as_gaps_and_resynced() {
         delivered + dropped,
         "every broadcast either arrived or was counted dropped"
     );
-    assert_eq!(resync.keys.len(), 1, "one entry cached after the degrade chain");
+    assert_eq!(resync.keys.len() as u64, CACHED, "every entry cached after the degrade chain");
     let after = actor.stats().expect("stats after resync");
     assert_eq!(after.subscribers[0].dropped, 0, "resync resets the dropped counter");
 
