@@ -14,8 +14,10 @@
 //!    and the predicted overall throughput does not drop below the initial plan's
 //!    throughput (`T_min`), and pushes the operator's next step back onto the heap.
 //!
-//! Both phases run on **one** incremental [`DeltaEvaluator`] per cold allocation, on
-//! the calling thread ([`Allocator::allocate_cold`]: phase 1 scores every brute-force
+//! [`Allocator::plan`] is the one way in: it chooses the planning rank, skips phase 1
+//! when given a memoized [`InitialSetting`], and warm-starts phase 2 from an earlier
+//! assignment when given one. Both phases run on **one** incremental [`DeltaEvaluator`]
+//! per cold allocation, on the calling thread (phase 1 scores every brute-force
 //! combination on it and leaves it positioned at the initial assignment, phase 2
 //! continues on it): each candidate is staged as a transaction, its memory and latency
 //! effects are answered from cached per-operator deltas, and the move is committed or
@@ -84,22 +86,28 @@ pub struct AllocationReport {
     pub full_predicts: usize,
 }
 
-/// The memoizable product of phase 1 for the canonical inference device: the
+/// The memoizable product of phase 1 for the planning rank: the
 /// brute-force fastest-feasible assignment and its predicted latency (the
 /// `T_min` bound phase 2 enforces).
 ///
 /// Both members are pure deterministic functions of the (model, effective
 /// cluster) pair, so a caller may compute this once per fingerprint pair,
-/// cache or persist it, and replay it through
-/// [`Allocator::allocate_from_initial`] /
-/// [`Allocator::allocate_warm_with_tmin`] for byte-identical plans without
-/// re-paying the brute-force combinatorial search.
+/// cache or persist it, and pass it back as [`Allocator::plan`]'s `memo` for
+/// byte-identical plans without re-paying the brute-force combinatorial
+/// search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InitialSetting {
     /// The phase-1 assignment (consistent: dependent precisions propagated).
     pub pdag: PrecisionDag,
     /// Predicted iteration latency (us) of `pdag` — the recovery bound.
     pub t_min_us: f64,
+}
+
+impl InitialSetting {
+    /// Phase 1's product, read off the evaluator phase 1 left at its assignment.
+    fn at(eval: &DeltaEvaluator<'_>) -> Self {
+        InitialSetting { pdag: eval.pdag().clone(), t_min_us: eval.iteration_us() }
+    }
 }
 
 /// Outcome of a budgeted phase-1 run: how much combinatorial work the
@@ -118,20 +126,25 @@ pub struct InitialPassReport {
     pub preempted: bool,
 }
 
-/// Everything one cold allocation produces: the plan and its report, plus phase 1's
-/// memoizable product and work report — from a single evaluator, so a caller that
-/// memoizes initial settings does not pay a second phase-1 → phase-2 hand-over.
+/// Everything one [`Allocator::plan`] call produces.
 #[derive(Debug, Clone)]
-pub struct ColdAllocation {
+pub struct Allocation {
     /// The recovered plan.
     pub plan: PrecisionPlan,
     /// Statistics of the run.
     pub report: AllocationReport,
-    /// Phase 1's assignment and `T_min`, as [`Allocator::initial_setting_budgeted`]
-    /// would return them.
-    pub initial: InitialSetting,
-    /// How much combinatorial work phase 1 did and whether the budget preempted it.
-    pub pass: InitialPassReport,
+    /// The inference rank the plan was computed for and replicated from;
+    /// `None` only for a cluster with no inference devices.
+    pub rank: Option<usize>,
+    /// Phase 1's [`InitialSetting`] and how much work the pass did: `Some`
+    /// exactly when phase 1 ran, so it is what a caller memoizes.
+    pub initial: Option<(InitialSetting, InitialPassReport)>,
+}
+
+impl From<Allocation> for (PrecisionPlan, AllocationReport) {
+    fn from(allocation: Allocation) -> Self {
+        (allocation.plan, allocation.report)
+    }
 }
 
 /// The QSync allocator.
@@ -146,25 +159,132 @@ impl<'a> Allocator<'a> {
         Allocator { system }
     }
 
-    /// Phase 1: the fastest feasible precision DAG for one inference device.
-    pub fn initial_for_device(&self, rank: usize) -> PrecisionDag {
-        self.initial_eval(rank).into_pdag()
+    /// Plan the system's cluster: the one way into the allocator.
+    ///
+    /// The two optional inputs are what a plan server knows about the
+    /// request, passed as they are:
+    ///
+    /// * `memo` — phase 1's product for this (model, effective cluster),
+    ///   memoized earlier. With it phase 1 does not run: a cold plan
+    ///   recovers from its assignment, a warm one takes its `T_min`.
+    /// * `warm` — an earlier inference assignment for the same model,
+    ///   typically its cached plan before the cluster changed shape.
+    ///   Recovery then starts from it, clamped to the current device:
+    ///   precisions the device no longer supports fall to the nearest
+    ///   supported candidate, and while the assignment exceeds the (possibly
+    ///   shrunk) memory, or is slower than `T_min` allows, the operator
+    ///   whose demotion costs the least indicator increase steps down.
+    ///
+    /// Without a memo phase 1 runs under the cooperative `max_evals` budget
+    /// (`None` = unbounded), for a warm plan too: `T_min` is always the
+    /// brute-force fastest plan's latency on the current cluster, the same
+    /// bound a cold plan enforces. [`Allocation::initial`] then carries its
+    /// product; a memo made under the same budget replays byte-identically.
+    ///
+    /// A memo or warm assignment whose node count does not match the model
+    /// (say, a snapshot from another build) is ignored: it can cost time,
+    /// never correctness. A cluster without inference devices gets the
+    /// all-FP32 oracle plan.
+    pub fn plan(
+        &self,
+        indicator: &dyn SensitivityIndicator,
+        memo: Option<&InitialSetting>,
+        warm: Option<&PrecisionDag>,
+        max_evals: Option<u64>,
+    ) -> Allocation {
+        let sys = self.system;
+        let Some(rank) = self.planning_rank() else {
+            let plan = PrecisionPlan::oracle(sys.dag(), &sys.cluster);
+            let t = sys.predict_iteration_us(&plan);
+            let report =
+                AllocationReport { t_min_us: t, final_us: t, full_predicts: 1, ..Default::default() };
+            return Allocation { plan, report, rank: None, initial: None };
+        };
+        let nodes = sys.dag().len();
+        let memo = memo.filter(|memo| memo.pdag.len() == nodes);
+        let warm = warm.filter(|warm| warm.len() == nodes);
+        let mut initial = None;
+        let (plan, report) = match (memo, warm) {
+            (Some(memo), None) => {
+                let eval = DeltaEvaluator::new(sys, rank, memo.pdag.clone());
+                self.recover_cold(indicator, eval, memo.t_min_us)
+            }
+            (Some(memo), Some(warm)) => self.warm_start(indicator, rank, warm, memo.t_min_us),
+            (None, warm) => {
+                let (eval, pass) = self.initial_pass(rank, max_evals);
+                let setting = InitialSetting::at(&eval);
+                let t_min_us = setting.t_min_us;
+                initial = Some((setting, pass));
+                match warm {
+                    None => self.recover_cold(indicator, eval, t_min_us),
+                    Some(warm) => {
+                        // The warm start stages its own evaluator.
+                        drop(eval);
+                        self.warm_start(indicator, rank, warm, t_min_us)
+                    }
+                }
+            }
+        };
+        Allocation { plan, report, rank: Some(rank), initial }
     }
 
-    /// Phase 1 on the incremental evaluator, returning it positioned at the initial
-    /// assignment so phase 2 can continue without rebuilding caches.
-    fn initial_eval(&self, rank: usize) -> DeltaEvaluator<'a> {
-        self.initial_eval_budgeted(rank, None).0
+    /// The inference rank a plan is computed for: the first. All inference
+    /// devices in the paper's clusters are identical, so the plan is
+    /// replicated to the rest.
+    fn planning_rank(&self) -> Option<usize> {
+        self.system.cluster.inference_ranks().first().copied()
     }
 
-    /// [`initial_eval`](Self::initial_eval) under a cooperative-preemption
+    /// [`Allocator::plan`] cold, with no memo and no budget. Kept for the
+    /// benchmark's trace (`qsync_benchmark/src/trace.rs`) until a
+    /// `[benchmark]` change moves it onto `plan`.
+    pub fn allocate(&self, indicator: &dyn SensitivityIndicator) -> (PrecisionPlan, AllocationReport) {
+        self.plan(indicator, None, None, None).into()
+    }
+
+    /// Phase 1 alone for inference rank `rank`, unbudgeted. Kept for the
+    /// benchmark's trace until a `[benchmark]` change moves it onto
+    /// [`Allocator::plan`], whose [`Allocation::initial`] carries the same
+    /// setting.
+    pub fn initial_setting(&self, rank: usize) -> InitialSetting {
+        InitialSetting::at(&self.initial_pass(rank, None).0)
+    }
+
+    /// [`Allocator::plan`] cold from a memoized [`InitialSetting`]. Kept for
+    /// the benchmark's trace until a `[benchmark]` change moves it onto
+    /// `plan`.
+    pub fn allocate_from_initial(
+        &self,
+        indicator: &dyn SensitivityIndicator,
+        initial: &InitialSetting,
+    ) -> (PrecisionPlan, AllocationReport) {
+        self.plan(indicator, Some(initial), None, None).into()
+    }
+
+    /// [`Allocator::plan`] warm from `warm` under a caller-supplied `T_min`.
+    /// A warm start reads only a memo's node count and `T_min`, so `warm`
+    /// stands in for the memo's assignment. Kept for the benchmark's trace
+    /// until a `[benchmark]` change moves it onto `plan`.
+    pub fn allocate_warm_with_tmin(
+        &self,
+        indicator: &dyn SensitivityIndicator,
+        warm: &PrecisionDag,
+        t_min_us: f64,
+    ) -> (PrecisionPlan, AllocationReport) {
+        self.plan(indicator, Some(&InitialSetting { pdag: warm.clone(), t_min_us }), Some(warm), None)
+            .into()
+    }
+
+    /// Phase 1 on the incremental evaluator, under a cooperative-preemption
     /// budget: at most `max_evals` precision combinations are scored across
     /// the whole pass (`None` = unbounded). When the budget runs out the
     /// current instance commits its best-so-far at the evaluator's
     /// begin/stage/commit seam and the remaining instances stay uniform
     /// lowest, so a long brute-force pass can never occupy a worker past the
     /// budget while still producing a valid (feasible, consistent) setting.
-    fn initial_eval_budgeted(
+    /// Returns the evaluator positioned at the initial assignment, so phase
+    /// 2 can continue without rebuilding caches.
+    fn initial_pass(
         &self,
         rank: usize,
         max_evals: Option<u64>,
@@ -227,145 +347,17 @@ impl<'a> Allocator<'a> {
         (eval, report)
     }
 
-    /// Run the full allocation: initial fastest plan, then indicator-guided recovery.
-    pub fn allocate(&self, indicator: &dyn SensitivityIndicator) -> (PrecisionPlan, AllocationReport) {
-        let sys = self.system;
-        let inference = sys.cluster.inference_ranks();
-        if inference.is_empty() {
-            let plan = PrecisionPlan::oracle(sys.dag(), &sys.cluster);
-            let t = sys.predict_iteration_us(&plan);
-            return (
-                plan,
-                AllocationReport { t_min_us: t, final_us: t, full_predicts: 1, ..Default::default() },
-            );
-        }
-        // All inference devices in the paper's clusters are identical; compute the plan
-        // for the first one and replicate it.
-        let cold = self.allocate_cold(indicator, inference[0], None);
-        (cold.plan, cold.report)
-    }
-
-    /// The cold allocation for inference rank `rank`, both phases on one evaluator:
-    /// phase 1 under the cooperative `max_evals` budget (`None` = unbounded), then
-    /// recovery from where it stopped. Also returns phase 1's [`InitialSetting`] —
-    /// exactly what [`initial_setting_budgeted`](Self::initial_setting_budgeted) would —
-    /// so the caller can memoize it; the plan is byte-identical to feeding that setting
-    /// to [`allocate_from_initial`](Self::allocate_from_initial).
-    pub fn allocate_cold(
+    /// Warm start: clamp `warm` to rank `rank`'s device (see
+    /// [`Allocator::plan`]), then recover under the `t_min` bound.
+    fn warm_start(
         &self,
         indicator: &dyn SensitivityIndicator,
         rank: usize,
-        max_evals: Option<u64>,
-    ) -> ColdAllocation {
-        let (eval, pass) = self.initial_eval_budgeted(rank, max_evals);
-        let t_min_us = eval.iteration_us();
-        let initial = InitialSetting { pdag: eval.pdag().clone(), t_min_us };
-        let report =
-            AllocationReport { t_min_us, final_us: t_min_us, ..Default::default() };
-        let (plan, report) = self.recover(indicator, eval, t_min_us, report);
-        ColdAllocation { plan, report, initial, pass }
-    }
-
-    /// Run phase 1 alone and package its product for memoization.
-    pub fn initial_setting(&self, rank: usize) -> InitialSetting {
-        self.initial_setting_budgeted(rank, None).0
-    }
-
-    /// [`initial_setting`](Self::initial_setting) under a cooperative
-    /// candidate-evaluation budget (`None` = unbounded). The report says how
-    /// many combinations were scored and whether the pass was preempted; a
-    /// preempted setting is valid and deterministic for this budget, so
-    /// memoizing and replaying it stays byte-identical as long as the replay
-    /// uses the same budget.
-    pub fn initial_setting_budgeted(
-        &self,
-        rank: usize,
-        max_evals: Option<u64>,
-    ) -> (InitialSetting, InitialPassReport) {
-        let (eval, report) = self.initial_eval_budgeted(rank, max_evals);
-        let t_min_us = eval.iteration_us();
-        (InitialSetting { pdag: eval.into_pdag(), t_min_us }, report)
-    }
-
-    /// [`Allocator::allocate`] with phase 1 answered from a memoized
-    /// [`InitialSetting`] instead of the brute-force search. The recovery
-    /// loop is a deterministic function of the initial assignment, so the
-    /// plan is byte-identical to the cold path's. Falls back to a full cold
-    /// allocation when the memo does not cover this system's model (node
-    /// count mismatch) — a stale memo can cost time, never correctness.
-    pub fn allocate_from_initial(
-        &self,
-        indicator: &dyn SensitivityIndicator,
-        initial: &InitialSetting,
-    ) -> (PrecisionPlan, AllocationReport) {
-        let sys = self.system;
-        let inference = sys.cluster.inference_ranks();
-        if inference.is_empty() || initial.pdag.len() != sys.dag().len() {
-            return self.allocate(indicator);
-        }
-        let rank = inference[0];
-        let eval = DeltaEvaluator::new(sys, rank, initial.pdag.clone());
-        let t_min = initial.t_min_us;
-        let report = AllocationReport { t_min_us: t_min, final_us: t_min, ..Default::default() };
-        self.recover(indicator, eval, t_min, report)
-    }
-
-    /// Warm-start allocation for elastic re-planning: skip the brute-force
-    /// initial-setting phase and run precision recovery from a previously
-    /// computed inference precision DAG (typically a cached plan for the same
-    /// model on a cluster that has since changed shape).
-    ///
-    /// The warm assignment is first *clamped* to the current device: operator
-    /// precisions the device no longer supports fall to the nearest supported
-    /// candidate, and while the assignment exceeds the (possibly shrunk)
-    /// memory budget, the operator whose demotion costs the least indicator
-    /// increase is stepped down. `T_min` is the brute-force fastest plan's
-    /// latency — the **same bound the cold allocator enforces** — recomputed
-    /// for the current cluster on the incremental evaluator (cheap since the
-    /// initial phase runs there too; it used to be approximated by the
-    /// uniform lowest-precision plan, which overstated `T_min` and let warm
-    /// re-plans drift from cold-plan quality).
-    ///
-    /// Falls back to a cold [`Allocator::allocate`] when the warm DAG does not
-    /// match the system's model (different node count).
-    pub fn allocate_warm(
-        &self,
-        indicator: &dyn SensitivityIndicator,
         warm: &PrecisionDag,
-    ) -> (PrecisionPlan, AllocationReport) {
-        self.allocate_warm_inner(indicator, warm, None)
-    }
-
-    /// [`Allocator::allocate_warm`] with the `T_min` bound supplied by the
-    /// caller (from a memoized [`InitialSetting`] for this exact (model,
-    /// effective cluster) pair) instead of re-running the brute-force initial
-    /// phase. With both the warm assignment and `T_min` in hand, an elastic
-    /// re-plan touches no combinatorial search at all.
-    pub fn allocate_warm_with_tmin(
-        &self,
-        indicator: &dyn SensitivityIndicator,
-        warm: &PrecisionDag,
-        t_min_us: f64,
-    ) -> (PrecisionPlan, AllocationReport) {
-        self.allocate_warm_inner(indicator, warm, Some(t_min_us))
-    }
-
-    fn allocate_warm_inner(
-        &self,
-        indicator: &dyn SensitivityIndicator,
-        warm: &PrecisionDag,
-        t_min_override: Option<f64>,
+        t_min: f64,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
         let dag = sys.dag();
-        let inference = sys.cluster.inference_ranks();
-        if inference.is_empty() {
-            return self.allocate(indicator);
-        }
-        if warm.len() != dag.len() {
-            return self.allocate(indicator);
-        }
-        let rank = inference[0];
         let candidates = sys.candidates_for(rank);
         let lowest = candidates[0];
 
@@ -405,10 +397,8 @@ impl<'a> Allocator<'a> {
         // Demote until the assignment honours the throughput bound the cold
         // allocator enforces. A compute-degraded device can make the cached
         // (mostly recovered) assignment far slower than `T_min * tol`, and
-        // recovery can only promote, never repair that. The bound is the
-        // initial (brute-force fastest) plan's latency, answered entirely
+        // recovery can only promote, never repair that. Answered entirely
         // from the incremental evaluator — no full-plan prediction at all.
-        let t_min = t_min_override.unwrap_or_else(|| self.initial_eval(rank).iteration_us());
         let tol = 1.0 + sys.config.throughput_tolerance;
         let mut warm_t = eval.iteration_us();
         while warm_t > t_min * tol {
@@ -424,6 +414,18 @@ impl<'a> Allocator<'a> {
 
         report.t_min_us = t_min;
         report.final_us = warm_t;
+        self.recover(indicator, eval, t_min, report)
+    }
+
+    /// Phase 2 from the evaluator's assignment, which is the `t_min` plan
+    /// itself (phase 1's, run now or memoized).
+    fn recover_cold(
+        &self,
+        indicator: &dyn SensitivityIndicator,
+        eval: DeltaEvaluator<'a>,
+        t_min: f64,
+    ) -> (PrecisionPlan, AllocationReport) {
+        let report = AllocationReport { t_min_us: t_min, final_us: t_min, ..Default::default() };
         self.recover(indicator, eval, t_min, report)
     }
 
@@ -615,8 +617,8 @@ fn instance_bytes(dag: &qsync_graph::ModelDag, id: NodeId, p: Precision) -> u64 
 // ---------------------------------------------------------------------------
 
 impl<'a> Allocator<'a> {
-    /// Reference phase 1: the non-incremental [`Allocator::initial_for_device`].
-    pub fn initial_for_device_reference(&self, rank: usize) -> PrecisionDag {
+    /// Reference phase 1: the non-incremental `initial_pass`.
+    fn initial_for_device_reference(&self, rank: usize) -> PrecisionDag {
         let sys = self.system;
         let dag = sys.dag();
         let device = &sys.cluster.devices[rank];
@@ -721,7 +723,8 @@ impl<'a> Allocator<'a> {
         best_combo
     }
 
-    /// Reference cold allocation: the non-incremental [`Allocator::allocate`].
+    /// Reference cold allocation: the non-incremental [`Allocator::plan`] with no
+    /// memo, no warm start and no budget.
     pub fn allocate_reference(
         &self,
         indicator: &dyn SensitivityIndicator,
@@ -746,8 +749,9 @@ impl<'a> Allocator<'a> {
         self.recover_reference(indicator, pdag, rank, t_min, report)
     }
 
-    /// Reference warm allocation: the non-incremental [`Allocator::allocate_warm`],
-    /// rebuilding a full `PrecisionPlan` per demotion.
+    /// Reference warm allocation: the non-incremental warm start of
+    /// [`Allocator::plan`] (no memo, no budget), rebuilding a full
+    /// `PrecisionPlan` per demotion.
     pub fn allocate_warm_reference(
         &self,
         indicator: &dyn SensitivityIndicator,
@@ -896,6 +900,16 @@ mod tests {
         QSyncSystem::new(small_mlp(64, 512, 1024, 16), cluster, QSyncConfig::default())
     }
 
+    /// Phase 1 alone under `budget`, as `plan` runs it.
+    fn budgeted(
+        alloc: &Allocator<'_>,
+        rank: usize,
+        budget: Option<u64>,
+    ) -> (InitialSetting, InitialPassReport) {
+        let (eval, pass) = alloc.initial_pass(rank, budget);
+        (InitialSetting::at(&eval), pass)
+    }
+
     #[test]
     fn allocation_does_not_reduce_throughput() {
         let sys = system(ClusterSpec::hybrid_small());
@@ -966,7 +980,7 @@ mod tests {
         let sys = system(ClusterSpec::cluster_b(1, 1, 0.3));
         let alloc = Allocator::new(&sys);
         let rank = sys.cluster.inference_ranks()[0];
-        let pdag = alloc.initial_for_device(rank);
+        let pdag = alloc.initial_setting(rank).pdag;
         // The initial plan is either memory-feasible or the most compressed possible.
         let lowest = sys.candidates_for(rank)[0];
         let most_compressed = PrecisionDag::uniform(sys.dag(), lowest);
@@ -981,9 +995,13 @@ mod tests {
         let sys = system(ClusterSpec::hybrid_small());
         let alloc = Allocator::new(&sys);
         let rank = sys.cluster.inference_ranks()[0];
-        let initial = alloc.initial_setting(rank);
-        let (cold_plan, cold_report) = alloc.allocate(&sys.indicator());
-        let (memo_plan, memo_report) = alloc.allocate_from_initial(&sys.indicator(), &initial);
+        let cold = alloc.plan(&sys.indicator(), None, None, None);
+        let (initial, _) = cold.initial.expect("a plan without a memo runs phase 1");
+        assert_eq!(initial, alloc.initial_setting(rank));
+        let (cold_plan, cold_report) = (cold.plan, cold.report);
+        let memo = alloc.plan(&sys.indicator(), Some(&initial), None, None);
+        assert!(memo.initial.is_none(), "a memo answers phase 1");
+        let (memo_plan, memo_report) = (memo.plan, memo.report);
         assert_eq!(cold_plan.to_json(), memo_plan.to_json());
         assert_eq!(cold_report.t_min_us.to_bits(), memo_report.t_min_us.to_bits());
         assert_eq!(cold_report.final_us.to_bits(), memo_report.final_us.to_bits());
@@ -1003,9 +1021,14 @@ mod tests {
         let alloc = Allocator::new(&sys_shrunk);
         let rank = sys_shrunk.cluster.inference_ranks()[0];
         let initial = alloc.initial_setting(rank);
-        let (warm_plan, warm_report) = alloc.allocate_warm(&sys_shrunk.indicator(), &warm);
-        let (memo_plan, memo_report) =
-            alloc.allocate_warm_with_tmin(&sys_shrunk.indicator(), &warm, initial.t_min_us);
+        let miss = alloc.plan(&sys_shrunk.indicator(), None, Some(&warm), None);
+        assert_eq!(miss.initial.map(|(setting, _)| setting), Some(initial.clone()));
+        let (warm_plan, warm_report) = (miss.plan, miss.report);
+        let hit = alloc.plan(&sys_shrunk.indicator(), Some(&initial), Some(&warm), None);
+        assert!(hit.initial.is_none(), "a memo answers phase 1");
+        let (memo_plan, memo_report) = (hit.plan, hit.report);
+        let wrapped = alloc.allocate_warm_with_tmin(&sys_shrunk.indicator(), &warm, initial.t_min_us);
+        assert_eq!(wrapped.0.to_json(), memo_plan.to_json());
         assert_eq!(warm_plan.to_json(), memo_plan.to_json());
         assert_eq!(warm_report.t_min_us.to_bits(), memo_report.t_min_us.to_bits());
         assert_eq!(warm_report.warm_demotions, memo_report.warm_demotions);
@@ -1018,7 +1041,7 @@ mod tests {
         let alloc = Allocator::new(&sys);
         let rank = sys.cluster.inference_ranks()[0];
         let plain = alloc.initial_setting(rank);
-        let (budgeted, report) = alloc.initial_setting_budgeted(rank, Some(u64::MAX));
+        let (budgeted, report) = budgeted(&alloc, rank, Some(u64::MAX));
         assert_eq!(plain, budgeted);
         assert!(!report.preempted);
         assert!(report.evals > 0, "the exhaustive pass scored combinations");
@@ -1029,10 +1052,10 @@ mod tests {
         let sys = system(ClusterSpec::hybrid_small());
         let alloc = Allocator::new(&sys);
         let rank = sys.cluster.inference_ranks()[0];
-        let (_, full_report) = alloc.initial_setting_budgeted(rank, None);
+        let (_, full_report) = budgeted(&alloc, rank, None);
         let budget = full_report.evals / 2;
-        let (a, report_a) = alloc.initial_setting_budgeted(rank, Some(budget));
-        let (b, report_b) = alloc.initial_setting_budgeted(rank, Some(budget));
+        let (a, report_a) = budgeted(&alloc, rank, Some(budget));
+        let (b, report_b) = budgeted(&alloc, rank, Some(budget));
         // Preempted, spent exactly the budget, and byte-reproducible.
         assert!(report_a.preempted);
         assert_eq!(report_a.evals, budget);
@@ -1046,11 +1069,15 @@ mod tests {
             sys.memory_ok(rank, &a.pdag)
                 || sys.memory_bytes(rank, &a.pdag) <= sys.memory_bytes(rank, &most_compressed)
         );
-        let (plan, _) = alloc.allocate_from_initial(&sys.indicator(), &a);
-        assert_eq!(plan.device(rank).len(), sys.dag().len());
+        let replay = alloc.plan(&sys.indicator(), Some(&a), None, Some(budget));
+        assert_eq!(replay.plan.device(rank).len(), sys.dag().len());
+        // A budgeted plan memoizes exactly the budgeted pass and replays it.
+        let cold = alloc.plan(&sys.indicator(), None, None, Some(budget));
+        assert_eq!(cold.initial, Some((a.clone(), report_a)));
+        assert_eq!(cold.plan.to_json(), replay.plan.to_json());
         // A zero budget degenerates to uniform lowest — the ultimate
         // checkpoint — and still plans.
-        let (zero, zero_report) = alloc.initial_setting_budgeted(rank, Some(0));
+        let (zero, zero_report) = budgeted(&alloc, rank, Some(0));
         assert!(zero_report.preempted);
         assert_eq!(zero_report.evals, 0);
         assert_eq!(zero.pdag, most_compressed);
@@ -1065,10 +1092,10 @@ mod tests {
         );
         let alloc = Allocator::new(&vgg);
         let rank = vgg.cluster.inference_ranks()[0];
-        let unbounded = alloc.initial_setting_budgeted(rank, None).1.evals;
+        let unbounded = budgeted(&alloc, rank, None).1.evals;
         assert!(unbounded > 8, "budget sweep needs a non-trivial eval count, got {unbounded}");
         for budget in [0, 1, 2, 7, unbounded / 2, unbounded - 1, unbounded, unbounded + 1] {
-            let (_, report) = alloc.initial_setting_budgeted(rank, Some(budget));
+            let (_, report) = budgeted(&alloc, rank, Some(budget));
             assert_eq!(
                 report.preempted,
                 budget < unbounded,
@@ -1090,8 +1117,29 @@ mod tests {
         );
         let stale = Allocator::new(&other).initial_setting(other.cluster.inference_ranks()[0]);
         let (cold_plan, _) = alloc.allocate(&sys.indicator());
-        let (fallback_plan, _) = alloc.allocate_from_initial(&sys.indicator(), &stale);
-        assert_eq!(cold_plan.to_json(), fallback_plan.to_json());
+        let fallback = alloc.plan(&sys.indicator(), Some(&stale), None, None);
+        assert_eq!(cold_plan.to_json(), fallback.plan.to_json());
+        assert!(fallback.initial.is_some(), "a stale memo is replaced by a fresh phase 1");
+        // A stale warm assignment is ignored too: the plan is cold.
+        let warm = alloc.plan(&sys.indicator(), None, Some(&stale.pdag), None);
+        assert_eq!(warm.report.warm_demotions, 0);
+        assert_eq!(cold_plan.to_json(), warm.plan.to_json());
+    }
+
+    #[test]
+    fn a_cluster_without_inference_devices_gets_the_oracle_plan() {
+        let sys = system(ClusterSpec::cluster_a(2, 0));
+        let alloc = Allocator::new(&sys);
+        let int8 = PrecisionDag::uniform(sys.dag(), Precision::Int8);
+        let memo = InitialSetting { pdag: int8.clone(), t_min_us: 1.0 };
+        let oracle = PrecisionPlan::oracle(sys.dag(), &sys.cluster).to_json();
+        for (memo, warm) in [(None, None), (Some(&memo), Some(&int8))] {
+            let allocation = alloc.plan(&sys.indicator(), memo, warm, Some(0));
+            assert_eq!(allocation.plan.to_json(), oracle);
+            assert_eq!((allocation.rank, allocation.initial), (None, None));
+            assert_eq!(allocation.report.t_min_us.to_bits(), allocation.report.final_us.to_bits());
+            assert_eq!(allocation.report.full_predicts, 1);
+        }
     }
 
     #[test]

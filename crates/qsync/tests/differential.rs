@@ -70,7 +70,7 @@ fn warm_allocation_is_byte_identical_to_the_reference_allocator() {
             QSyncConfig::default(),
         );
         let alloc = Allocator::new(&shrunk);
-        let (plan, report) = alloc.allocate_warm(&shrunk.indicator(), &warm);
+        let (plan, report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
         let (reference, ref_report) = alloc.allocate_warm_reference(&shrunk.indicator(), &warm);
         assert_eq!(
             plan.to_json().as_bytes(),
@@ -102,7 +102,7 @@ fn warm_replan_performs_zero_full_predictions_regardless_of_demotions() {
             ClusterSpec::cluster_b(1, 1, fraction),
             QSyncConfig::default(),
         );
-        let (_, report) = Allocator::new(&shrunk).allocate_warm(&shrunk.indicator(), &warm);
+        let (_, report) = Allocator::new(&shrunk).plan(&shrunk.indicator(), None, Some(&warm), None).into();
         demotions.push(report.warm_demotions);
         full_predicts.push(report.full_predicts);
     }
@@ -137,7 +137,7 @@ fn warm_t_min_matches_the_cold_allocators_bound() {
         );
         let alloc = Allocator::new(&shrunk);
         let (_, cold) = alloc.allocate(&shrunk.indicator());
-        let (_, warm_report) = alloc.allocate_warm(&shrunk.indicator(), &warm);
+        let (_, warm_report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
         assert_eq!(
             warm_report.t_min_us.to_bits(),
             cold.t_min_us.to_bits(),

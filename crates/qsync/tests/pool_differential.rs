@@ -40,8 +40,9 @@ fn initial_at(
     threads: usize,
     budget: Option<u64>,
 ) -> (InitialSetting, InitialPassReport) {
-    let rank = sys.cluster.inference_ranks()[0];
-    at_pool_size(threads, || Allocator::new(sys).initial_setting_budgeted(rank, budget))
+    at_pool_size(threads, || {
+        Allocator::new(sys).plan(&sys.indicator(), None, None, budget).initial.expect("phase 1 ran")
+    })
 }
 
 fn assert_identical_settings(
@@ -157,7 +158,8 @@ fn planning_never_touches_the_compute_pool() {
     let pool = Pool::with_threads(2);
     pool.install(|| {
         let (plan, _) = Allocator::new(&sys).allocate(&sys.indicator());
-        let (_, pass) = Allocator::new(&sys).initial_setting_budgeted(rank, Some(7));
+        let (_, pass) =
+            Allocator::new(&sys).plan(&sys.indicator(), None, None, Some(7)).initial.expect("phase 1 ran");
         assert!(pass.preempted, "a budget of 7 preempts vgg16bn's initial pass");
         Allocator::new(&shrunk).allocate_warm_with_tmin(&shrunk.indicator(), plan.device(rank), t_min);
     });

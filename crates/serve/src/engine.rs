@@ -50,7 +50,7 @@ use qsync_api::{
     PlanRequest, PlanResponse,
 };
 use qsync_cluster::topology::ClusterSpec;
-use qsync_core::allocator::{AllocationReport, Allocator, InitialPassReport, InitialSetting};
+use qsync_core::allocator::{AllocationReport, Allocator, InitialSetting};
 use qsync_core::indicator::{HessianIndicator, RandomIndicator, SensitivityIndicator};
 use qsync_core::plan::PrecisionPlan;
 use qsync_graph::PrecisionDag;
@@ -162,8 +162,8 @@ impl PlanEngine {
     }
 
     /// This engine with a cooperative-preemption budget on the brute-force
-    /// initial pass (`None` = unbounded, the default). See
-    /// [`Allocator::initial_setting_budgeted`].
+    /// initial pass (`None` = unbounded, the default): the `max_evals` of
+    /// every [`Allocator::plan`] call.
     pub fn with_plan_budget(mut self, max_evals: Option<u64>) -> Self {
         self.plan_budget_evals = max_evals;
         self
@@ -549,74 +549,45 @@ impl PlanEngine {
     /// `(model fingerprint, effective-cluster fingerprint)`: the first plan
     /// for a pair runs it and records it, every later plan — cold with a
     /// different indicator/tolerance, or a warm re-plan onto that shape —
-    /// starts from the memo. A cold miss runs both phases on one evaluator
-    /// ([`Allocator::allocate_cold`]). The memo is value-transparent
-    /// (identical plans, identical reports), so cache replays and the
-    /// coherence oracle are unaffected by hit/miss history.
+    /// passes the memo to [`Allocator::plan`], which decides what it can
+    /// skip. The memo is value-transparent (identical plans, identical
+    /// reports), so cache replays and the coherence oracle are unaffected by
+    /// hit/miss history.
     fn run_allocator(
         &self,
         request: &PlanRequest,
         warm: Option<&PrecisionDag>,
     ) -> (PrecisionPlan, AllocationReport, Option<PrecisionDag>) {
         let system = self.parts.system_for(request, &self.obs);
-        let allocator = Allocator::new(&system);
         let indicator: Box<dyn SensitivityIndicator> = match request.indicator {
             IndicatorChoice::Variance => Box::new(system.indicator()),
             IndicatorChoice::Hessian => Box::new(HessianIndicator { stats: system.stats().clone() }),
             IndicatorChoice::Random => Box::new(RandomIndicator { seed: system.config.seed }),
         };
-        let indicator = indicator.as_ref();
-        let Some(&rank) = system.cluster.inference_ranks().first() else {
-            // No inference devices: the allocator short-circuits to the oracle
-            // plan; there is no exhaustive pass to memoize.
-            let (plan, report) = match warm {
-                None => allocator.allocate(indicator),
-                Some(w) => allocator.allocate_warm(indicator, w),
-            };
-            return (plan, report, None);
-        };
         let (model_fp, cluster_fp) = (request.model.fingerprint(), system.cluster.fingerprint());
-        let memoized = self
+        let memo = self
             .initial_memo
             .lock()
             .expect("initial-setting memo poisoned")
             .get(&(model_fp, cluster_fp))
-            // A memo restored from a snapshot of a different build could carry
-            // a stale node count; fall through to a fresh sweep rather than
-            // feed the allocator a mismatched assignment.
-            .filter(|initial| initial.pdag.len() == system.dag().len())
             .cloned();
-        let record = |initial: InitialSetting, pass: InitialPassReport| {
+        let allocation = Allocator::new(&system).plan(
+            indicator.as_ref(),
+            memo.as_ref(),
+            warm,
+            self.plan_budget_evals,
+        );
+        if let Some((initial, pass)) = allocation.initial {
             if pass.preempted {
                 self.obs.plan_preemptions.inc();
             }
             self.obs.memo_misses.inc();
             self.memo_insert(model_fp, cluster_fp, initial);
-        };
-        let (plan, report) = match (memoized, warm) {
-            (Some(initial), None) => {
-                self.obs.memo_hits.inc();
-                allocator.allocate_from_initial(indicator, &initial)
-            }
-            (Some(initial), Some(w)) => {
-                self.obs.memo_hits.inc();
-                allocator.allocate_warm_with_tmin(indicator, w, initial.t_min_us)
-            }
-            (None, None) => {
-                let cold = allocator.allocate_cold(indicator, rank, self.plan_budget_evals);
-                record(cold.initial, cold.pass);
-                (cold.plan, cold.report)
-            }
-            (None, Some(w)) => {
-                let (initial, pass) =
-                    allocator.initial_setting_budgeted(rank, self.plan_budget_evals);
-                let t_min_us = initial.t_min_us;
-                record(initial, pass);
-                allocator.allocate_warm_with_tmin(indicator, w, t_min_us)
-            }
-        };
-        let inference_pdag = plan.device(rank).clone();
-        (plan, report, Some(inference_pdag))
+        } else if memo.is_some() {
+            self.obs.memo_hits.inc();
+        }
+        let inference_pdag = allocation.rank.map(|rank| allocation.plan.device(rank).clone());
+        (allocation.plan, allocation.report, inference_pdag)
     }
 
     /// The memoized initial settings, sorted by key for deterministic
@@ -818,6 +789,72 @@ mod tests {
         assert_eq!(after.predicted_iteration_us.to_bits(), before.predicted_iteration_us.to_bits());
         assert_eq!(engine.memo_len(), 2);
         assert_eq!(engine.obs().snapshot().counter("qsync_engine_memo_misses_total"), Some(3));
+    }
+
+    #[test]
+    fn a_stale_memo_entry_is_replanned_cold_and_replaced() {
+        let request = mlp_request(1, ClusterSpec::hybrid_small());
+        let reference = PlanEngine::new();
+        let expected = reference.plan(&request).unwrap();
+        let fresh_memo = reference.memo_entries();
+        let (key, _) = fresh_memo[0];
+        // A real setting for another model, filed under this request's key:
+        // what a snapshot from a different build could restore.
+        let other = PlanEngine::new();
+        let cnn = ModelSpec::SmallCnn { batch: 4, image: 16, classes: 4 };
+        other.plan(&PlanRequest::new(2, cnn, ClusterSpec::hybrid_small())).unwrap();
+        let (_, stale) = other.memo_entries().pop().expect("one memo entry");
+        assert_ne!(stale.pdag.len(), fresh_memo[0].1.pdag.len());
+
+        let engine = PlanEngine::new();
+        engine.memo_insert(key.0, key.1, stale);
+        let planned = engine.plan(&request).unwrap();
+        assert_eq!(planned.plan_json(), expected.plan_json());
+        assert_eq!(planned.t_min_us.to_bits(), expected.t_min_us.to_bits());
+        assert_eq!(
+            planned.predicted_iteration_us.to_bits(),
+            expected.predicted_iteration_us.to_bits()
+        );
+        let snap = engine.obs().snapshot();
+        assert_eq!(snap.counter("qsync_engine_memo_misses_total"), Some(1));
+        assert_eq!(snap.counter("qsync_engine_memo_hits_total"), Some(0));
+        assert_eq!(engine.memo_entries(), fresh_memo, "the stale entry was replaced");
+    }
+
+    #[test]
+    fn a_cluster_without_inference_devices_plans_the_oracle_and_touches_no_memo() {
+        let engine = PlanEngine::new();
+        let request = mlp_request(1, ClusterSpec::cluster_a(2, 0));
+        let oracle = |cluster: &ClusterSpec| {
+            PrecisionPlan::oracle(&request.model.build(), cluster).to_json()
+        };
+        let (plan, report, inference_pdag) = engine.run_allocator(&request, None);
+        assert_eq!(plan.to_json(), oracle(&request.cluster));
+        assert_eq!(report.t_min_us.to_bits(), report.final_us.to_bits());
+        assert_eq!(report.full_predicts, 1);
+        assert_eq!(inference_pdag, None);
+
+        let cold = engine.plan(&request).unwrap();
+        assert_eq!(cold.plan_json(), oracle(&request.cluster));
+        assert_eq!(engine.cache().peek(&cold.key).unwrap().inference_pdag, None);
+        let delta = DeltaRequest::new(
+            2,
+            request.cluster.clone(),
+            ClusterDelta::RankAdded {
+                model: qsync_cluster::device::GpuModel::V100,
+                memory_fraction: 1.0,
+                compute_fraction: 1.0,
+            },
+        );
+        let outcome = engine.apply_delta(&delta).unwrap();
+        assert_eq!(outcome.replanned.len(), 1);
+        let grown = delta.delta.apply(&request.cluster).unwrap();
+        assert_eq!(outcome.replanned[0].plan_json(), oracle(&grown));
+
+        assert_eq!(engine.memo_len(), 0);
+        let snap = engine.obs().snapshot();
+        assert_eq!(snap.counter("qsync_engine_memo_misses_total"), Some(0));
+        assert_eq!(snap.counter("qsync_engine_memo_hits_total"), Some(0));
     }
 
     #[test]

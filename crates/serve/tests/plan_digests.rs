@@ -4,8 +4,9 @@
 //! run the allocator is reached: a cold plan that runs the brute-force pass
 //! (memo miss), a cold plan that starts from the memoized pass (memo hit, via
 //! a second indicator), warm re-plans down a `Degraded` chain with and
-//! without the target shape memoized, both under a `with_plan_budget(Some(7))`
-//! engine, and a training-only cluster that has nothing to allocate. The
+//! without the target shape memoized, cold and warm plans again under a
+//! `with_plan_budget(Some(7))` engine, and a training-only cluster that has
+//! nothing to allocate. The
 //! cases are the seven zoo families at batch 1 and 8 × the benchmark's
 //! cluster shapes, 518 lines.
 //!
@@ -120,21 +121,7 @@ impl Corpus {
             IndicatorChoice::Random => Box::new(RandomIndicator { seed: system.config.seed }),
             IndicatorChoice::Hessian => unreachable!("no case plans with the Hessian indicator"),
         };
-        let indicator = indicator.as_ref();
-        let allocator = Allocator::new(system);
-        let Some(&rank) = system.cluster.inference_ranks().first() else {
-            return allocator.allocate(indicator);
-        };
-        match warm {
-            None => {
-                let cold = allocator.allocate_cold(indicator, rank, budget);
-                (cold.plan, cold.report)
-            }
-            Some(warm) => {
-                let (initial, _) = allocator.initial_setting_budgeted(rank, budget);
-                allocator.allocate_warm_with_tmin(indicator, warm, initial.t_min_us)
-            }
-        }
+        Allocator::new(system).plan(indicator.as_ref(), None, warm, budget).into()
     }
 
     /// Add one line: the engine's reply, checked against the reference run
