@@ -16,7 +16,9 @@ use qsync_cluster::topology::ClusterSpec;
 use qsync_core::allocator::{Allocator, InitialPassReport, InitialSetting};
 use qsync_core::system::{QSyncConfig, QSyncSystem};
 use qsync_graph::models::{small_cnn, small_mlp, vgg16bn};
-use qsync_lp_kernels::gemm::{gemm_f32, TileConfig};
+use qsync_lp_kernels::gemm::{gemm_f16, gemm_f32, gemm_i8, TileConfig};
+use qsync_lp_kernels::precision::Precision;
+use qsync_lp_kernels::quant::dequantize_i32_accumulator;
 use qsync_lp_kernels::quant::minmax::{minmax_optimized, minmax_per_channel};
 use qsync_pool::Pool;
 
@@ -174,22 +176,34 @@ fn planning_never_touches_the_compute_pool() {
 
 #[test]
 fn gemm_and_quant_kernels_are_byte_identical_across_pool_sizes() {
-    // Inputs big enough that the facade actually splits them into many
-    // chunks (the elementwise min-len floor is 1024).
-    let (m, k, n) = (96, 64, 80);
+    // Inputs big enough to split into many chunks (the elementwise floor is
+    // 1024), and 100 rows so the last 32-row tile is short.
+    let (m, k, n) = (100, 64, 80);
     let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.017).collect();
     let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.023).collect();
+    let a8: Vec<i8> = (0..m * k).map(|i| (i * 37 % 255) as u8 as i8).collect();
+    let b8: Vec<i8> = (0..k * n).map(|i| (i * 53 % 251) as u8 as i8).collect();
+    let acc: Vec<i32> = (0..m * n).map(|i| (i as i32 * 7919) % 100_003 - 50_000).collect();
+    let scales: Vec<f32> = (0..n).map(|j| 1e-3 + j as f32 * 7e-5).collect();
+    let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 0.4).collect();
     let data: Vec<f32> = (0..64 * 1024).map(|i| ((i * 97 % 8191) as f32 - 4096.0) * 1e-3).collect();
     let tile = TileConfig::fallback();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
 
     let run = || {
-        let c = gemm_f32(&a, &b, m, k, n, &tile);
         let (lo, hi) = minmax_optimized(&data, 256);
-        let channels = minmax_per_channel(&data, 64);
-        let c_bits: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
-        let ch_bits: Vec<(u32, u32)> =
-            channels.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect();
-        (c_bits, lo.to_bits(), hi.to_bits(), ch_bits)
+        let channels: Vec<u32> =
+            minmax_per_channel(&data, 64).iter().flat_map(|(a, b)| [a.to_bits(), b.to_bits()]).collect();
+        [
+            bits(&gemm_f32(&a, &b, m, k, n, &tile)),
+            bits(&gemm_f16(&a, &b, m, k, n, &tile, Precision::Fp32)),
+            bits(&gemm_f16(&a, &b, m, k, n, &tile, Precision::Fp16)),
+            bits(&gemm_i8(&a8, &b8, m, k, n, 0.02, &scales, Some(&bias), &tile)),
+            bits(&dequantize_i32_accumulator(&acc, m, n, 0.03, &scales, Some(&bias))),
+            bits(&dequantize_i32_accumulator(&acc, m, n, 0.03, &scales[..1], None)),
+            vec![lo.to_bits(), hi.to_bits()],
+            channels,
+        ]
     };
     let baseline = at_pool_size(1, run);
     for threads in comparison_sizes() {
