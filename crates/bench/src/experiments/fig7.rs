@@ -180,8 +180,8 @@ mod tests {
     fn optimized_minmax_is_faster_than_vanilla() {
         let m = minmax_overhead(2);
         assert_eq!(m.rows.len(), 5);
-        // The paper reports 16-20% savings on the GPU; the rayon two-step reduction on
-        // CPU saves at least that much on every batch size.
+        // The paper reports 16-20% savings on the GPU; the pool-parallel two-step
+        // reduction on CPU saves at least that much on every batch size.
         assert!(m.mean_saving_pct() > 10.0, "mean saving {}%", m.mean_saving_pct());
     }
 

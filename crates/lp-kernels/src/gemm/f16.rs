@@ -4,8 +4,6 @@
 //! have an output precision of FP32 or FP16"); the cast of operands onto the 16-bit grid
 //! is the floating-point quantization whose variance the indicator models.
 
-use rayon::prelude::*;
-
 use super::tiling::TileConfig;
 use crate::half::round_to_f16;
 use crate::precision::Precision;
@@ -28,8 +26,8 @@ pub fn gemm_f16(
         "FP16 kernel can only output FP16 or FP32"
     );
     // Cast operands to the f16 grid once (this is the cvt_cost of Fig. 4).
-    let a16: Vec<f32> = a.par_iter().map(|&v| round_to_f16(v)).collect();
-    let b16: Vec<f32> = b.par_iter().map(|&v| round_to_f16(v)).collect();
+    let a16 = to_f16_grid(a);
+    let b16 = to_f16_grid(b);
 
     let mut c = vec![0.0f32; m * n];
     if m == 0 || n == 0 || k == 0 {
@@ -39,36 +37,51 @@ pub fn gemm_f16(
     let tb_m = tb_m.max(1);
     let tb_k = tb_k.max(1);
 
-    c.par_chunks_mut(tb_m * n).enumerate().for_each(|(bi, c_block)| {
-        let row0 = bi * tb_m;
-        let rows = c_block.len() / n;
-        let mut p0 = 0;
-        while p0 < k {
-            let pk = (p0 + tb_k).min(k);
-            for r in 0..rows {
-                let i = row0 + r;
-                let a_row = &a16[i * k..(i + 1) * k];
-                let c_row = &mut c_block[r * n..(r + 1) * n];
-                for p in p0..pk {
-                    let av = a_row[p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b16[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        // FP32 accumulation, as on tensor cores.
-                        c_row[j] += av * b_row[j];
+    qsync_pool::for_each_chunk_mut(&mut c, tb_m * n, 1, |first, blocks| {
+        for (bi, c_block) in (first..).zip(blocks.chunks_mut(tb_m * n)) {
+            let row0 = bi * tb_m;
+            let rows = c_block.len() / n;
+            let mut p0 = 0;
+            while p0 < k {
+                let pk = (p0 + tb_k).min(k);
+                for r in 0..rows {
+                    let i = row0 + r;
+                    let a_row = &a16[i * k..(i + 1) * k];
+                    let c_row = &mut c_block[r * n..(r + 1) * n];
+                    for p in p0..pk {
+                        let av = a_row[p];
+                        if av == 0.0 {
+                            continue;
+                        }
+                        let b_row = &b16[p * n..(p + 1) * n];
+                        for j in 0..n {
+                            // FP32 accumulation, as on tensor cores.
+                            c_row[j] += av * b_row[j];
+                        }
                     }
                 }
+                p0 = pk;
             }
-            p0 = pk;
         }
     });
 
     if output_precision == Precision::Fp16 {
-        c.par_iter_mut().for_each(|v| *v = round_to_f16(*v));
+        qsync_pool::for_each_chunk_mut(&mut c, 1, qsync_pool::ELEMENT_MIN_LEN, |_, chunk| {
+            chunk.iter_mut().for_each(|v| *v = round_to_f16(*v));
+        });
     }
     c
+}
+
+/// `values` rounded onto the binary16 grid, elementwise across the pool.
+fn to_f16_grid(values: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; values.len()];
+    qsync_pool::for_each_chunk_mut(&mut out, 1, qsync_pool::ELEMENT_MIN_LEN, |start, chunk| {
+        for (o, &v) in chunk.iter_mut().zip(&values[start..]) {
+            *o = round_to_f16(v);
+        }
+    });
+    out
 }
 
 #[cfg(test)]

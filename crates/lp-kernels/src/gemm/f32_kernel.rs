@@ -1,9 +1,7 @@
 //! Blocked, data-parallel FP32 GEMM.
 //!
 //! The full-precision kernel used by training GPUs in the paper. Cache blocking follows
-//! the selected [`TileConfig`]; rows of the output are distributed across the rayon pool.
-
-use rayon::prelude::*;
+//! the selected [`TileConfig`]; row tiles of the output are distributed across `qsync-pool`.
 
 use super::tiling::TileConfig;
 
@@ -20,29 +18,31 @@ pub fn gemm_f32(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, tile: &TileC
     let tb_k = tb_k.max(1);
 
     // Parallelise over row blocks: each block owns a disjoint slice of C.
-    c.par_chunks_mut(tb_m * n).enumerate().for_each(|(bi, c_block)| {
-        let row0 = bi * tb_m;
-        let rows = c_block.len() / n;
-        // Blocked over K to keep the B panel in cache.
-        let mut p0 = 0;
-        while p0 < k {
-            let pk = (p0 + tb_k).min(k);
-            for r in 0..rows {
-                let i = row0 + r;
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c_block[r * n..(r + 1) * n];
-                for p in p0..pk {
-                    let av = a_row[p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        c_row[j] += av * b_row[j];
+    qsync_pool::for_each_chunk_mut(&mut c, tb_m * n, 1, |first, blocks| {
+        for (bi, c_block) in (first..).zip(blocks.chunks_mut(tb_m * n)) {
+            let row0 = bi * tb_m;
+            let rows = c_block.len() / n;
+            // Blocked over K to keep the B panel in cache.
+            let mut p0 = 0;
+            while p0 < k {
+                let pk = (p0 + tb_k).min(k);
+                for r in 0..rows {
+                    let i = row0 + r;
+                    let a_row = &a[i * k..(i + 1) * k];
+                    let c_row = &mut c_block[r * n..(r + 1) * n];
+                    for p in p0..pk {
+                        let av = a_row[p];
+                        if av == 0.0 {
+                            continue;
+                        }
+                        let b_row = &b[p * n..(p + 1) * n];
+                        for j in 0..n {
+                            c_row[j] += av * b_row[j];
+                        }
                     }
                 }
+                p0 = pk;
             }
-            p0 = pk;
         }
     });
     c

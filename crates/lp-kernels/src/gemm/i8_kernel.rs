@@ -6,8 +6,6 @@
 //! leaves the kernel ("Dequantization Fusion", Section VI). Per footnote 3, the output of
 //! the INT8 kernel is produced in FP32.
 
-use rayon::prelude::*;
-
 use super::tiling::TileConfig;
 use crate::quant::dequant::dequantize_into;
 
@@ -67,35 +65,37 @@ pub fn gemm_i8_into(
     let tb_m = tb_m.max(1);
     let tb_k = tb_k.max(1);
 
-    out.par_chunks_mut(tb_m * n).enumerate().for_each(|(bi, out_block)| {
-        let row0 = bi * tb_m;
-        let rows = out_block.len() / n;
-        // Per-block INT32 accumulator (the "shared memory" tile).
-        let mut acc = vec![0i32; rows * n];
-        if k > 0 {
-            let mut p0 = 0;
-            while p0 < k {
-                let pk = (p0 + tb_k).min(k);
-                for r in 0..rows {
-                    let i = row0 + r;
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let acc_row = &mut acc[r * n..(r + 1) * n];
-                    for p in p0..pk {
-                        let av = a_row[p] as i32;
-                        if av == 0 {
-                            continue;
-                        }
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for j in 0..n {
-                            acc_row[j] += av * b_row[j] as i32;
+    qsync_pool::for_each_chunk_mut(out, tb_m * n, 1, |first, blocks| {
+        for (bi, out_block) in (first..).zip(blocks.chunks_mut(tb_m * n)) {
+            let row0 = bi * tb_m;
+            let rows = out_block.len() / n;
+            // Per-block INT32 accumulator (the "shared memory" tile).
+            let mut acc = vec![0i32; rows * n];
+            if k > 0 {
+                let mut p0 = 0;
+                while p0 < k {
+                    let pk = (p0 + tb_k).min(k);
+                    for r in 0..rows {
+                        let i = row0 + r;
+                        let a_row = &a[i * k..(i + 1) * k];
+                        let acc_row = &mut acc[r * n..(r + 1) * n];
+                        for p in p0..pk {
+                            let av = a_row[p] as i32;
+                            if av == 0 {
+                                continue;
+                            }
+                            let b_row = &b[p * n..(p + 1) * n];
+                            for j in 0..n {
+                                acc_row[j] += av * b_row[j] as i32;
+                            }
                         }
                     }
+                    p0 = pk;
                 }
-                p0 = pk;
             }
+            // Fused epilogue: dequantize (and add bias) while the accumulator is still local.
+            dequantize_into(&acc, out_block, n, a_scale, b_scales, bias);
         }
-        // Fused epilogue: dequantize (and add bias) while the accumulator is still local.
-        dequantize_into(&acc, out_block, n, a_scale, b_scales, bias);
     });
 }
 

@@ -11,7 +11,6 @@
 //!   copied out), which removes a separate element-wise pass. Both paths are provided so
 //!   the cost model and Fig. 7(b) can compare them.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::quant::QuantScheme;
@@ -60,14 +59,16 @@ pub fn dequantize_i32_accumulator(
         assert_eq!(weight_scales.len(), n, "need one weight scale per output column");
     }
     let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).zip(acc.par_chunks(n)).for_each(|(orow, arow)| {
-        for j in 0..n {
-            let ws = if channel_wise { weight_scales[j] } else { weight_scales[0] };
-            let mut v = arow[j] as f32 * input_scale * ws;
-            if let Some(b) = bias {
-                v += b[j];
+    qsync_pool::for_each_chunk_mut(&mut out, n, 1, |row0, rows| {
+        for (orow, arow) in rows.chunks_mut(n).zip(acc[row0 * n..].chunks(n)) {
+            for j in 0..n {
+                let ws = if channel_wise { weight_scales[j] } else { weight_scales[0] };
+                let mut v = arow[j] as f32 * input_scale * ws;
+                if let Some(b) = bias {
+                    v += b[j];
+                }
+                orow[j] = v;
             }
-            orow[j] = v;
         }
     });
     out

@@ -4,11 +4,9 @@
 //! uses on the GPU: first collect row-wise statistics with a fixed number of threads per
 //! block, then launch a second, smaller reduction over the row-wise partial results. On
 //! the CPU substrate we reproduce the same structure: [`minmax_optimized`] splits the
-//! tensor into row blocks reduced in parallel with rayon, then reduces the partials,
+//! tensor into row blocks reduced in parallel on `qsync-pool`, then reduces the partials,
 //! whereas [`minmax_vanilla`] mimics the framework-default single-threaded scan
 //! (PyTorch's `aminmax` launched twice plus intermediate materialisation).
-
-use rayon::prelude::*;
 
 /// Serial, framework-default style min/max scan.
 ///
@@ -57,22 +55,7 @@ pub fn minmax_optimized(data: &[f32], rows: usize) -> (f32, f32) {
     let rows = rows.max(1).min(data.len());
     let chunk = data.len().div_ceil(rows);
     // Step 1: row-wise partial statistics, computed in parallel, single pass per block.
-    let partials: Vec<(f32, f32)> = data
-        .par_chunks(chunk)
-        .map(|block| {
-            let mut mn = f32::INFINITY;
-            let mut mx = f32::NEG_INFINITY;
-            for &v in block {
-                if v < mn {
-                    mn = v;
-                }
-                if v > mx {
-                    mx = v;
-                }
-            }
-            (mn, mx)
-        })
-        .collect();
+    let partials = block_minmax(data, chunk);
     // Step 2: reduce the partials (the "smaller kernel" of the paper).
     let mut mn = f32::INFINITY;
     let mut mx = f32::NEG_INFINITY;
@@ -106,12 +89,19 @@ pub fn minmax_per_channel(data: &[f32], channels: usize) -> Vec<(f32, f32)> {
         "data length {} not divisible by channel count {channels}",
         data.len()
     );
-    let inner = data.len() / channels;
-    data.par_chunks(inner)
-        .map(|row| {
+    block_minmax(data, data.len() / channels)
+}
+
+/// `(min, max)` of every `block`-element block of `data` (the last may be
+/// short), in block order, with the blocks spread across the pool.
+fn block_minmax(data: &[f32], block: usize) -> Vec<(f32, f32)> {
+    let n_blocks = data.len().div_ceil(block);
+    let mut out = vec![(0.0, 0.0); n_blocks];
+    qsync_pool::for_each_chunk_mut(&mut out, 1, 1, |first, stats| {
+        for (stat, bi) in stats.iter_mut().zip(first..) {
             let mut mn = f32::INFINITY;
             let mut mx = f32::NEG_INFINITY;
-            for &v in row {
+            for &v in &data[bi * block..data.len().min((bi + 1) * block)] {
                 if v < mn {
                     mn = v;
                 }
@@ -119,9 +109,10 @@ pub fn minmax_per_channel(data: &[f32], channels: usize) -> Vec<(f32, f32)> {
                     mx = v;
                 }
             }
-            (mn, mx)
-        })
-        .collect()
+            *stat = (mn, mx);
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -1,46 +1,46 @@
-//! `qsync-pool` — the workspace's work-stealing compute pool.
+//! `qsync-pool` — the compute pool under the low-precision kernels.
 //!
-//! Every `par_iter()` in the workspace (via the `vendor/rayon` facade — the
-//! gemm/quant kernels and tensor reductions) bottoms out in [`run_chunks`]: a
-//! caller splits its work into **index-ordered chunks** and the pool executes
-//! the chunks on however many threads it has. Three properties matter more
-//! than raw speed:
+//! The gemm/quant kernels in `qsync-lp-kernels` and the elementwise ops and
+//! reductions in `qsync-tensor` split their work with [`for_each_chunk_mut`]
+//! and [`map_chunks`]. Both bottom out in [`run_chunks`], one flat
+//! fork-join: the caller publishes a batch of index-ordered chunks, then it
+//! and the pool's workers claim chunk indices from one shared counter until
+//! none are left. Three properties matter more than raw speed:
 //!
 //! 1. **Deterministic reductions.** The chunk layout is a function of the
 //!    input length only — never of the thread count — via [`chunk_plan`].
 //!    Callers combine per-chunk partial results in chunk order, so every
-//!    reduction (sums, argmins, collects) is byte-identical at every pool
-//!    size, including 1. Work *stealing* randomizes which thread runs a
-//!    chunk, never which chunk exists or how partials combine.
-//! 2. **No deadlock under nesting.** A thread that waits for a batch helps
-//!    drain it: workers pop their own LIFO deque first (their nested batch
-//!    sits on top), and external callers steal. Every queued job is executed
-//!    exactly once before its batch completes, so batch state can live on the
-//!    waiter's stack.
+//!    reduction (sums, maxima, concatenations) is byte-identical at every
+//!    pool size, including 1. Which thread runs a chunk is arbitrary; which
+//!    chunks exist and how partials combine is not.
+//! 2. **One batch per pool at a time.** A batch started while its pool is
+//!    already running one — on another thread, or from inside one of that
+//!    batch's chunks — runs its chunks inline on its caller, in index order.
+//!    No kernel nests a fan-out, so nothing is lost, and nothing can wait on
+//!    itself.
 //! 3. **Inline when there is nothing to overlap.** `QSYNC_POOL_THREADS=1` (or
-//!    a one-chunk batch) runs every chunk inline on the caller, in index
-//!    order, without spawning anything — byte-identical to the parallel run
-//!    by property 1.
+//!    `0`), or a one-chunk batch, runs every chunk inline on the caller, in
+//!    index order, without spawning anything — byte-identical to the parallel
+//!    run by property 1.
 //!
 //! Planning never reaches the pool: the allocator scores on the calling
 //! thread, so a plan server's only plan-level parallelism is its planner
 //! workers.
 //!
-//! Architecture: per-worker LIFO deques (owner pushes/pops the back, thieves
-//! steal the front) + a global FIFO injector for external submissions +
-//! random-victim stealing seeded per worker. Threads spawn lazily on the
-//! first parallel batch; sizing comes from `QSYNC_POOL_THREADS`, the
-//! [`PoolBuilder`], or `available_parallelism`. Counters for jobs, steals,
-//! injections and park/unpark transitions are exported as a [`PoolStats`]
+//! Workers spawn lazily on the first parallel batch and sleep on one
+//! condition variable between batches. The process-wide pool is sized by
+//! `QSYNC_POOL_THREADS` (every core when unset); [`Pool::with_threads`]
+//! builds an explicit one. Counters are exported as a [`PoolStats`]
 //! snapshot ([`current_stats`]).
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::env::VarError;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// Fixed chunk-count target: `chunk_plan` aims for this many chunks so a
 /// batch outnumbers any realistic worker count without shrinking chunks into
@@ -48,14 +48,10 @@ use std::time::Duration;
 /// derive anything here from the live thread count.
 const TARGET_CHUNKS: usize = 32;
 
-/// How long a worker parks before re-polling the queues. The wakeup path
-/// notifies parked workers eagerly; the timeout is only a lost-wakeup
-/// backstop, not the scheduling latency.
-const PARK_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// Empty help-loop iterations before a waiter naps on the batch latch
-/// instead of spinning.
-const HELP_SPIN_ITERS: u32 = 256;
+/// The chunk floor for elementwise work (one item = one element): inputs of
+/// up to this many elements stay one chunk, on the calling thread. Block work
+/// (one item = a whole row tile) uses a floor of 1.
+pub const ELEMENT_MIN_LEN: usize = 1024;
 
 /// The deterministic chunk layout for `len` items: `(chunk_size, n_chunks)`.
 ///
@@ -71,123 +67,133 @@ pub fn chunk_plan(len: usize, min_len: usize) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Jobs and batches
+// Chunked helpers
 // ---------------------------------------------------------------------------
 
-/// A queued unit of work: one chunk of one batch. The pointer targets the
-/// [`Batch`] on the submitting thread's stack; the batch's `released` flag
-/// guarantees the stack frame outlives every queued job (each job is popped
-/// and executed exactly once, and the last one releases the owner only as
-/// its final access to the batch).
-#[derive(Clone, Copy)]
-struct Job {
-    batch: *const BatchHeader,
-    index: usize,
+/// Run `f(first, chunk)` over `data` viewed as consecutive `block`-element
+/// blocks (the last may be short), split by [`chunk_plan`] over the block
+/// count with floor `min_blocks`. Every chunk holds whole blocks; `first` is
+/// the global index of its first block. Elementwise callers pass `block = 1`
+/// and [`ELEMENT_MIN_LEN`], so `first` is the chunk's element offset.
+///
+/// # Panics
+/// If `block` is 0, or (after every chunk has run) if `f` panicked.
+pub fn for_each_chunk_mut<T: Send>(
+    data: &mut [T],
+    block: usize,
+    min_blocks: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(block > 0, "for_each_chunk_mut: block size must be non-zero");
+    let (chunk, _) = chunk_plan(data.len().div_ceil(block), min_blocks);
+    if chunk > 0 {
+        for_each_part(data, chunk * block, |i, part| f(i * chunk, part));
+    }
 }
 
-// SAFETY: the batch pointer is only dereferenced while the submitting scope
-// blocks on the completion latch, and the closure it reaches is `Sync`.
-unsafe impl Send for Job {}
+/// `f(range)` for every chunk of `chunk_plan(len, min_len)`, results in
+/// chunk order. Folding them left to right (`sum`, `fold`, `concat`) gives
+/// the same bits at every pool size.
+pub fn map_chunks<R: Send>(len: usize, min_len: usize, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
+    let (chunk, n) = chunk_plan(len, min_len);
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    for_each_part(&mut out, 1, |i, slot| slot[0] = Some(f(i * chunk..len.min((i + 1) * chunk))));
+    out.into_iter().map(|r| r.expect("every chunk ran")).collect()
+}
 
-struct BatchHeader {
-    /// Monomorphized trampoline: runs chunk `index` of the concrete batch.
-    run: unsafe fn(*const BatchHeader, usize),
+/// One pool chunk per `size`-element part of `data` (the last may be
+/// short): `f(i, part)` gets part `i`.
+fn for_each_part<T: Send>(data: &mut [T], size: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let len = data.len();
+    let base = SharedMut(data.as_mut_ptr());
+    run_chunks(len.div_ceil(size), |i| {
+        let lo = i * size;
+        // SAFETY: part `i` is `[lo, min(lo + size, len))`: inside `data` and
+        // disjoint from every other part. `run_chunks` runs each index once
+        // and returns only after every chunk has finished, inside `data`'s
+        // exclusive borrow.
+        let part = unsafe { std::slice::from_raw_parts_mut(base.at(lo), size.min(len - lo)) };
+        f(i, part);
+    });
+}
+
+/// A `*mut T` that chunks on other threads offset into.
+struct SharedMut<T>(*mut T);
+
+// SAFETY: only disjoint sub-slices are formed from it (see `for_each_part`),
+// and `T: Send` lets each one move to the thread that runs its chunk.
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+impl<T> SharedMut<T> {
+    /// The element pointer `offset` past the base. A method rather than a
+    /// field read, so closures capture the `Sync` wrapper, not the raw field.
+    ///
+    /// # Safety
+    /// `offset` must lie within the slice the base came from.
+    unsafe fn at(&self, offset: usize) -> *mut T {
+        self.0.add(offset)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pool
+// ---------------------------------------------------------------------------
+
+/// One parallel `run_chunks` call, on its caller's stack. The caller and the
+/// workers claim chunk indices from `next` until it passes `n`.
+struct Batch<'f> {
+    f: &'f (dyn Fn(usize) + Sync),
     n: usize,
-    completed: AtomicUsize,
-    done: Mutex<bool>,
-    done_cond: Condvar,
-    /// The one signal the owning scope leaves on. Stored by the completer of
-    /// the last chunk as its **final** access to the batch — after the latch
-    /// has been locked, flagged, notified and unlocked — so the owner can
-    /// never pop the stack frame while a worker is still inside it.
-    released: AtomicBool,
+    next: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-#[repr(C)]
-struct Batch<'f> {
-    header: BatchHeader,
-    f: &'f (dyn Fn(usize) + Sync),
-}
-
-impl<'f> Batch<'f> {
-    fn new(n: usize, f: &'f (dyn Fn(usize) + Sync)) -> Self {
-        Batch {
-            header: BatchHeader {
-                run: Self::run_job,
-                n,
-                completed: AtomicUsize::new(0),
-                done: Mutex::new(false),
-                done_cond: Condvar::new(),
-                released: AtomicBool::new(false),
-                panic: Mutex::new(None),
-            },
-            f,
-        }
-    }
-
-    /// # Safety
-    /// `header` must point at the `header` field of a live `Batch`.
-    unsafe fn run_job(header: *const BatchHeader, index: usize) {
-        let batch = &*(header as *const Batch<'_>);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (batch.f)(index))) {
-            let mut slot = batch.header.panic.lock().unwrap();
-            slot.get_or_insert(payload);
-        }
-        batch.header.complete_one();
-    }
-}
-
-impl BatchHeader {
-    fn complete_one(&self) {
-        if self.completed.fetch_add(1, Ordering::SeqCst) + 1 == self.n {
-            // Test builds widen the window between "all chunks ran" and the
-            // latch hand-off, which is where an owner leaving early bites.
-            #[cfg(test)]
-            std::thread::yield_now();
-            *self.done.lock().unwrap() = true;
-            self.done_cond.notify_all();
-            // Last touch: nothing may read or write the batch after this
-            // store, the owner's frame can be gone the instant it lands.
-            self.released.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether the owner may leave its scope (and free the batch). Not
-    /// `completed == n`: that turns true *before* the last completer has
-    /// finished with the latch.
-    fn is_done(&self) -> bool {
-        self.released.load(Ordering::SeqCst)
-    }
-
-    /// Park briefly on the latch; returns whether the batch finished.
-    fn nap(&self) -> bool {
-        let guard = self.done.lock().unwrap();
-        if *guard {
-            return true;
-        }
-        let (guard, _) = self.done_cond.wait_timeout(guard, Duration::from_micros(200)).unwrap();
-        *guard
-    }
-
-    fn rethrow(&self) {
-        if let Some(payload) = self.panic.lock().unwrap().take() {
-            resume_unwind(payload);
+impl Batch<'_> {
+    /// Claim and run chunks until none are left; returns how many ran here.
+    /// The first panic is kept for the caller, and the other chunks still run.
+    fn work(&self) -> u64 {
+        let mut ran = 0;
+        loop {
+            // Relaxed: the counter only hands out indices. Chunk results
+            // reach the owner through the pool's state mutex.
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.n {
+                return ran;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.f)(index))) {
+                self.panic.lock().expect(POISONED).get_or_insert(payload);
+            }
+            ran += 1;
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pool internals
-// ---------------------------------------------------------------------------
+/// The published batch with its lifetime erased. A worker dereferences it
+/// only while counted in `State::active`, and the owner leaves (freeing the
+/// batch) only once `active` is back to 0 with the batch unpublished.
+#[derive(Clone, Copy)]
+struct BatchPtr(*const Batch<'static>);
+
+// SAFETY: see above; everything a worker reaches through it is `Sync`.
+unsafe impl Send for BatchPtr {}
 
 #[derive(Default)]
-struct StatCounters {
-    jobs: AtomicU64,
-    steals: AtomicU64,
-    injected: AtomicU64,
-    parks: AtomicU64,
-    unparks: AtomicU64,
+struct State {
+    /// A parallel batch owns the pool, from publishing until every worker
+    /// has left it.
+    running: bool,
+    /// The batch workers may join. Unpublished once the owner's own claim
+    /// loop ends.
+    batch: Option<BatchPtr>,
+    /// Bumped per published batch, so a worker joins each batch once.
+    epoch: u64,
+    /// Workers inside the current batch.
+    active: usize,
+    /// The spawned workers, joined when the pool drops.
+    threads: Vec<JoinHandle<()>>,
+    shutdown: bool,
+    jobs: u64,
+    steals: u64,
 }
 
 /// A point-in-time snapshot of the pool's counters, cheap to take and fully
@@ -198,314 +204,157 @@ pub struct PoolStats {
     pub workers: u64,
     /// Whether the worker threads have actually been spawned yet.
     pub spawned: bool,
-    /// Chunk jobs executed (by workers *and* helping callers).
+    /// Chunks run in parallel batches (inline runs are not counted).
     pub jobs: u64,
-    /// Jobs a worker took from another worker's deque or a caller stole back.
+    /// Of those, the chunks a worker ran rather than the caller.
     pub steals: u64,
-    /// Jobs that entered through the global injector.
-    pub injected: u64,
-    /// Times a worker parked waiting for work.
-    pub parks: u64,
-    /// Explicit wakeups sent to parked workers.
-    pub unparks: u64,
-    /// Jobs currently sitting in the injector + all deques.
-    pub queue_depth: u64,
 }
 
 struct PoolCore {
-    id: u64,
-    threads: usize,
-    injector: Mutex<VecDeque<Job>>,
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<()>,
-    wake: Condvar,
-    sleepers: AtomicUsize,
-    shutdown: AtomicBool,
-    spawned: AtomicBool,
-    stats: StatCounters,
+    /// Worker threads (0 = inline pool).
+    workers: usize,
+    state: Mutex<State>,
+    /// Workers sleep here between batches.
+    work: Condvar,
+    /// A batch's owner waits here for its workers to leave.
+    idle: Condvar,
 }
+
+/// The pool's mutexes are never held across a chunk, so only a panic in the
+/// pool's own bookkeeping can poison them.
+const POISONED: &str = "qsync-pool lock poisoned by a panic in the pool itself";
 
 impl PoolCore {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
     fn stats(&self) -> PoolStats {
-        let queue_depth = self
-            .injector
-            .lock()
-            .map(|q| q.len() as u64)
-            .unwrap_or(0)
-            + self
-                .deques
-                .iter()
-                .map(|d| d.lock().map(|q| q.len() as u64).unwrap_or(0))
-                .sum::<u64>();
+        let state = self.lock();
         PoolStats {
-            workers: self.threads as u64,
-            spawned: self.spawned.load(Ordering::SeqCst),
-            jobs: self.stats.jobs.load(Ordering::SeqCst),
-            steals: self.stats.steals.load(Ordering::SeqCst),
-            injected: self.stats.injected.load(Ordering::SeqCst),
-            parks: self.stats.parks.load(Ordering::SeqCst),
-            unparks: self.stats.unparks.load(Ordering::SeqCst),
-            queue_depth,
+            workers: self.workers as u64,
+            spawned: !state.threads.is_empty(),
+            jobs: state.jobs,
+            steals: state.steals,
         }
     }
 
-    /// Wake up to `want` parked workers.
-    fn wake_workers(&self, want: usize) {
-        let sleeping = self.sleepers.load(Ordering::SeqCst);
-        if sleeping == 0 {
-            return;
-        }
-        let _guard = self.sleep.lock().unwrap();
-        let n = sleeping.min(want).max(1) as u64;
-        self.stats.unparks.fetch_add(n, Ordering::SeqCst);
-        if want >= sleeping {
-            self.wake.notify_all();
-        } else {
-            for _ in 0..want {
-                self.wake.notify_one();
-            }
+    fn run_chunks(self: &Arc<Self>, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        if self.workers == 0 || n <= 1 || !self.publish(n, f) {
+            (0..n).for_each(f);
         }
     }
 
-    fn pop_own(&self, worker: usize) -> Option<Job> {
-        self.deques[worker].lock().unwrap().pop_back()
+    /// Publish a batch of `n` chunks, help run it and wait out the workers.
+    /// Returns false, running nothing, if the pool already has a batch.
+    fn publish(self: &Arc<Self>, n: usize, f: &(dyn Fn(usize) + Sync)) -> bool {
+        let batch = Batch { f, n, next: AtomicUsize::new(0), panic: Mutex::new(None) };
+        {
+            let mut state = self.lock();
+            if state.running {
+                return false;
+            }
+            state.running = true;
+            state.batch = Some(BatchPtr(std::ptr::from_ref(&batch).cast()));
+            state.epoch += 1;
+            if state.threads.is_empty() {
+                state.threads = (0..self.workers)
+                    .map(|worker| {
+                        let core = Arc::clone(self);
+                        std::thread::Builder::new()
+                            .name(format!("qsync-pool-{worker}"))
+                            .spawn(move || core.worker_loop())
+                            .expect("spawn qsync-pool worker")
+                    })
+                    .collect();
+            }
+        }
+        self.work.notify_all();
+        batch.work();
+        let mut state = self.lock();
+        state.batch = None;
+        while state.active > 0 {
+            state = self.idle.wait(state).expect(POISONED);
+        }
+        state.running = false;
+        state.jobs += n as u64;
+        drop(state);
+        if let Some(payload) = batch.panic.into_inner().expect(POISONED) {
+            resume_unwind(payload);
+        }
+        true
     }
 
-    /// Steal one job: the injector first (FIFO fairness for external
-    /// batches), then the deque fronts starting from a random victim.
-    fn steal(&self, rng: &mut u64, skip: Option<usize>) -> Option<Job> {
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        if self.deques.is_empty() {
-            return None;
-        }
-        let start = (xorshift(rng) as usize) % self.deques.len();
-        for i in 0..self.deques.len() {
-            let victim = (start + i) % self.deques.len();
-            if Some(victim) == skip {
-                continue;
-            }
-            if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
-                self.stats.steals.fetch_add(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// # Safety
-    /// `job.batch` must point at a live batch (guaranteed by the scope
-    /// protocol: batches outlive their queued jobs).
-    unsafe fn execute(&self, job: Job) {
-        self.stats.jobs.fetch_add(1, Ordering::SeqCst);
-        ((*job.batch).run)(job.batch, job.index);
-    }
-
-    fn worker_loop(self: &Arc<Self>, worker: usize) {
-        WORKER_CONTEXT.with(|ctx| ctx.set(Some((self.id, worker))));
-        INSTALLED.with(|stack| stack.borrow_mut().push(Arc::clone(self)));
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((worker as u64 + 1) << 17) ^ self.id;
-        loop {
-            if let Some(job) = self.pop_own(worker).or_else(|| self.steal(&mut rng, Some(worker))) {
-                // SAFETY: queued jobs always outlive their batch's scope.
-                unsafe { self.execute(job) };
-                continue;
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // Park. Holding the sleep lock across the re-check and the wait
-            // means a producer that pushes after the re-check must block on
-            // the same lock before notifying, so the wakeup cannot be lost;
-            // the timeout is a belt-and-braces backstop.
-            let guard = self.sleep.lock().unwrap();
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let has_work = !self.injector.lock().unwrap().is_empty()
-                || self.deques.iter().any(|d| !d.lock().unwrap().is_empty());
-            if !has_work && !self.shutdown.load(Ordering::SeqCst) {
-                self.stats.parks.fetch_add(1, Ordering::SeqCst);
-                let _ = self.wake.wait_timeout(guard, PARK_TIMEOUT).unwrap();
-            }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn ensure_spawned(self: &Arc<Self>) {
-        if self.threads == 0 || self.spawned.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for worker in 0..self.threads {
-            let core = Arc::clone(self);
-            std::thread::Builder::new()
-                .name(format!("qsync-pool-{worker}"))
-                .spawn(move || core.worker_loop(worker))
-                .expect("spawn qsync-pool worker");
-        }
-    }
-
-    /// The scope protocol: queue one job per chunk, help drain until every
-    /// chunk has run, then propagate the first panic (if any).
-    fn scope_chunks(self: &Arc<Self>, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        if self.threads == 0 || n == 1 {
-            for index in 0..n {
-                f(index);
-            }
-            return;
-        }
-        self.ensure_spawned();
-        let batch = Batch::new(n, f);
-        let header = &batch.header as *const BatchHeader;
-        let me = WORKER_CONTEXT.with(|ctx| ctx.get()).filter(|(id, _)| *id == self.id);
-        match me {
-            Some((_, worker)) => {
-                // Nested scope on one of our own workers: stack the jobs on
-                // its LIFO deque so it (and thieves) drain them next.
-                let mut deque = self.deques[worker].lock().unwrap();
-                for index in 0..n {
-                    deque.push_back(Job { batch: header, index });
-                }
-                drop(deque);
-                self.wake_workers(n - 1);
-            }
-            None => {
-                let mut injector = self.injector.lock().unwrap();
-                for index in 0..n {
-                    injector.push_back(Job { batch: header, index });
-                }
-                drop(injector);
-                self.stats.injected.fetch_add(n as u64, Ordering::SeqCst);
-                self.wake_workers(n);
-            }
-        }
-        // Help until done: own deque first (a worker's nested batch sits on
-        // top), then steal. Never block without a timeout — the jobs we wait
-        // on may sit in our own queues.
-        let mut rng = 0xD1B5_4A32_D192_ED03u64 ^ header as u64;
-        let own = me.map(|(_, worker)| worker);
-        let mut idle: u32 = 0;
-        while !batch.header.is_done() {
-            let job = match own {
-                Some(worker) => self.pop_own(worker).or_else(|| self.steal(&mut rng, None)),
-                None => self.steal(&mut rng, None),
-            };
-            match job {
-                Some(job) => {
-                    // SAFETY: queued jobs always outlive their batch's scope.
-                    unsafe { self.execute(job) };
-                    idle = 0;
-                }
-                None => {
-                    idle += 1;
-                    if idle > HELP_SPIN_ITERS {
-                        batch.header.nap();
-                    } else {
-                        std::thread::yield_now();
+    fn worker_loop(self: Arc<Self>) {
+        // A batch nested inside one of this worker's chunks resolves to this
+        // pool, finds it running and goes inline.
+        INSTALLED.with(|stack| stack.borrow_mut().push(Arc::clone(&self)));
+        let mut seen = 0;
+        let mut state = self.lock();
+        while !state.shutdown {
+            match state.batch {
+                Some(batch) if state.epoch != seen => {
+                    seen = state.epoch;
+                    state.active += 1;
+                    drop(state);
+                    // SAFETY: the owner keeps the batch alive until `active`
+                    // is back to 0.
+                    let ran = unsafe { (*batch.0).work() };
+                    state = self.lock();
+                    state.active -= 1;
+                    state.steals += ran;
+                    if state.active == 0 {
+                        self.idle.notify_one();
                     }
                 }
+                _ => state = self.work.wait(state).expect(POISONED),
             }
         }
-        batch.header.rethrow();
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-// ---------------------------------------------------------------------------
-// Public pool handle
-// ---------------------------------------------------------------------------
-
-/// Builder for a [`Pool`]. Thread count resolution order: explicit
-/// [`PoolBuilder::threads`], else `QSYNC_POOL_THREADS`, else
-/// `available_parallelism()`.
-#[derive(Debug, Default, Clone)]
-pub struct PoolBuilder {
-    threads: Option<usize>,
-}
-
-impl PoolBuilder {
-    /// Start building a pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pin the worker count (1 means inline/sequential: no threads spawn).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Build the pool. Workers spawn lazily on the first parallel batch.
-    pub fn build(self) -> Pool {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-        let threads = self.threads.unwrap_or_else(env_threads);
-        // One worker cannot overlap with anything: run inline instead and
-        // keep the "sequential is just the 1-thread schedule" contract free.
-        let workers = if threads <= 1 { 0 } else { threads };
-        Pool {
-            core: Arc::new(PoolCore {
-                id: NEXT_ID.fetch_add(1, Ordering::SeqCst),
-                threads: workers,
-                injector: Mutex::new(VecDeque::new()),
-                deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                sleep: Mutex::new(()),
-                wake: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-                shutdown: AtomicBool::new(false),
-                spawned: AtomicBool::new(false),
-                stats: StatCounters::default(),
-            }),
+/// The process-wide pool's size for a `QSYNC_POOL_THREADS` lookup: every
+/// core when unset; `0` and `1` both mean inline.
+///
+/// # Panics
+/// On a value that is not a thread count, so a mistyped pin cannot silently
+/// run on every core.
+fn threads_from_env(var: Result<String, VarError>) -> usize {
+    let value = match var {
+        Err(VarError::NotPresent) => {
+            return std::thread::available_parallelism().map_or(1, |n| n.get());
         }
-    }
+        Err(VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        Ok(value) => value,
+    };
+    value.trim().parse().unwrap_or_else(|_| panic!("QSYNC_POOL_THREADS={value:?} is not a thread count"))
 }
 
-fn env_threads() -> usize {
-    std::env::var("QSYNC_POOL_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
-/// A work-stealing thread pool. Dropping a non-global pool shuts its workers
-/// down (they exit at the next idle poll).
+/// A fork-join thread pool. Dropping a pool winds its workers down.
 pub struct Pool {
     core: Arc<PoolCore>,
 }
 
 impl Pool {
-    /// A pool with exactly `threads` workers (1 = inline execution).
+    /// A pool with exactly `threads` workers (0 or 1 = inline execution).
     pub fn with_threads(threads: usize) -> Pool {
-        PoolBuilder::new().threads(threads).build()
-    }
-
-    /// The effective parallelism: worker count, or 1 for an inline pool.
-    pub fn threads(&self) -> usize {
-        self.core.threads.max(1)
-    }
-
-    /// Run `f(chunk_index)` for every index in `0..n_chunks` and return when
-    /// all chunks have executed. Chunk→thread placement is arbitrary; chunk
-    /// *identity* and the caller's combination order are not, which is the
-    /// whole determinism contract.
-    pub fn run_chunks<F: Fn(usize) + Sync>(&self, n_chunks: usize, f: F) {
-        self.core.scope_chunks(n_chunks, &f);
+        // One worker cannot overlap with anything: run inline instead and
+        // keep the "sequential is just the 1-thread schedule" contract free.
+        let workers = if threads <= 1 { 0 } else { threads };
+        Pool {
+            core: Arc::new(PoolCore {
+                workers,
+                state: Mutex::default(),
+                work: Condvar::new(),
+                idle: Condvar::new(),
+            }),
+        }
     }
 
     /// Make this pool the current pool — the one [`run_chunks`] and
-    /// [`current_stats`] use — for the duration of `f` on this thread (and,
-    /// transitively, on this pool's workers). Used by the differential suite
-    /// to compare explicit pool sizes in one process.
+    /// [`current_stats`] use — for the duration of `f` on this thread. Used
+    /// by the differential suites to compare explicit pool sizes in one
+    /// process.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         INSTALLED.with(|stack| stack.borrow_mut().push(Arc::clone(&self.core)));
         let _pop = PopOnDrop;
@@ -520,11 +369,19 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        // The global pool is never dropped; test pools wind their workers
-        // down so suites can build pools freely without leaking threads.
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        let _guard = self.core.sleep.lock().unwrap();
-        self.core.wake.notify_all();
+        // The global pool is never dropped; test pools join their workers
+        // so suites can build pools freely without leaking threads. Drop
+        // must not panic, so a poisoned lock is recovered: setting
+        // `shutdown` is valid whatever state the panic left behind.
+        let threads = {
+            let mut state = self.core.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.shutdown = true;
+            std::mem::take(&mut state.threads)
+        };
+        self.core.work.notify_all();
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -539,25 +396,22 @@ impl Drop for PopOnDrop {
 }
 
 thread_local! {
-    /// `(pool id, worker index)` when this thread is a pool worker.
-    static WORKER_CONTEXT: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
     /// Stack of `install`ed pools; the top overrides the global pool.
     static INSTALLED: RefCell<Vec<Arc<PoolCore>>> = const { RefCell::new(Vec::new()) };
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
-/// The lazily-created process-wide pool (sized by `QSYNC_POOL_THREADS` /
-/// `available_parallelism`). Creating the handle is cheap; threads spawn on
-/// first use.
-pub fn global() -> &'static Pool {
-    GLOBAL.get_or_init(|| PoolBuilder::new().build())
+/// The lazily-created process-wide pool. Creating the handle is cheap;
+/// threads spawn on the first parallel batch.
+fn global() -> &'static Pool {
+    GLOBAL.get_or_init(|| Pool::with_threads(threads_from_env(std::env::var("QSYNC_POOL_THREADS"))))
 }
 
 /// Whether the global pool has actually spawned worker threads. The lab
 /// asserts this stays `false` under the deterministic sim.
 pub fn global_spawned() -> bool {
-    GLOBAL.get().map(|pool| pool.stats().spawned).unwrap_or(false)
+    GLOBAL.get().is_some_and(|pool| pool.stats().spawned)
 }
 
 /// Stats of the current pool (installed override or global).
@@ -571,16 +425,21 @@ fn current_core() -> Arc<PoolCore> {
         .unwrap_or_else(|| Arc::clone(&global().core))
 }
 
-/// Run `f(chunk_index)` for `0..n_chunks` on the current pool. This is the
-/// single entry point the `rayon` facade builds on.
+/// Run `f(chunk_index)` for every index in `0..n_chunks` on the current pool
+/// and return when all chunks have run, re-raising the first panic. Which
+/// thread runs a chunk is arbitrary; chunk *identity* and the caller's
+/// combination order are not, which is the whole determinism contract.
 pub fn run_chunks<F: Fn(usize) + Sync>(n_chunks: usize, f: F) {
-    current_core().scope_chunks(n_chunks, &f);
+    current_core().run_chunks(n_chunks, &f);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn chunk_plan_depends_on_length_only() {
@@ -600,67 +459,132 @@ mod tests {
         }
     }
 
+    /// Every chunk of one batch ran exactly once.
+    fn assert_each_once(hits: &[AtomicU32]) {
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::SeqCst), 1, "chunk {i}");
+        }
+    }
+
     #[test]
     fn every_chunk_runs_exactly_once() {
         let pool = Pool::with_threads(4);
         let hits: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
-        pool.run_chunks(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
+        pool.install(|| {
+            run_chunks(hits.len(), |i| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+            })
         });
-        for (i, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.load(Ordering::SeqCst), 1, "chunk {i}");
-        }
+        assert_each_once(&hits);
         let stats = pool.stats();
         assert!(stats.spawned);
         assert_eq!(stats.workers, 4);
-        assert!(stats.jobs >= 97);
+        assert_eq!(stats.jobs, 97);
+        assert!(stats.steals <= stats.jobs);
     }
 
     #[test]
     fn one_thread_pool_runs_inline_without_spawning() {
-        let pool = Pool::with_threads(1);
-        let caller = std::thread::current().id();
-        let ran = AtomicU32::new(0);
-        pool.run_chunks(16, |_| {
-            assert_eq!(std::thread::current().id(), caller);
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 16);
-        assert!(!pool.stats().spawned);
-        assert_eq!(pool.threads(), 1);
+        for threads in [0, 1] {
+            let pool = Pool::with_threads(threads);
+            let caller = std::thread::current().id();
+            let ran = AtomicU32::new(0);
+            pool.install(|| {
+                run_chunks(16, |_| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), 16);
+            assert_eq!(pool.stats(), PoolStats::default(), "{threads} threads");
+        }
     }
 
     #[test]
-    fn nested_scopes_complete_without_deadlock() {
+    fn two_threads_running_batches_on_one_pool_at_once_each_see_every_chunk_once() {
         let pool = Pool::with_threads(2);
-        let total = AtomicU32::new(0);
-        pool.install(|| {
-            run_chunks(8, |_| {
-                run_chunks(8, |_| {
-                    total.fetch_add(1, Ordering::SeqCst);
+        let first: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let second: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let off_thread = AtomicU32::new(0);
+        // Chunk 0 of the first batch holds it open from `started` until the
+        // second thread's batch has run in full.
+        let (started, done) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.install(|| {
+                    run_chunks(first.len(), |i| {
+                        if i == 0 {
+                            started.wait();
+                            done.wait();
+                        }
+                        first[i].fetch_add(1, Ordering::SeqCst);
+                    })
+                })
+            });
+            s.spawn(|| {
+                started.wait();
+                let me = std::thread::current().id();
+                pool.install(|| {
+                    run_chunks(second.len(), |i| {
+                        if std::thread::current().id() != me {
+                            off_thread.fetch_add(1, Ordering::SeqCst);
+                        }
+                        second[i].fetch_add(1, Ordering::SeqCst);
+                    })
                 });
+                done.wait();
             });
         });
-        assert_eq!(total.load(Ordering::SeqCst), 64);
+        assert_each_once(&first);
+        assert_each_once(&second);
+        assert_eq!(off_thread.load(Ordering::SeqCst), 0, "a busy pool runs a second batch inline");
+        assert_eq!(pool.stats().jobs, 64, "only the first batch ran in parallel");
+    }
+
+    #[test]
+    fn run_chunks_called_from_inside_a_chunk_runs_inline() {
+        let pool = Pool::with_threads(2);
+        let inner_runs = AtomicU32::new(0);
+        pool.install(|| {
+            run_chunks(8, |_| {
+                let outer = std::thread::current().id();
+                let order = Mutex::new(Vec::new());
+                run_chunks(8, |j| {
+                    assert_eq!(std::thread::current().id(), outer, "nested chunk left its thread");
+                    order.lock().unwrap().push(j);
+                    inner_runs.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+            })
+        });
+        assert_eq!(inner_runs.load(Ordering::SeqCst), 64);
+        assert_eq!(pool.stats().jobs, 8, "only the outer batch ran in parallel");
     }
 
     #[test]
     fn panics_propagate_to_the_caller() {
         let pool = Pool::with_threads(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_chunks(8, |i| {
-                if i == 5 {
-                    panic!("chunk 5 exploded");
-                }
-            });
+        let ran = AtomicU32::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                run_chunks(8, |i| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        panic!("chunk 5 exploded");
+                    }
+                })
+            })
         }));
         let payload = result.expect_err("panic must cross the scope");
         let message = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(message, "chunk 5 exploded");
+        assert_eq!(ran.load(Ordering::SeqCst), 8, "the other chunks still ran");
         // The pool survives a panicked batch.
         let ran = AtomicU32::new(0);
-        pool.run_chunks(4, |_| {
-            ran.fetch_add(1, Ordering::SeqCst);
+        pool.install(|| {
+            run_chunks(4, |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
         });
         assert_eq!(ran.load(Ordering::SeqCst), 4);
     }
@@ -678,14 +602,9 @@ mod tests {
         let data: Vec<f32> = (0..10_000).map(|i| (i as f32).sin() * 1e-3).collect();
         let reduce_on = |pool: &Pool| -> f32 {
             pool.install(|| {
-                let (chunk, n) = chunk_plan(data.len(), 1);
-                let partials: Vec<Mutex<f32>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-                run_chunks(n, |i| {
-                    let lo = i * chunk;
-                    let hi = (lo + chunk).min(data.len());
-                    *partials[i].lock().unwrap() = data[lo..hi].iter().sum();
-                });
-                partials.iter().map(|p| *p.lock().unwrap()).fold(0.0, |a, b| a + b)
+                map_chunks(data.len(), 1, |range| data[range].iter().sum::<f32>())
+                    .into_iter()
+                    .fold(0.0, |a, b| a + b)
             })
         };
         let baseline = reduce_on(&Pool::with_threads(1));
@@ -696,20 +615,60 @@ mod tests {
     }
 
     #[test]
-    fn steals_are_counted_under_an_injected_flood() {
-        let pool = Pool::with_threads(4);
-        for _ in 0..8 {
-            pool.run_chunks(64, |_| {
-                std::hint::black_box(fibonacci(12));
+    fn for_each_chunk_mut_hands_out_whole_blocks_with_their_global_index() {
+        for threads in [1, 2, 4] {
+            // 10 elements in blocks of 3: the last block is short.
+            let mut xs = vec![u32::MAX; 10];
+            Pool::with_threads(threads).install(|| {
+                for_each_chunk_mut(&mut xs, 3, 1, |first, blocks| {
+                    for (bi, block) in (first..).zip(blocks.chunks_mut(3)) {
+                        block.fill(bi as u32);
+                    }
+                })
             });
+            assert_eq!(xs, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3], "{threads} threads");
+            // Elementwise: every element updated exactly once, at its offset.
+            let mut ys: Vec<usize> = vec![0; 50_000];
+            Pool::with_threads(threads).install(|| {
+                for_each_chunk_mut(&mut ys, 1, ELEMENT_MIN_LEN, |start, chunk| {
+                    for (i, y) in (start..).zip(chunk) {
+                        *y += i;
+                    }
+                })
+            });
+            assert!(ys.iter().enumerate().all(|(i, &y)| y == i), "{threads} threads");
         }
-        let stats = pool.stats();
-        assert!(stats.jobs >= 512);
-        assert!(stats.injected >= 512, "external scopes go through the injector");
-        assert_eq!(stats.queue_depth, 0, "scopes drain their queues before returning");
     }
 
-    /// Overwrite the stack region a just-returned scope occupied with
+    #[test]
+    fn map_chunks_returns_one_result_per_chunk_in_chunk_order() {
+        let pool = Pool::with_threads(4);
+        let ranges = pool.install(|| map_chunks(100_000, ELEMENT_MIN_LEN, |range| range));
+        let (chunk, n) = chunk_plan(100_000, ELEMENT_MIN_LEN);
+        let expected: Vec<Range<usize>> = (0..n).map(|i| i * chunk..100_000.min((i + 1) * chunk)).collect();
+        assert_eq!(ranges, expected);
+        assert!(pool.install(|| map_chunks(0, 1, |range| range)).is_empty());
+    }
+
+    #[test]
+    fn pool_size_comes_from_the_variable_and_rejects_garbage() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(threads_from_env(Err(VarError::NotPresent)), cores);
+        assert_eq!(threads_from_env(Ok("0".into())), 0);
+        assert_eq!(threads_from_env(Ok("1".into())), 1);
+        assert_eq!(threads_from_env(Ok(" 6 ".into())), 6);
+        for garbage in ["abc", "2x", "", "-1"] {
+            let payload = catch_unwind(|| threads_from_env(Ok(garbage.into())))
+                .expect_err(&format!("{garbage:?} must be rejected"));
+            let message = payload.downcast_ref::<String>().expect("formatted panic message");
+            assert!(
+                message.contains("QSYNC_POOL_THREADS") && message.contains(&format!("{garbage:?}")),
+                "{message}"
+            );
+        }
+    }
+
+    /// Overwrite the stack region a just-returned batch occupied with
     /// non-zero garbage, as any ordinary caller's next frames would.
     #[inline(never)]
     fn churn_stack(seed: u64) -> u64 {
@@ -720,71 +679,51 @@ mod tests {
         std::hint::black_box(&frame).iter().fold(0, |acc, &v| acc ^ v)
     }
 
-    /// Every worker of `pool` still takes jobs: a worker that touched a dead
-    /// batch blocks on (or panics over) whatever the owner's stack holds by
-    /// then, and silently leaves the pool.
+    /// Every worker of `pool` still takes chunks: a worker that touched a
+    /// dead batch blocks on (or panics over) whatever the owner's stack holds
+    /// by then, and silently leaves the pool.
     fn assert_workers_alive(pool: &Pool, threads: usize) {
         let caller = std::thread::current().id();
-        let workers = Mutex::new(std::collections::HashSet::new());
+        let workers: Mutex<std::collections::HashSet<ThreadId>> = Mutex::default();
         for _ in 0..50 {
-            pool.run_chunks(4 * threads, |_| {
-                let id = std::thread::current().id();
-                if id != caller {
-                    workers.lock().unwrap().insert(id);
-                }
-                std::thread::sleep(Duration::from_micros(500));
+            pool.install(|| {
+                run_chunks(4 * threads, |_| {
+                    let id = std::thread::current().id();
+                    if id != caller {
+                        workers.lock().unwrap().insert(id);
+                    }
+                    std::thread::sleep(Duration::from_micros(500));
+                })
             });
             if workers.lock().unwrap().len() == threads {
                 return;
             }
         }
-        panic!("only {} of {threads} workers still run jobs", workers.lock().unwrap().len());
+        panic!("only {} of {threads} workers still run chunks", workers.lock().unwrap().len());
     }
 
     #[test]
     fn tiny_scopes_never_outlive_their_stack_batch() {
-        // Regression: the owner used to leave on `completed == n` while the
-        // last completer was still locking/notifying the latch inside the
-        // owner's (by then popped and reused) stack frame. Two-chunk scopes
-        // maximise the odds that a worker finishes last, right as the owner
-        // polls; the frame is reused at once.
+        // The batch lives on its owner's stack: the owner may only return
+        // once no worker can still reach it. Two-chunk batches maximise the
+        // odds that a worker joins late, right as the owner finishes; the
+        // frame is reused at once.
         const SCOPES: u32 = 100_000;
         for threads in [2, 4] {
             let pool = Pool::with_threads(threads);
             let total = AtomicU32::new(0);
             let mut churn = 0;
-            for i in 0..SCOPES {
-                pool.run_chunks(2, |_| {
-                    total.fetch_add(1, Ordering::Relaxed);
-                });
-                churn ^= churn_stack(u64::from(i));
-            }
-            std::hint::black_box(churn);
-            assert_eq!(total.load(Ordering::SeqCst), 2 * SCOPES, "threads {threads}");
-            assert_workers_alive(&pool, threads);
-        }
-        // Nested: inner scopes live on worker stacks as well as the caller's.
-        let pool = Pool::with_threads(4);
-        let total = AtomicU32::new(0);
-        pool.install(|| {
-            for i in 0..10_000u64 {
-                run_chunks(2, |_| {
+            pool.install(|| {
+                for i in 0..SCOPES {
                     run_chunks(2, |_| {
                         total.fetch_add(1, Ordering::Relaxed);
                     });
-                    std::hint::black_box(churn_stack(i));
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 40_000);
-        assert_workers_alive(&pool, 4);
-    }
-
-    fn fibonacci(n: u64) -> u64 {
-        if n < 2 {
-            n
-        } else {
-            fibonacci(n - 1) + fibonacci(n - 2)
+                    churn ^= churn_stack(u64::from(i));
+                }
+            });
+            std::hint::black_box(churn);
+            assert_eq!(total.load(Ordering::SeqCst), 2 * SCOPES, "threads {threads}");
+            assert_workers_alive(&pool, threads);
         }
     }
 }

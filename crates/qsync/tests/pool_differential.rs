@@ -1,12 +1,12 @@
 //! Pool-size differential suite. What rides the qsync-pool — the gemm/quant
-//! kernels, through the `vendor/rayon` facade — must be **byte-identical at
-//! every pool size**: 1, 2, 4 and 8 threads. What does not ride it —
-//! planning — must never reach it, and so plans identically under any
-//! installed pool.
+//! kernels, through `qsync_pool::for_each_chunk_mut` — must be
+//! **byte-identical at every pool size**: 1, 2, 4 and 8 threads. What does
+//! not ride it — planning — must never reach it, and so plans identically
+//! under any installed pool.
 //!
-//! The contract under test (see `vendor/rayon` and `qsync_pool::chunk_plan`):
-//! the chunk layout is a function of input length only, chunks are processed
-//! with the sequential code, and partials combine in chunk order.
+//! The contract under test (see `qsync_pool::chunk_plan`): the chunk layout
+//! is a function of input length only, chunks are processed with the
+//! sequential code, and partials combine in chunk order.
 //!
 //! Pool size 1 always runs; larger sizes run when the host has ≥ 2 cores
 //! (an oversubscribed pool is still correct, but on a single-core runner

@@ -1,6 +1,6 @@
 //! # qsync-tensor — dense tensor substrate
 //!
-//! A small, deterministic, rayon-parallel FP32 tensor library used by the training
+//! A small, deterministic, pool-parallel FP32 tensor library used by the training
 //! engine, the profiler and the model zoo of the QSync reproduction.
 //!
 //! * [`shape`] — shapes, strides and index arithmetic.

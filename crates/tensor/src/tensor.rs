@@ -1,4 +1,4 @@
-//! A dense FP32 tensor with rayon-parallel elementwise operations.
+//! A dense FP32 tensor whose elementwise operations and reductions run on `qsync-pool`.
 //!
 //! Storage is always FP32; lower-precision *execution* is expressed by routing operations
 //! through the `qsync-lp-kernels` quantized kernels (the same convention the paper uses:
@@ -8,10 +8,10 @@ use rand::distributions::Distribution;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use qsync_lp_kernels::gemm::{gemm_f32, TileConfig};
+use qsync_pool::{for_each_chunk_mut, map_chunks, ELEMENT_MIN_LEN};
 
 use crate::shape::Shape;
 
@@ -119,24 +119,27 @@ impl Tensor {
 
     /// Apply a function to every element in place (parallel).
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync + Send) {
-        self.data.par_iter_mut().for_each(|v| *v = f(*v));
+        for_each_chunk_mut(&mut self.data, 1, ELEMENT_MIN_LEN, |_, chunk| {
+            chunk.iter_mut().for_each(|v| *v = f(*v));
+        });
     }
 
     /// A new tensor with a function applied to every element (parallel).
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync + Send) -> Tensor {
-        let data = self.data.par_iter().map(|&v| f(v)).collect();
-        Tensor { data, shape: self.shape.clone() }
+        let mut out = self.clone();
+        out.map_inplace(f);
+        out
     }
 
     /// Elementwise binary operation with another tensor of identical shape (parallel).
     pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
         assert_eq!(self.shape, other.shape, "shape mismatch in elementwise op");
-        let data = self
-            .data
-            .par_iter()
-            .zip(other.data.par_iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
+        let mut data = vec![0.0f32; self.data.len()];
+        for_each_chunk_mut(&mut data, 1, ELEMENT_MIN_LEN, |start, chunk| {
+            for ((o, &a), &b) in chunk.iter_mut().zip(&self.data[start..]).zip(&other.data[start..]) {
+                *o = f(a, b);
+            }
+        });
         Tensor { data, shape: self.shape.clone() }
     }
 
@@ -163,15 +166,23 @@ impl Tensor {
     /// `self += alpha * other`, in place (the SGD update primitive).
     pub fn axpy_inplace(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "shape mismatch in axpy");
-        self.data
-            .par_iter_mut()
-            .zip(other.data.par_iter())
-            .for_each(|(a, &b)| *a += alpha * b);
+        for_each_chunk_mut(&mut self.data, 1, ELEMENT_MIN_LEN, |start, chunk| {
+            for (a, &b) in chunk.iter_mut().zip(&other.data[start..]) {
+                *a += alpha * b;
+            }
+        });
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
-        self.data.par_iter().map(|&v| v as f64).sum()
+        self.chunked_sum(|v| v as f64)
+    }
+
+    /// `Σ term(v)` in f64: sequential per-chunk sums, added in chunk order.
+    fn chunked_sum(&self, term: impl Fn(f32) -> f64 + Sync) -> f64 {
+        map_chunks(self.data.len(), ELEMENT_MIN_LEN, |r| self.data[r].iter().map(|&v| term(v)).sum::<f64>())
+            .into_iter()
+            .sum()
     }
 
     /// Mean of all elements.
@@ -185,7 +196,7 @@ impl Tensor {
 
     /// Squared L2 norm.
     pub fn sq_norm(&self) -> f64 {
-        self.data.par_iter().map(|&v| (v as f64) * (v as f64)).sum()
+        self.chunked_sum(|v| (v as f64) * (v as f64))
     }
 
     /// L2 norm.
@@ -195,10 +206,11 @@ impl Tensor {
 
     /// Maximum absolute value.
     pub fn absmax(&self) -> f32 {
-        self.data
-            .par_iter()
-            .map(|v| v.abs())
-            .reduce(|| 0.0f32, f32::max)
+        map_chunks(self.data.len(), ELEMENT_MIN_LEN, |r| {
+            self.data[r].iter().map(|v| v.abs()).fold(0.0f32, f32::max)
+        })
+        .into_iter()
+        .fold(0.0f32, f32::max)
     }
 
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
