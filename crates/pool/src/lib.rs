@@ -330,7 +330,7 @@ fn threads_from_env(var: Result<String, VarError>) -> usize {
     value.trim().parse().unwrap_or_else(|_| panic!("QSYNC_POOL_THREADS={value:?} is not a thread count"))
 }
 
-/// A fork-join thread pool. Dropping a pool winds its workers down.
+/// A fork-join thread pool. Dropping a pool stops and joins its workers.
 pub struct Pool {
     core: Arc<PoolCore>,
 }
