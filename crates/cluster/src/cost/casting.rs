@@ -11,7 +11,6 @@
 //! can also fit models from measured `(numel, latency)` samples.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use qsync_lp_kernels::precision::Precision;
 
@@ -52,9 +51,10 @@ impl LinearCostModel {
 }
 
 /// A collection of linear casting-cost models, one per (source, target) precision pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CastingCostCalculator {
-    models: HashMap<(Precision, Precision), LinearCostModel>,
+    /// `models[from][to]`, indexed by [`Precision`] declaration order.
+    models: [[Option<LinearCostModel>; 5]; 5],
     /// Whether dequantization is fused into the GEMM epilogue (halves the fixed->float cost).
     pub dequant_fusion: bool,
 }
@@ -70,7 +70,7 @@ impl CastingCostCalculator {
     pub fn for_device_with_fusion(device: &Device, dequant_fusion: bool) -> Self {
         let bw = device.memory_bandwidth_bytes(); // bytes per second
         let launch = 4.0; // us per kernel launch
-        let mut models = HashMap::new();
+        let mut models = [[None; 5]; 5];
         let pairs: Vec<(Precision, Precision)> = {
             let ps = [Precision::Int8, Precision::Fp16, Precision::Bf16, Precision::Fp32];
             let mut v = Vec::new();
@@ -105,7 +105,7 @@ impl CastingCostCalculator {
                 }
             }
             let per_elem_ns = bytes_per_elem / bw * 1e9;
-            models.insert((from, to), LinearCostModel { base_us: base, per_elem_ns });
+            models[from as usize][to as usize] = Some(LinearCostModel { base_us: base, per_elem_ns });
         }
         CastingCostCalculator { models, dequant_fusion }
     }
@@ -119,21 +119,17 @@ impl CastingCostCalculator {
         }
         // INT4 shares the INT8 models.
         let norm = |p: Precision| if p == Precision::Int4 { Precision::Int8 } else { p };
-        let key = (norm(from), norm(to));
-        self.models
-            .get(&key)
-            .map(|m| m.predict_us(numel))
-            .unwrap_or(0.0)
+        self.model(norm(from), norm(to)).map(|m| m.predict_us(numel)).unwrap_or(0.0)
     }
 
     /// Replace the model for one precision pair with one fitted from measurements.
     pub fn set_fitted(&mut self, from: Precision, to: Precision, samples: &[(usize, f64)]) {
-        self.models.insert((from, to), LinearCostModel::fit(samples));
+        self.models[from as usize][to as usize] = Some(LinearCostModel::fit(samples));
     }
 
     /// Access the underlying model for a pair (for inspection / reporting).
     pub fn model(&self, from: Precision, to: Precision) -> Option<&LinearCostModel> {
-        self.models.get(&(from, to))
+        self.models[from as usize][to as usize].as_ref()
     }
 }
 

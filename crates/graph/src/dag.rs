@@ -5,7 +5,8 @@
 //! topological order drives both the replayer and the training engine.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::op::{OpCategory, OpKind};
 
@@ -281,6 +282,40 @@ impl DagTopology {
     /// [`ModelDag::succs`].
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
         &self.succs[id.0]
+    }
+}
+
+/// A worklist that hands nodes out in topological order, each at most once while
+/// it is queued: the order a propagation needs so that every node sees its inputs'
+/// final values.
+///
+/// It keeps its buffers between uses, so a hot loop that owns one pushes and pops
+/// without allocating. A node popped is never pushed again by its successors, since
+/// they come later in the order.
+#[derive(Debug, Clone, Default)]
+pub struct TopoWorklist {
+    heap: BinaryHeap<Reverse<usize>>,
+    queued: Vec<bool>,
+}
+
+impl TopoWorklist {
+    /// Queue `id` unless it is already queued.
+    pub fn push(&mut self, topology: &DagTopology, id: NodeId) {
+        let at = topology.position(id);
+        if self.queued.len() <= at {
+            self.queued.resize(topology.topo.len(), false);
+        }
+        if !self.queued[at] {
+            self.queued[at] = true;
+            self.heap.push(Reverse(at));
+        }
+    }
+
+    /// Take the queued node that comes first in topological order.
+    pub fn pop(&mut self, topology: &DagTopology) -> Option<NodeId> {
+        let Reverse(at) = self.heap.pop()?;
+        self.queued[at] = false;
+        Some(topology.topo[at])
     }
 }
 

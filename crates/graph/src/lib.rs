@@ -22,7 +22,7 @@ pub mod op;
 pub mod precision_dag;
 pub mod subgraph;
 
-pub use dag::{DagTopology, ModelDag, NodeId, OpNode};
+pub use dag::{DagTopology, ModelDag, NodeId, OpNode, TopoWorklist};
 pub use fingerprint::Fingerprint;
 pub use dfg::{gradient_buckets, DfgNode, DfgOp, GlobalDfg, GradientBucket, LocalDfg};
 pub use op::{OpCategory, OpKind};

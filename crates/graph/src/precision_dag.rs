@@ -9,9 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use qsync_lp_kernels::precision::Precision;
 
-use std::collections::BTreeSet;
-
-use crate::dag::{DagTopology, ModelDag, NodeId};
+use crate::dag::{DagTopology, ModelDag, NodeId, TopoWorklist};
 use crate::op::OpCategory;
 
 /// The precision assignment of one device's copy of the model.
@@ -91,7 +89,7 @@ impl PrecisionDag {
         precision: Precision,
     ) -> Vec<NodeId> {
         let mut log = Vec::new();
-        self.set_incremental_logged(dag, topology, id, precision, &mut log);
+        self.set_incremental_logged(dag, topology, id, precision, &mut log, &mut TopoWorklist::default());
         let mut changed: Vec<NodeId> = log.into_iter().map(|(n, _)| n).collect();
         changed.sort_unstable();
         changed
@@ -101,6 +99,9 @@ impl PrecisionDag {
     /// `(node, previous precision)` pair for every node that changes, so the caller can
     /// revert the whole change with [`PrecisionDag::revert`] without snapshotting the
     /// assignment. Returns the number of pairs appended.
+    ///
+    /// `work` is the caller's (empty) worklist, handed back empty: a caller that keeps
+    /// one, and reserves the log, sets without allocating.
     pub fn set_incremental_logged(
         &mut self,
         dag: &ModelDag,
@@ -108,6 +109,7 @@ impl PrecisionDag {
         id: NodeId,
         precision: Precision,
         undo: &mut Vec<(NodeId, Precision)>,
+        work: &mut TopoWorklist,
     ) -> usize {
         assert_eq!(
             dag.node(id).kind.category(),
@@ -120,13 +122,11 @@ impl PrecisionDag {
         let before = undo.len();
         undo.push((id, self.bits[id.0]));
         self.bits[id.0] = precision;
-        // Worklist of dependent nodes to re-derive, ordered by topological position so
-        // every node sees its inputs' final values.
-        let mut work: BTreeSet<(usize, NodeId)> = BTreeSet::new();
+        // Dependent nodes to re-derive, in topological order.
         for &s in topology.succs(id) {
-            work.insert((topology.position(s), s));
+            work.push(topology, s);
         }
-        while let Some((_, n)) = work.pop_first() {
+        while let Some(n) = work.pop(topology) {
             let node = dag.node(n);
             if node.kind.category() != OpCategory::PrecisionDependent {
                 // Adjustable nodes keep their assigned value; fixed nodes stay FP32.
@@ -147,7 +147,7 @@ impl PrecisionDag {
                 undo.push((n, self.bits[n.0]));
                 self.bits[n.0] = derived;
                 for &s in topology.succs(n) {
-                    work.insert((topology.position(s), s));
+                    work.push(topology, s);
                 }
             }
         }

@@ -17,14 +17,24 @@
 //! [`Allocator::plan`] is the one way in: it chooses the planning rank, skips phase 1
 //! when given a memoized [`InitialSetting`], and warm-starts phase 2 from an earlier
 //! assignment when given one. Both phases run on **one** incremental [`DeltaEvaluator`]
-//! per cold allocation, on the calling thread (phase 1 scores every brute-force
-//! combination on it and leaves it positioned at the initial assignment, phase 2
-//! continues on it): each candidate is staged as a transaction, its memory and latency
-//! effects are answered from cached per-operator deltas, and the move is committed or
-//! rolled back — no per-candidate DAG clone, plan replication or full-DFG rebuild.
-//! The non-incremental code paths are preserved as
-//! `*_reference` methods: the reference the differential suites assert the incremental
-//! paths against, plan for plan, byte for byte.
+//! per plan, on the calling thread:
+//!
+//! * Phase 1 scores a block's combinations without staging them. The evaluator
+//!   tabulates each block operator's local cost once per assignment of the operator
+//!   and the block operators its inputs derive from
+//!   ([`DeltaEvaluator::instance_costs`]), and a combination's score is a sum of table
+//!   entries. Only each block's winner is staged and committed, which leaves the
+//!   evaluator at the initial assignment.
+//! * A warm start without a memo stages the clamped warm assignment onto that same
+//!   evaluator.
+//! * Phase 2 stages each candidate as a transaction. Its memory effect comes from
+//!   cached per-operator deltas, its latency from re-walking the compute streams past
+//!   the earliest changed operator, and the move is committed or rolled back. No
+//!   candidate clones the DAG, replicates the plan or rebuilds a DFG.
+//!
+//! The non-incremental code paths are preserved as `*_reference` methods: the reference
+//! the differential suites assert the incremental paths against, plan for plan, byte
+//! for byte.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -105,7 +115,7 @@ pub struct InitialSetting {
 
 impl InitialSetting {
     /// Phase 1's product, read off the evaluator phase 1 left at its assignment.
-    fn at(eval: &DeltaEvaluator<'_>) -> Self {
+    fn at(eval: &mut DeltaEvaluator<'_>) -> Self {
         InitialSetting { pdag: eval.pdag().clone(), t_min_us: eval.iteration_us() }
     }
 }
@@ -209,18 +219,26 @@ impl<'a> Allocator<'a> {
                 let eval = DeltaEvaluator::new(sys, rank, memo.pdag.clone());
                 self.recover_cold(indicator, eval, memo.t_min_us)
             }
-            (Some(memo), Some(warm)) => self.warm_start(indicator, rank, warm, memo.t_min_us),
+            (Some(memo), Some(warm)) => {
+                let eval = DeltaEvaluator::new(sys, rank, clamp_warm(sys, rank, warm));
+                self.warm_start(indicator, eval, memo.t_min_us)
+            }
             (None, warm) => {
-                let (eval, pass) = self.initial_pass(rank, max_evals);
-                let setting = InitialSetting::at(&eval);
+                let (mut eval, pass) = self.initial_pass(rank, max_evals);
+                let setting = InitialSetting::at(&mut eval);
                 let t_min_us = setting.t_min_us;
                 initial = Some((setting, pass));
                 match warm {
                     None => self.recover_cold(indicator, eval, t_min_us),
                     Some(warm) => {
-                        // The warm start stages its own evaluator.
-                        drop(eval);
-                        self.warm_start(indicator, rank, warm, t_min_us)
+                        // Move phase 1's evaluator onto the clamped warm assignment.
+                        let candidates = sys.candidates_for(rank);
+                        eval.begin();
+                        for id in sys.dag().adjustable_ops() {
+                            eval.stage(id, clamp(&candidates, warm.get(id)));
+                        }
+                        eval.commit();
+                        self.warm_start(indicator, eval, t_min_us)
                     }
                 }
             }
@@ -247,7 +265,7 @@ impl<'a> Allocator<'a> {
     /// [`Allocator::plan`], whose [`Allocation::initial`] carries the same
     /// setting.
     pub fn initial_setting(&self, rank: usize) -> InitialSetting {
-        InitialSetting::at(&self.initial_pass(rank, None).0)
+        InitialSetting::at(&mut self.initial_pass(rank, None).0)
     }
 
     /// [`Allocator::plan`] cold from a memoized [`InitialSetting`]. Kept for
@@ -325,7 +343,6 @@ impl<'a> Allocator<'a> {
                 let budget = (slack as u128 * inst_lowest as u128 / total_lowest_bytes as u128) as u64;
                 let best = brute_force_instance(
                     &mut eval,
-                    rank,
                     instance,
                     &candidates,
                     lowest,
@@ -347,22 +364,17 @@ impl<'a> Allocator<'a> {
         (eval, report)
     }
 
-    /// Warm start: clamp `warm` to rank `rank`'s device (see
-    /// [`Allocator::plan`]), then recover under the `t_min` bound.
+    /// Warm start from the evaluator's assignment, a clamped warm one: demote
+    /// until it fits and honours the `t_min` bound, then recover under it.
     fn warm_start(
         &self,
         indicator: &dyn SensitivityIndicator,
-        rank: usize,
-        warm: &PrecisionDag,
+        mut eval: DeltaEvaluator<'a>,
         t_min: f64,
     ) -> (PrecisionPlan, AllocationReport) {
         let sys = self.system;
         let dag = sys.dag();
-        let candidates = sys.candidates_for(rank);
-        let lowest = candidates[0];
-
-        let mut eval =
-            DeltaEvaluator::new(sys, rank, clamp_warm(sys, warm, &candidates, lowest));
+        let candidates = sys.candidates_for(eval.rank());
         let mut report = AllocationReport::default();
 
         // The cheapest single demotion: smallest indicator increase (the
@@ -484,22 +496,20 @@ impl<'a> Allocator<'a> {
     }
 }
 
-/// Re-derive a warm assignment on the system's DAG, clamping operator precisions the
-/// device no longer supports down to the nearest supported candidate.
-fn clamp_warm(
-    sys: &QSyncSystem,
-    warm: &PrecisionDag,
-    candidates: &[Precision],
-    lowest: Precision,
-) -> PrecisionDag {
-    let dag = sys.dag();
-    let mut pdag = PrecisionDag::uniform(dag, lowest);
+/// The precision a device with `candidates` runs a warm operator at: `wanted`, or
+/// the nearest supported candidate below it.
+fn clamp(candidates: &[Precision], wanted: Precision) -> Precision {
+    candidates.iter().copied().rfind(|c| *c <= wanted).unwrap_or(candidates[0])
+}
+
+/// Re-derive a warm assignment on the system's DAG, clamped to rank `rank`'s device
+/// (see [`clamp`]).
+fn clamp_warm(sys: &QSyncSystem, rank: usize, warm: &PrecisionDag) -> PrecisionDag {
+    let (dag, topology) = (sys.dag(), sys.model().topology());
+    let candidates = sys.candidates_for(rank);
+    let mut pdag = PrecisionDag::uniform(dag, candidates[0]);
     for id in dag.adjustable_ops() {
-        let wanted = warm.get(id);
-        let clamped = candidates.iter().copied().rfind(|c| *c <= wanted).unwrap_or(lowest);
-        if pdag.get(id) != clamped {
-            let _ = pdag.set(dag, id, clamped);
-        }
+        pdag.set_incremental(dag, topology, id, clamp(&candidates, warm.get(id)));
     }
     pdag
 }
@@ -518,21 +528,22 @@ fn decode_combo(combo_idx: usize, n_candidates: usize, digits: &mut [usize]) {
 /// latency-minimal one whose extra memory (relative to all-lowest) fits `budget`.
 ///
 /// Per-node byte costs are tabulated once per (instance, candidate set) before the
-/// enumeration, so the feasibility check is pure arithmetic. Each feasible combination
-/// is staged on `eval` inside a transaction, scored from the evaluator's cached node
-/// costs and rolled back, so `eval` ends the scan exactly as it started. Combinations
-/// are visited in index order and only a strictly cheaper one replaces the best, so
-/// the earliest fastest combination wins.
+/// enumeration, so the feasibility check is pure arithmetic. A feasible combination
+/// is scored from the instance's per-node cost tables
+/// ([`DeltaEvaluator::instance_costs`], filled on the first scored combination):
+/// the same per-node term, summed in the same order, as staging the combination
+/// and reading the evaluator's cached node costs would give, without staging
+/// anything. `eval` ends the scan as it started. Combinations are visited in index
+/// order and only a strictly cheaper one replaces the best, so the earliest fastest
+/// combination wins.
 ///
 /// `evals_left` is the cooperative-preemption budget shared across the whole
 /// initial pass: each scored combination spends one (infeasible ones spend
 /// nothing); at zero the enumeration stops and the best combination found so far
 /// is returned (the caller commits it — the checkpoint). `report` accumulates the
 /// spend.
-#[allow(clippy::too_many_arguments)]
 fn brute_force_instance(
     eval: &mut DeltaEvaluator<'_>,
-    rank: usize,
     instance: &[NodeId],
     candidates: &[Precision],
     lowest: Precision,
@@ -559,6 +570,7 @@ fn brute_force_instance(
     };
 
     let mut digits = vec![0usize; k];
+    let mut costs = None;
     let mut best_cost = f64::INFINITY;
     let mut best_idx: Option<usize> = None;
     for combo_idx in 0..n_comb {
@@ -577,14 +589,10 @@ fn brute_force_instance(
             *left -= 1;
         }
         report.evals += 1;
-        // Local latency of the instance under this combo (op cost + casting),
-        // answered from the evaluator's cached per-node costs.
-        eval.begin();
-        for (id, &ci) in instance.iter().zip(&digits) {
-            eval.stage(*id, candidates[ci]);
-        }
-        let cost = eval.instance_cost(rank, instance);
-        eval.rollback();
+        // Local latency of the instance under this combo (op cost + casting).
+        let cost = costs
+            .get_or_insert_with(|| eval.instance_costs(instance, candidates))
+            .cost(&digits);
         if cost < best_cost {
             best_cost = cost;
             best_idx = Some(combo_idx);
@@ -768,8 +776,10 @@ impl<'a> Allocator<'a> {
         }
         let rank = inference[0];
         let candidates = sys.candidates_for(rank);
-        let lowest = candidates[0];
-        let mut pdag = clamp_warm(sys, warm, &candidates, lowest);
+        let mut pdag = PrecisionDag::uniform(dag, candidates[0]);
+        for id in dag.adjustable_ops() {
+            let _ = pdag.set(dag, id, clamp(&candidates, warm.get(id)));
+        }
 
         let cheapest_demotion = |pdag: &PrecisionDag| {
             let mut best: Option<(f64, qsync_graph::NodeId, Precision)> = None;
@@ -906,8 +916,8 @@ mod tests {
         rank: usize,
         budget: Option<u64>,
     ) -> (InitialSetting, InitialPassReport) {
-        let (eval, pass) = alloc.initial_pass(rank, budget);
-        (InitialSetting::at(&eval), pass)
+        let (mut eval, pass) = alloc.initial_pass(rank, budget);
+        (InitialSetting::at(&mut eval), pass)
     }
 
     #[test]

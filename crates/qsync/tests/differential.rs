@@ -9,9 +9,10 @@ use qsync_cluster::topology::ClusterSpec;
 use qsync_core::allocator::Allocator;
 use qsync_core::eval::DeltaEvaluator;
 use qsync_core::plan::PrecisionPlan;
+use qsync_core::replayer::CostMapper;
 use qsync_core::system::{QSyncConfig, QSyncSystem};
 use qsync_lp_kernels::precision::Precision;
-use qsync_graph::models::{small_cnn, small_mlp, vgg16bn};
+use qsync_graph::models::{bert_base, resnet50, small_cnn, small_mlp, vgg16bn};
 use qsync_graph::{ModelDag, OpKind, PrecisionDag};
 
 fn test_clusters() -> Vec<ClusterSpec> {
@@ -52,6 +53,55 @@ fn cold_allocation_is_byte_identical_on_a_branchy_model() {
     let (plan, _) = alloc.allocate(&sys.indicator());
     let (reference, _) = alloc.allocate_reference(&sys.indicator());
     assert_eq!(plan.to_json().as_bytes(), reference.to_json().as_bytes());
+}
+
+/// Residual adds (dependents with two precision-carrying inputs) and attention blocks
+/// (up to six adjustable operators per instance), at sizes the reference can afford.
+fn residual_and_attention_models() -> Vec<ModelDag> {
+    vec![resnet50(1, 32), bert_base(1, 8)]
+}
+
+#[test]
+fn cold_allocation_is_byte_identical_on_residual_and_attention_models() {
+    for dag in residual_and_attention_models() {
+        for cluster in [ClusterSpec::hybrid_small(), ClusterSpec::cluster_b(1, 2, 0.3)] {
+            let name = format!("{} on {}", dag.name, cluster.name);
+            let sys = QSyncSystem::new(dag.clone(), cluster, QSyncConfig::default());
+            let alloc = Allocator::new(&sys);
+            let (plan, report) = alloc.allocate(&sys.indicator());
+            let (reference, ref_report) = alloc.allocate_reference(&sys.indicator());
+            assert_eq!(plan.to_json(), reference.to_json(), "plans diverge: {name}");
+            assert_eq!(report.t_min_us.to_bits(), ref_report.t_min_us.to_bits(), "{name}");
+            assert_eq!(report.final_us.to_bits(), ref_report.final_us.to_bits(), "{name}");
+            assert_eq!(report.promotions_accepted, ref_report.promotions_accepted, "{name}");
+            assert_eq!(report.promotions_rejected, ref_report.promotions_rejected, "{name}");
+        }
+    }
+}
+
+#[test]
+fn warm_allocation_is_byte_identical_on_residual_and_attention_models() {
+    for dag in residual_and_attention_models() {
+        let roomy = QSyncSystem::new(dag.clone(), ClusterSpec::cluster_a(1, 1), QSyncConfig::default());
+        let (cached, _) = Allocator::new(&roomy).allocate(&roomy.indicator());
+        let warm = cached.device(roomy.cluster.inference_ranks()[0]).clone();
+        for fraction in [0.05, 0.3] {
+            let name = format!("{} at memory fraction {fraction}", dag.name);
+            let shrunk = QSyncSystem::new(
+                dag.clone(),
+                ClusterSpec::cluster_b(1, 1, fraction),
+                QSyncConfig::default(),
+            );
+            let alloc = Allocator::new(&shrunk);
+            let (plan, report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
+            let (reference, ref_report) = alloc.allocate_warm_reference(&shrunk.indicator(), &warm);
+            assert_eq!(plan.to_json(), reference.to_json(), "warm plans diverge: {name}");
+            assert_eq!(report.t_min_us.to_bits(), ref_report.t_min_us.to_bits(), "{name}");
+            assert_eq!(report.warm_demotions, ref_report.warm_demotions, "{name}");
+            assert_eq!(report.final_us.to_bits(), ref_report.final_us.to_bits(), "{name}");
+            assert_eq!(report.promotions_accepted, ref_report.promotions_accepted, "{name}");
+        }
+    }
 }
 
 #[test]
@@ -203,8 +253,91 @@ fn model_strategy() -> impl Strategy<Value = ModelDag> {
         .prop_map(|(widths, relu, residual)| random_layered_model(widths, relu, residual))
 }
 
+/// `dag` with its tagged (adjustable) nodes regrouped `span` to a block, so phase 1
+/// brute-forces multi-operator instances whose costs read each other through ReLUs
+/// and residual adds.
+fn with_blocks_of(dag: &ModelDag, span: usize) -> ModelDag {
+    let mut g = ModelDag::new(dag.name.clone(), dag.batch_size);
+    let mut tagged = 0;
+    for node in dag.nodes() {
+        let block = node.block.as_ref().map(|_| {
+            tagged += 1;
+            format!("group_{}", (tagged - 1) / span)
+        });
+        g.add_node(
+            node.name.clone(),
+            node.kind.clone(),
+            node.inputs.clone(),
+            node.output_shape.clone(),
+            node.weight_shape.clone(),
+            block,
+        );
+    }
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over random residual layered models, grouped into blocks of one to three
+    /// layers, every instance's cost tables score every combination exactly as
+    /// the brute force's per-node expression does on the staged assignment.
+    #[test]
+    fn instance_cost_tables_agree_with_staged_combinations(
+        dag in model_strategy(),
+        span in 1usize..4,
+        start in prop::sample::select(vec![Precision::Int8, Precision::Fp16, Precision::Fp32]),
+    ) {
+        let sys = QSyncSystem::new(with_blocks_of(&dag, span), ClusterSpec::hybrid_small(), QSyncConfig::default());
+        let rank = sys.cluster.inference_ranks()[0];
+        let candidates = sys.candidates_for(rank);
+        let base = PrecisionDag::uniform(sys.dag(), start);
+        let mut eval = DeltaEvaluator::new(&sys, rank, base.clone());
+        let device = &sys.cluster.devices[rank];
+        let mapper = CostMapper::new(sys.model(), sys.profile(rank), sys.casting(rank), device);
+        for group in sys.model().subgraphs() {
+            for instance in &group.instances {
+                let tables = eval.instance_costs(instance, &candidates);
+                let mut digits = vec![0usize; instance.len()];
+                for combo in 0..candidates.len().pow(instance.len() as u32) {
+                    let mut rest = combo;
+                    let mut pdag = base.clone();
+                    for (id, digit) in instance.iter().zip(digits.iter_mut()) {
+                        *digit = rest % candidates.len();
+                        rest /= candidates.len();
+                        let _ = pdag.set(sys.dag(), *id, candidates[*digit]);
+                    }
+                    let expected: f64 = instance
+                        .iter()
+                        .map(|&id| {
+                            let op = sys.profile(rank).get_or_fp32(id, pdag.get(id));
+                            op.fwd_us + op.bwd_us + mapper.forward_cast_us(&pdag, id) + mapper.backward_cast_us(&pdag, id)
+                        })
+                        .sum();
+                    prop_assert_eq!(tables.cost(&digits).to_bits(), expected.to_bits());
+                }
+            }
+        }
+        prop_assert_eq!(eval.pdag(), &base);
+    }
+
+    /// Over random residual layered models, grouped into blocks of one to three
+    /// layers, a cold plan is byte-identical to the reference allocator's.
+    #[test]
+    fn cold_plan_matches_the_reference_on_random_models(
+        dag in model_strategy(),
+        span in 1usize..4,
+    ) {
+        let sys = QSyncSystem::new(with_blocks_of(&dag, span), ClusterSpec::hybrid_small(), QSyncConfig::default());
+        let alloc = Allocator::new(&sys);
+        let (plan, report) = alloc.plan(&sys.indicator(), None, None, None).into();
+        let (reference, ref_report) = alloc.allocate_reference(&sys.indicator());
+        prop_assert_eq!(plan.to_json(), reference.to_json());
+        prop_assert_eq!(report.t_min_us.to_bits(), ref_report.t_min_us.to_bits());
+        prop_assert_eq!(report.final_us.to_bits(), ref_report.final_us.to_bits());
+        prop_assert_eq!(report.promotions_accepted, ref_report.promotions_accepted);
+        prop_assert_eq!(report.promotions_rejected, ref_report.promotions_rejected);
+    }
 
     /// Over random DAGs and random promotion/demotion sequences (with random
     /// commit/rollback decisions), the evaluator's latency answer is bit-identical to

@@ -141,8 +141,8 @@ fn full_allocation_and_warm_replan_are_byte_identical_across_pool_sizes() {
     }
 }
 
-/// The allocator scores every brute-force combination in place on one
-/// evaluator, on the calling thread: a cold plan, a budget-preempted
+/// The allocator scores every brute-force combination from one evaluator's
+/// cost tables, on the calling thread: a cold plan, a budget-preempted
 /// initial pass and a warm re-plan run no pool job and spawn no worker, even
 /// with a 2-thread pool installed — so a plan server's planner workers are
 /// its only plan-level parallelism.

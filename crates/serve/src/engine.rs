@@ -78,7 +78,7 @@ pub struct PlanEngine {
     /// `(model fingerprint, effective-cluster fingerprint)`. The initial
     /// setting depends only on the graph and the cluster shape — not on the
     /// indicator or tolerance — so every plan for the same (model, cluster)
-    /// pair can skip the exhaustive uniform-precision sweep. Value-transparent:
+    /// pair can skip phase 1's brute-force pass. Value-transparent:
     /// a memoized plan is byte-identical to a from-scratch one. Bounded by
     /// [`INITIAL_MEMO_CAP`].
     initial_memo: Mutex<HashMap<(u128, u128), InitialSetting>>,
@@ -544,8 +544,8 @@ impl PlanEngine {
     /// Returns the plan, its report and the inference assignment later warm
     /// re-plans start from (`None` without inference devices).
     ///
-    /// The brute-force initial setting (the uniform-precision sweep that
-    /// dominates cold-plan latency) is memoized per
+    /// The brute-force initial setting (phase 1: each repeating block's
+    /// precision combinations, scored from per-node cost tables) is memoized per
     /// `(model fingerprint, effective-cluster fingerprint)`: the first plan
     /// for a pair runs it and records it, every later plan — cold with a
     /// different indicator/tolerance, or a warm re-plan onto that shape —
