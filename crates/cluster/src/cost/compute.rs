@@ -81,17 +81,6 @@ impl ComputeCostModel {
             OpCost { fwd_us, bwd_us: fwd_us * bwd_factor }
         }
     }
-
-    /// Total model latency (all operators, forward + backward) at a uniform precision,
-    /// ignoring casting and communication. Used for quick sanity comparisons.
-    pub fn uniform_model_cost_us(
-        &self,
-        nodes: &[OpNode],
-        precision: Precision,
-        device: &Device,
-    ) -> f64 {
-        nodes.iter().map(|n| self.op_cost(n, precision, device).total_us()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +163,8 @@ mod tests {
         let m = ComputeCostModel::default();
         let dag = resnet50(4, 32);
         let t4 = Device::full(0, GpuModel::T4);
-        let c32 = m.uniform_model_cost_us(dag.nodes(), Precision::Fp32, &t4);
-        let c16 = m.uniform_model_cost_us(dag.nodes(), Precision::Fp16, &t4);
+        let cost = |p| dag.nodes().iter().map(|n| m.op_cost(n, p, &t4).total_us()).sum::<f64>();
+        let (c32, c16) = (cost(Precision::Fp32), cost(Precision::Fp16));
         assert!(c32 > 0.0);
         assert!(c16 < c32);
     }

@@ -91,7 +91,7 @@ impl GpuModel {
     }
 
     /// `true` for inference-class GPUs.
-    pub fn is_inference_gpu(self) -> bool {
+    fn is_inference_gpu(self) -> bool {
         matches!(self, GpuModel::T4 | GpuModel::A10)
     }
 }
@@ -187,11 +187,6 @@ impl Device {
         self.model.spec().arch.supports_tensor_op(precision)
     }
 
-    /// The fastest precision natively supported by this device.
-    pub fn fastest_precision(&self) -> Precision {
-        self.model.spec().arch.fastest_supported()
-    }
-
     /// `true` for inference-class GPUs (the ones QSync quantizes).
     pub fn is_inference(&self) -> bool {
         self.model.is_inference_gpu()
@@ -247,9 +242,6 @@ mod tests {
             v100.peak_ops_per_sec(Precision::Int8),
             v100.peak_ops_per_sec(Precision::Fp16)
         );
-        assert_eq!(v100.fastest_precision(), Precision::Fp16);
-        let t4 = Device::full(1, GpuModel::T4);
-        assert_eq!(t4.fastest_precision(), Precision::Int8);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl Profiler {
     ///
     /// Deterministic: the same triple always maps to the same factor, so the *true*
     /// latency of an operator is stable across profiling runs and ground-truth execution.
-    pub fn hardware_factor(&self, device: usize, node: NodeId, precision: Precision) -> f64 {
+    fn hardware_factor(&self, device: usize, node: NodeId, precision: Precision) -> f64 {
         let mut seed = self.hardware_seed;
         seed = seed
             .wrapping_mul(0x9E3779B97F4A7C15)

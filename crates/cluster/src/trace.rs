@@ -44,12 +44,12 @@ impl Trace {
     }
 
     /// End timestamp of the last event (the iteration makespan).
-    pub fn makespan_us(&self) -> f64 {
+    fn makespan_us(&self) -> f64 {
         self.events.iter().map(|e| e.ts_us + e.dur_us).fold(0.0, f64::max)
     }
 
     /// Total busy time of one device's stream.
-    pub fn busy_us(&self, device: usize, stream: Stream) -> f64 {
+    fn busy_us(&self, device: usize, stream: Stream) -> f64 {
         self.events
             .iter()
             .filter(|e| e.device == device && e.stream == stream)

@@ -179,29 +179,9 @@ impl ModelDag {
             .collect()
     }
 
-    /// Ids of all compute-intensive operators (linear / conv / matmul).
-    pub fn compute_ops(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind.is_compute_intensive())
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// Count nodes of a given family name (e.g. `"linear"`).
     pub fn count_family(&self, family: &str) -> usize {
         self.nodes.iter().filter(|n| n.kind.family() == family).count()
-    }
-
-    /// Sum of forward FLOPs over all operators for one iteration's forward pass.
-    pub fn total_forward_flops(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let rows = n.output_shape.first().copied().unwrap_or(1);
-                n.kind.forward_flops(n.output_numel(), rows)
-            })
-            .sum()
     }
 
     /// `true` if any operator's semantics depend on the local batch size (BatchNorm).
@@ -404,7 +384,7 @@ mod tests {
         let g = diamond();
         assert_eq!(g.count_family("linear"), 2);
         assert_eq!(g.count_family("relu"), 1);
-        assert!(g.total_forward_flops() > 0.0);
+        assert!(g.nodes().iter().map(|n| n.kind.forward_flops(n.output_numel(), 1)).sum::<f64>() > 0.0);
         assert!(!g.is_batch_size_sensitive());
     }
 

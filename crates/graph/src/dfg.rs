@@ -35,7 +35,7 @@ pub enum DfgOp {
 
 impl DfgOp {
     /// `true` for communication entries.
-    pub fn is_comm(&self) -> bool {
+    fn is_comm(&self) -> bool {
         matches!(self, DfgOp::AllReduce { .. })
     }
 }
@@ -109,17 +109,6 @@ impl LocalDfg {
     /// Total compute-stream time (everything except communication).
     pub fn compute_time_us(&self) -> f64 {
         self.entries.iter().filter(|e| !e.op.is_comm()).map(|e| e.duration_us).sum()
-    }
-
-    /// Total communication payload in bytes.
-    pub fn comm_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .filter_map(|e| match e.op {
-                DfgOp::AllReduce { bytes, .. } => Some(bytes),
-                _ => None,
-            })
-            .sum()
     }
 
     /// Number of all-reduce slots.
@@ -255,7 +244,15 @@ mod tests {
     fn comm_bytes_match_parameter_bytes() {
         let dag = small_mlp(4, 8, 16, 4);
         let dfg = LocalDfg::from_model(&dag, 0, 3);
-        assert_eq!(dfg.comm_bytes(), dag.param_count() * 4);
+        let comm_bytes: usize = dfg
+            .entries
+            .iter()
+            .filter_map(|e| match e.op {
+                DfgOp::AllReduce { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(comm_bytes, dag.param_count() * 4);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Fingerprint {
     }
 
     /// Absorb raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
             self.hi = (self.hi ^ b.rotate_left(3) as u64).wrapping_mul(FNV_PRIME);
@@ -69,7 +69,7 @@ impl Fingerprint {
     }
 
     /// Absorb a canonical encoding of a serde [`Value`] tree.
-    pub fn write_value(&mut self, value: &Value) {
+    fn write_value(&mut self, value: &Value) {
         match value {
             Value::Null => self.write_bytes(b"n"),
             Value::Bool(b) => {

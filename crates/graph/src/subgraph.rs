@@ -25,13 +25,6 @@ pub struct SubgraphGroup {
     pub instances: Vec<Vec<NodeId>>,
 }
 
-impl SubgraphGroup {
-    /// Number of adjustable operators per instance.
-    pub fn ops_per_instance(&self) -> usize {
-        self.instances.first().map(|i| i.len()).unwrap_or(0)
-    }
-}
-
 /// Decompose the model into groups of repeating blocks.
 ///
 /// Nodes without a block tag form singleton groups (one instance per node), so every
@@ -80,11 +73,6 @@ pub fn find_repeating_subgraphs(dag: &ModelDag) -> Vec<SubgraphGroup> {
         .collect()
 }
 
-/// Total number of adjustable operators covered by a decomposition (sanity check).
-pub fn covered_ops(groups: &[SubgraphGroup]) -> usize {
-    groups.iter().map(|g| g.instances.iter().map(|i| i.len()).sum::<usize>()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +82,8 @@ mod tests {
     fn every_adjustable_op_is_covered_exactly_once() {
         for dag in [small_mlp(4, 8, 16, 4), resnet50(2, 32), bert_base(2, 32)] {
             let groups = find_repeating_subgraphs(&dag);
-            assert_eq!(covered_ops(&groups), dag.adjustable_ops().len(), "model {}", dag.name);
+            let covered: usize = groups.iter().flat_map(|g| &g.instances).map(Vec::len).sum();
+            assert_eq!(covered, dag.adjustable_ops().len(), "model {}", dag.name);
         }
     }
 
@@ -117,7 +106,7 @@ mod tests {
         assert!(max_instances >= 2);
         // Instances in one group all have the same op count.
         for g in &groups {
-            let k = g.ops_per_instance();
+            let k = g.instances[0].len();
             assert!(g.instances.iter().all(|i| i.len() == k));
         }
     }
@@ -127,7 +116,7 @@ mod tests {
         let dag = bert_base(2, 32);
         let groups = find_repeating_subgraphs(&dag);
         let total_adjustable = dag.adjustable_ops().len();
-        let largest_block = groups.iter().map(|g| g.ops_per_instance()).max().unwrap();
+        let largest_block = groups.iter().map(|g| g.instances[0].len()).max().unwrap();
         // Brute-forcing inside a block must be exponentially cheaper than the whole model.
         assert!(largest_block * 4 < total_adjustable);
     }

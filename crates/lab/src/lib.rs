@@ -6,14 +6,14 @@
 //! virtual clock over in-memory connections, so a run is a pure function of
 //! its script. This crate adds the chaos layer on top:
 //!
-//! * [`fault`] — the [`FaultPlan`](fault::FaultPlan) DSL: a list of
+//! * [`fault`] — the [`FaultPlan`] DSL: a list of
 //!   virtual-time-stamped actions (connect, subscribe, send, tear a frame,
 //!   drop mid-frame, stall a reader, storm deltas, fail an accept with
 //!   EMFILE…), either hand-written or generated from a single `u64` seed.
 //!   The same seed always yields the same plan, byte for byte.
 //! * [`driver`] — executes a `FaultPlan` against a fresh
 //!   [`SimServer`](qsync_serve::SimServer), collecting every reply and a
-//!   [`RunTranscript`](driver::RunTranscript).
+//!   [`RunTranscript`].
 //! * [`oracle`] — the invariant checks run over a transcript: exactly-once
 //!   replies, cache coherence against serial re-execution, subscriber
 //!   sequence/drop accounting, drain completeness. Failures carry the seed

@@ -84,8 +84,8 @@ mod tests {
         let b = rand_mat(k * n, 8);
         let tiles = [
             TileConfig::fallback(),
-            TileConfig { threadblock: (8, 8, 8), warp: (4, 4, 4), instruction: (2, 2, 2) },
-            TileConfig { threadblock: (128, 128, 128), warp: (64, 64, 64), instruction: (8, 8, 8) },
+            TileConfig { threadblock: (8, 8, 8) },
+            TileConfig { threadblock: (128, 128, 128) },
         ];
         let base = gemm_f32(&a, &b, m, k, n, &tiles[0]);
         for t in &tiles[1..] {

@@ -34,7 +34,7 @@ pub fn gemm_i8(
 
 /// Same as [`gemm_i8`] but writes into a caller-provided buffer.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_into(
+fn gemm_i8_into(
     a: &[i8],
     b: &[i8],
     m: usize,

@@ -13,8 +13,8 @@ pub mod tiling;
 
 pub use f16::gemm_f16;
 pub use f32_kernel::gemm_f32;
-pub use i8_kernel::{gemm_i8, gemm_i8_into};
-pub use tiling::{autotune, TileConfig};
+pub use i8_kernel::gemm_i8;
+pub use tiling::TileConfig;
 
 /// Naive triple-loop reference GEMM used for correctness testing only.
 pub fn gemm_ref(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {

@@ -1,163 +1,21 @@
-//! Kernel templating: tile-shape configuration and per-architecture selection.
+//! The GEMM kernels' cache-blocking tile.
 //!
-//! LP-PyTorch templates every kernel as a combination of hardware-specific configuration
-//! (ThreadblockShape, WarpShape, InstructionShape) and kernel abstractions, and picks the
-//! composable configuration per target architecture (sm70/sm75/sm80/simt). On the CPU
-//! substrate the same knobs become cache-blocking tile sizes; the selection and autotuning
-//! logic is reproduced so the backend's "tunable access to the underlying kernels" is a
-//! real code path the benchmarks exercise.
+//! LP-PyTorch templates every kernel on a CUTLASS ThreadblockShape. On the CPU the
+//! same knob is the cache-blocking tile: the kernels block the output's rows by
+//! `threadblock.0` and the reduction dimension by `threadblock.2`. Every caller
+//! passes [`TileConfig::fallback`].
 
-use serde::{Deserialize, Serialize};
-
-use crate::precision::{Arch, Precision};
-
-/// A three-level tile shape `(M, N, K)` hierarchy mirroring CUTLASS's
-/// ThreadblockShape / WarpShape / InstructionShape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The outermost `(M, N, K)` blocking of a GEMM, CUTLASS's ThreadblockShape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileConfig {
-    /// Outermost blocking (rows, cols, depth) — the cache-blocking tile on CPU.
+    /// Blocking (rows, cols, depth). The kernels read the rows and the depth.
     pub threadblock: (usize, usize, usize),
-    /// Mid-level blocking used for the inner loop ordering.
-    pub warp: (usize, usize, usize),
-    /// Innermost micro-kernel shape.
-    pub instruction: (usize, usize, usize),
 }
 
 impl TileConfig {
-    /// A conservative configuration valid for every shape.
+    /// The `(32, 32, 32)` tile every caller uses. The rows set the pool's unit of
+    /// work; every output element is still summed over K in ascending order.
     pub fn fallback() -> Self {
-        TileConfig { threadblock: (32, 32, 32), warp: (16, 16, 16), instruction: (4, 4, 4) }
-    }
-
-    /// Alignment requirement (in elements of the operand type) implied by the
-    /// instruction shape. Tensor-core style kernels need K to be a multiple of this.
-    pub fn k_alignment(&self) -> usize {
-        self.instruction.2.max(1)
-    }
-
-    /// Candidate configurations explored by the autotuner for a given precision.
-    pub fn candidates(precision: Precision) -> Vec<TileConfig> {
-        match precision {
-            Precision::Int8 | Precision::Int4 => vec![
-                TileConfig { threadblock: (64, 64, 64), warp: (32, 32, 32), instruction: (8, 8, 16) },
-                TileConfig { threadblock: (128, 64, 64), warp: (64, 32, 32), instruction: (8, 8, 16) },
-                TileConfig { threadblock: (64, 128, 32), warp: (32, 64, 32), instruction: (8, 8, 16) },
-                TileConfig::fallback(),
-            ],
-            Precision::Fp16 | Precision::Bf16 => vec![
-                TileConfig { threadblock: (64, 64, 32), warp: (32, 32, 32), instruction: (16, 8, 8) },
-                TileConfig { threadblock: (128, 128, 32), warp: (64, 64, 32), instruction: (16, 8, 8) },
-                TileConfig::fallback(),
-            ],
-            Precision::Fp32 => vec![
-                TileConfig { threadblock: (64, 64, 32), warp: (32, 32, 16), instruction: (8, 8, 4) },
-                TileConfig { threadblock: (32, 64, 64), warp: (16, 32, 32), instruction: (8, 8, 4) },
-                TileConfig::fallback(),
-            ],
-        }
-    }
-
-    /// Default configuration for an (architecture, precision) pair.
-    ///
-    /// The table mirrors the spirit of the CUTLASS defaults: larger tiles on newer
-    /// architectures, SIMT fallback on hardware without tensor cores for that precision.
-    pub fn default_for(arch: Arch, precision: Precision) -> TileConfig {
-        if !arch.supports_tensor_op(precision) {
-            return TileConfig::fallback();
-        }
-        match (arch, precision) {
-            (Arch::Sm80, Precision::Int8) | (Arch::Sm80, Precision::Int4) => {
-                TileConfig { threadblock: (128, 64, 64), warp: (64, 32, 32), instruction: (8, 8, 16) }
-            }
-            (_, Precision::Int8) | (_, Precision::Int4) => {
-                TileConfig { threadblock: (64, 64, 64), warp: (32, 32, 32), instruction: (8, 8, 16) }
-            }
-            (Arch::Sm80, Precision::Fp16) | (Arch::Sm80, Precision::Bf16) => {
-                TileConfig { threadblock: (128, 128, 32), warp: (64, 64, 32), instruction: (16, 8, 8) }
-            }
-            (_, Precision::Fp16) | (_, Precision::Bf16) => {
-                TileConfig { threadblock: (64, 64, 32), warp: (32, 32, 32), instruction: (16, 8, 8) }
-            }
-            (_, Precision::Fp32) => {
-                TileConfig { threadblock: (64, 64, 32), warp: (32, 32, 16), instruction: (8, 8, 4) }
-            }
-        }
-    }
-
-    /// Cheap shape-based score used by [`autotune`]: prefer tiles that divide the problem
-    /// evenly (little edge waste) and whose footprint stays cache friendly.
-    fn score(&self, m: usize, n: usize, k: usize) -> f64 {
-        let (tm, tn, tk) = self.threadblock;
-        let waste = |dim: usize, tile: usize| -> f64 {
-            if dim == 0 {
-                return 0.0;
-            }
-            let tiles = dim.div_ceil(tile);
-            let padded = tiles * tile;
-            (padded - dim) as f64 / padded as f64
-        };
-        let edge_waste = waste(m, tm) + waste(n, tn) + waste(k, tk);
-        // Working-set footprint in f32 elements for one tile of A, B and C.
-        let footprint = (tm * tk + tk * tn + tm * tn) as f64;
-        // A 256 KiB L2-ish budget: penalise tiles that blow past it.
-        let budget = 64.0 * 1024.0;
-        let pressure = (footprint / budget).max(0.0);
-        edge_waste + pressure
-    }
-}
-
-/// Pick the best candidate tile for a problem shape (lower score wins).
-pub fn autotune(m: usize, n: usize, k: usize, precision: Precision) -> TileConfig {
-    let mut best = TileConfig::fallback();
-    let mut best_score = f64::INFINITY;
-    for cand in TileConfig::candidates(precision) {
-        let s = cand.score(m, n, k);
-        if s < best_score {
-            best_score = s;
-            best = cand;
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fallback_is_always_a_candidate() {
-        for p in Precision::LADDER {
-            assert!(TileConfig::candidates(p).contains(&TileConfig::fallback()));
-        }
-    }
-
-    #[test]
-    fn unsupported_precision_falls_back_to_simt_tile() {
-        assert_eq!(TileConfig::default_for(Arch::Sm70, Precision::Int8), TileConfig::fallback());
-        assert_eq!(TileConfig::default_for(Arch::Simt, Precision::Fp16), TileConfig::fallback());
-    }
-
-    #[test]
-    fn ampere_gets_larger_tiles_than_turing() {
-        let t4 = TileConfig::default_for(Arch::Sm75, Precision::Int8);
-        let a10 = TileConfig::default_for(Arch::Sm80, Precision::Int8);
-        assert!(a10.threadblock.0 >= t4.threadblock.0);
-    }
-
-    #[test]
-    fn autotune_prefers_evenly_dividing_tiles() {
-        // A 64x64x64 problem should pick a tile with 64-divisible block dims.
-        let t = autotune(64, 64, 64, Precision::Int8);
-        assert_eq!(64 % t.threadblock.0.min(64), 0);
-        // A tiny problem should not pick the biggest tile.
-        let tiny = autotune(8, 8, 8, Precision::Fp16);
-        assert!(tiny.threadblock.0 <= 64);
-    }
-
-    #[test]
-    fn k_alignment_reflects_instruction_shape() {
-        let t = TileConfig::default_for(Arch::Sm75, Precision::Int8);
-        assert_eq!(t.k_alignment(), 16);
-        assert_eq!(TileConfig::fallback().k_alignment(), 4);
+        TileConfig { threadblock: (32, 32, 32) }
     }
 }

@@ -7,65 +7,11 @@
 
 use rand::Rng;
 
-/// A software IEEE-754 binary16 value stored as its bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct F16(pub u16);
-
-/// A software bfloat16 value stored as its bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Bf16(pub u16);
-
-impl F16 {
-    /// Positive infinity bit pattern.
-    pub const INFINITY: F16 = F16(0x7C00);
-    /// Negative infinity bit pattern.
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
-    /// Largest finite value representable in binary16 (65504).
-    pub const MAX: f32 = 65504.0;
-
-    /// Convert from `f32` using round-to-nearest-even.
-    pub fn from_f32(v: f32) -> F16 {
-        F16(f32_to_f16_bits(v))
-    }
-
-    /// Convert back to `f32` (exact).
-    pub fn to_f32(self) -> f32 {
-        f16_bits_to_f32(self.0)
-    }
-
-    /// `true` if the value is a NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
-
-    /// `true` if the value is an infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-}
-
-impl Bf16 {
-    /// Convert from `f32` using round-to-nearest-even on the low 16 bits.
-    pub fn from_f32(v: f32) -> Bf16 {
-        let bits = v.to_bits();
-        // Round to nearest even: add 0x7FFF + lsb of the kept part.
-        let lsb = (bits >> 16) & 1;
-        let rounded = bits.wrapping_add(0x7FFF + lsb);
-        let mut hi = (rounded >> 16) as u16;
-        if v.is_nan() {
-            hi = ((bits >> 16) as u16) | 0x0040; // keep a quiet NaN
-        }
-        Bf16(hi)
-    }
-
-    /// Convert back to `f32` (exact).
-    pub fn to_f32(self) -> f32 {
-        f32::from_bits((self.0 as u32) << 16)
-    }
-}
+/// Largest finite value representable in binary16.
+const F16_MAX: f32 = 65504.0;
 
 /// Convert an `f32` to binary16 bits with round-to-nearest-even.
-pub fn f32_to_f16_bits(value: f32) -> u16 {
+fn f32_to_f16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xFF) as i32;
@@ -123,7 +69,7 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 }
 
 /// Convert binary16 bits back to `f32` (exact).
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1F) as u32;
     let mant = (h & 0x03FF) as u32;
@@ -151,10 +97,17 @@ pub fn round_to_f16(v: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(v))
 }
 
-/// Round an `f32` onto the bfloat16 grid and return it as `f32`.
+/// Round an `f32` onto the bfloat16 grid (round-to-nearest-even on the low 16 bits)
+/// and return it as `f32`.
 #[inline]
 pub fn round_to_bf16(v: f32) -> f32 {
-    Bf16::from_f32(v).to_f32()
+    let bits = v.to_bits();
+    if v.is_nan() {
+        return f32::from_bits((bits | 0x0040_0000) & 0xFFFF_0000); // keep a quiet NaN
+    }
+    // Round to nearest even: add 0x7FFF + lsb of the kept part.
+    let lsb = (bits >> 16) & 1;
+    f32::from_bits(bits.wrapping_add(0x7FFF + lsb) & 0xFFFF_0000)
 }
 
 /// Stochastically round an `f32` onto the binary16 grid.
@@ -166,7 +119,7 @@ pub fn stochastic_round_to_f16<R: Rng + ?Sized>(v: f32, rng: &mut R) -> f32 {
     if !v.is_finite() {
         return round_to_f16(v);
     }
-    if v.abs() > F16::MAX {
+    if v.abs() > F16_MAX {
         return round_to_f16(v);
     }
     let down = f16_floor(v);
@@ -254,9 +207,9 @@ mod tests {
 
     #[test]
     fn overflow_saturates_to_infinity() {
-        assert!(F16::from_f32(1e6).is_infinite());
-        assert!(F16::from_f32(-1e6).is_infinite());
-        assert!(F16::from_f32(f32::NAN).is_nan());
+        assert_eq!(round_to_f16(1e6), f32::INFINITY);
+        assert_eq!(round_to_f16(-1e6), f32::NEG_INFINITY);
+        assert!(round_to_f16(f32::NAN).is_nan());
     }
 
     #[test]
@@ -275,7 +228,7 @@ mod tests {
         let v = std::f32::consts::PI;
         let r = round_to_bf16(v);
         assert!(((r - v) / v).abs() < 1e-2);
-        assert!(Bf16::from_f32(f32::NAN).to_f32().is_nan());
+        assert!(round_to_bf16(f32::NAN).is_nan());
     }
 
     #[test]

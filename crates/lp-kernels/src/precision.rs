@@ -3,8 +3,7 @@
 //! The paper selects, per operator and per device, one of three representative
 //! precisions: `INT8`, `FP16` and `FP32`. We additionally model `BF16` (used by
 //! automated mixed precision on Ampere-class devices) and `INT4` (mentioned as a
-//! limitation of existing frameworks) so that the allocator's "next higher
-//! precision" ladder is well defined at both ends.
+//! limitation of existing frameworks); both appear on the wire and in snapshots.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -58,12 +57,12 @@ impl Precision {
     }
 
     /// `true` for floating-point formats.
-    pub fn is_floating_point(self) -> bool {
+    fn is_floating_point(self) -> bool {
         !self.is_fixed_point()
     }
 
     /// Number of explicit mantissa bits for floating-point formats, `None` for fixed point.
-    pub fn mantissa_bits(self) -> Option<u32> {
+    fn mantissa_bits(self) -> Option<u32> {
         match self {
             Precision::Fp16 => Some(10),
             Precision::Bf16 => Some(7),
@@ -76,38 +75,13 @@ impl Precision {
     ///
     /// Proposition 2 uses `k = 9` for float16 (10 mantissa bits, stochastic rounding on
     /// the unit-in-last-place interval). We follow the same convention: `k = mantissa - 1`.
-    pub fn effective_k(self) -> Option<u32> {
+    fn effective_k(self) -> Option<u32> {
         self.mantissa_bits().map(|m| m.saturating_sub(1))
     }
 
     /// `epsilon = 2^-k` used in the floating-point quantization variance bound.
     pub fn epsilon(self) -> Option<f64> {
         self.effective_k().map(|k| 2f64.powi(-(k as i32)))
-    }
-
-    /// The next precision up the ladder (`ADD(b)` in the paper's allocator), if any.
-    ///
-    /// The allocator in the paper uses the three candidates INT8 -> FP16 -> FP32; we keep
-    /// the same ladder by default and expose the finer-grained one via [`Precision::LADDER`].
-    pub fn next_higher(self) -> Option<Precision> {
-        match self {
-            Precision::Int4 => Some(Precision::Int8),
-            Precision::Int8 => Some(Precision::Fp16),
-            Precision::Fp16 => Some(Precision::Fp32),
-            Precision::Bf16 => Some(Precision::Fp32),
-            Precision::Fp32 => None,
-        }
-    }
-
-    /// The next precision down the ladder, if any (used by uniform-precision baselines).
-    pub fn next_lower(self) -> Option<Precision> {
-        match self {
-            Precision::Fp32 => Some(Precision::Fp16),
-            Precision::Bf16 => Some(Precision::Fp16),
-            Precision::Fp16 => Some(Precision::Int8),
-            Precision::Int8 => Some(Precision::Int4),
-            Precision::Int4 => None,
-        }
     }
 
     /// Promotion rule for binary CUDA ops ("promote the widest input type", footnote 1).
@@ -123,18 +97,6 @@ impl Precision {
             self
         } else {
             other
-        }
-    }
-
-    /// Relative compute throughput factor w.r.t. FP32 on tensor-core class hardware.
-    ///
-    /// Mirrors Table I: halving the precision roughly doubles the peak OPS.
-    pub fn speedup_factor(self) -> f64 {
-        match self {
-            Precision::Fp32 => 1.0,
-            Precision::Fp16 | Precision::Bf16 => 2.0,
-            Precision::Int8 => 4.0,
-            Precision::Int4 => 8.0,
         }
     }
 }
@@ -177,16 +139,6 @@ impl Arch {
             Arch::Simt => matches!(p, Precision::Fp32),
         }
     }
-
-    /// The fastest precision with hardware support on this architecture.
-    pub fn fastest_supported(self) -> Precision {
-        for p in Precision::LADDER {
-            if self.supports_tensor_op(p) {
-                return p;
-            }
-        }
-        Precision::Fp32
-    }
 }
 
 impl fmt::Display for Arch {
@@ -224,30 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn next_higher_terminates_at_fp32() {
-        let mut p = Precision::Int4;
-        let mut steps = 0;
-        while let Some(n) = p.next_higher() {
-            p = n;
-            steps += 1;
-            assert!(steps < 10);
-        }
-        assert_eq!(p, Precision::Fp32);
-    }
-
-    #[test]
-    fn next_lower_terminates_at_int4() {
-        let mut p = Precision::Fp32;
-        let mut steps = 0;
-        while let Some(n) = p.next_lower() {
-            p = n;
-            steps += 1;
-            assert!(steps < 10);
-        }
-        assert_eq!(p, Precision::Int4);
-    }
-
-    #[test]
     fn promotion_prefers_floating_point_and_width() {
         assert_eq!(Precision::Int8.promote(Precision::Fp16), Precision::Fp16);
         assert_eq!(Precision::Fp16.promote(Precision::Fp32), Precision::Fp32);
@@ -271,16 +199,7 @@ mod tests {
         assert!(Arch::Sm70.supports_tensor_op(Precision::Fp16));
         assert!(Arch::Sm75.supports_tensor_op(Precision::Int8));
         assert!(Arch::Sm80.supports_tensor_op(Precision::Int4));
-        assert_eq!(Arch::Simt.fastest_supported(), Precision::Fp32);
-        assert_eq!(Arch::Sm75.fastest_supported(), Precision::Int8);
-        assert_eq!(Arch::Sm70.fastest_supported(), Precision::Fp16);
-    }
-
-    #[test]
-    fn speedup_doubles_per_halving() {
-        assert_eq!(Precision::Fp32.speedup_factor(), 1.0);
-        assert_eq!(Precision::Fp16.speedup_factor(), 2.0);
-        assert_eq!(Precision::Int8.speedup_factor(), 4.0);
+        assert!(!Arch::Simt.supports_tensor_op(Precision::Fp16));
     }
 
     #[test]

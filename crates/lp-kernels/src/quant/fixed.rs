@@ -41,18 +41,8 @@ impl FixedQuantizer {
         }
     }
 
-    /// A symmetric per-channel INT8 quantizer (the paper default for weights).
-    pub fn int8_per_channel(axis: usize) -> Self {
-        FixedQuantizer {
-            precision: Precision::Int8,
-            symmetric: true,
-            rounding: RoundingMode::Stochastic,
-            scheme: QuantScheme::PerChannel { axis },
-        }
-    }
-
     /// Largest representable magnitude for the target fixed-point format.
-    pub fn qmax(&self) -> f32 {
+    fn qmax(&self) -> f32 {
         match self.precision {
             Precision::Int8 => 127.0,
             Precision::Int4 => 7.0,
@@ -239,7 +229,10 @@ mod tests {
 
     #[test]
     fn per_channel_uses_independent_scales() {
-        let q = FixedQuantizer::int8_per_channel(0);
+        let q = FixedQuantizer {
+            scheme: QuantScheme::PerChannel { axis: 0 },
+            ..FixedQuantizer::int8_per_tensor()
+        };
         // Channel 0 is tiny, channel 1 is huge: per-channel keeps both accurate.
         let mut data = vec![0.01f32; 8];
         data.extend(vec![100.0f32; 8]);

@@ -4,7 +4,8 @@
 //! The paper models a low-precision float as `x = s * 2^e * (1 + m)` where the exponent
 //! bits are kept (truncated to the target format's range) and stochastic rounding is
 //! applied to the mantissa; Proposition 2 then gives the tensor quantization variance
-//! `Var[x_hat] = 2^(2e) * eps^2 * D / 6` with `eps = 2^-k`.
+//! `Var[x_hat] = 2^(2e) * eps^2 * D / 6` with `eps = 2^-k`, which the indicator in
+//! `qsync-core` evaluates from [`effective_exponent`].
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -30,13 +31,8 @@ impl FloatQuantizer {
         FloatQuantizer { precision: Precision::Fp16, rounding: RoundingMode::Stochastic }
     }
 
-    /// A BF16 quantizer with round-to-nearest (the AMP default).
-    pub fn bf16_nearest() -> Self {
-        FloatQuantizer { precision: Precision::Bf16, rounding: RoundingMode::Nearest }
-    }
-
     /// Quantize a single value onto the target grid.
-    pub fn quantize_scalar<R: Rng + ?Sized>(&self, v: f32, rng: &mut R) -> f32 {
+    fn quantize_scalar<R: Rng + ?Sized>(&self, v: f32, rng: &mut R) -> f32 {
         match (self.precision, self.rounding) {
             (Precision::Fp16, RoundingMode::Stochastic) => stochastic_round_to_f16(v, rng),
             (Precision::Fp16, _) => round_to_f16(v),
@@ -49,13 +45,6 @@ impl FloatQuantizer {
     /// Quantize a slice, returning values that lie on the target grid (still stored as f32).
     pub fn quantize<R: Rng + ?Sized>(&self, data: &[f32], rng: &mut R) -> Vec<f32> {
         data.iter().map(|&v| self.quantize_scalar(v, rng)).collect()
-    }
-
-    /// Quantize in place.
-    pub fn quantize_in_place<R: Rng + ?Sized>(&self, data: &mut [f32], rng: &mut R) {
-        for v in data.iter_mut() {
-            *v = self.quantize_scalar(*v, rng);
-        }
     }
 
     /// Quantize with a deterministic internal RNG derived from `seed`.
@@ -81,18 +70,6 @@ pub fn effective_exponent(data: &[f32], target: Precision) -> f64 {
         Precision::Bf16 => e.clamp(-126.0, 127.0),
         _ => e,
     }
-}
-
-/// Theoretical floating-point tensor quantization variance (Proposition 2):
-/// `2^(2e) * eps^2 * D / 6`.
-pub fn float_quant_variance(effective_exp: f64, precision: Precision, dims: usize) -> f64 {
-    let eps = precision.epsilon().unwrap_or(0.0);
-    2f64.powf(2.0 * effective_exp) * eps * eps * dims as f64 / 6.0
-}
-
-/// Theoretical fixed-point tensor quantization variance (Proposition 2): `q^2 * D / 6`.
-pub fn fixed_quant_variance(scale: f64, dims: usize) -> f64 {
-    scale * scale * dims as f64 / 6.0
 }
 
 #[cfg(test)]
@@ -131,7 +108,8 @@ mod tests {
     fn bf16_quantization_coarser_than_fp16() {
         let data: Vec<f32> = (0..512).map(|i| ((i as f32) * 0.71).sin() * 2.0).collect();
         let f16_out = FloatQuantizer::fp16().quantize_seeded(&data, 3);
-        let bf16_out = FloatQuantizer::bf16_nearest().quantize_seeded(&data, 3);
+        let bf16 = FloatQuantizer { precision: Precision::Bf16, rounding: RoundingMode::Nearest };
+        let bf16_out = bf16.quantize_seeded(&data, 3);
         let err = |out: &[f32]| -> f64 {
             out.iter().zip(&data).map(|(a, b)| ((a - b) as f64).powi(2)).sum::<f64>()
         };
@@ -147,43 +125,6 @@ mod tests {
         assert!(el > es);
         assert!((el - (250f64).log2()).abs() < 1e-6);
         assert_eq!(effective_exponent(&[0.0, 0.0], Precision::Fp16), 0.0);
-    }
-
-    #[test]
-    fn variance_formulas_scale_correctly() {
-        let v1 = float_quant_variance(0.0, Precision::Fp16, 100);
-        let v2 = float_quant_variance(1.0, Precision::Fp16, 100);
-        assert!((v2 / v1 - 4.0).abs() < 1e-9, "variance should scale with 2^(2e)");
-        let f1 = fixed_quant_variance(0.1, 100);
-        let f2 = fixed_quant_variance(0.2, 100);
-        assert!((f2 / f1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empirical_fp16_variance_matches_proposition_two_within_factor() {
-        // Draw values of a fixed magnitude scale, quantize stochastically and compare the
-        // empirical variance of the error against the analytical bound.
-        let mut rng = ChaCha8Rng::seed_from_u64(1234);
-        let d = 2000usize;
-        let data: Vec<f32> = (0..d).map(|_| 1.0 + rng.gen::<f32>()).collect(); // in [1, 2)
-        let q = FloatQuantizer::fp16();
-        let mut err_sq = 0.0f64;
-        let trials = 50;
-        for t in 0..trials {
-            let out = q.quantize_seeded(&data, t as u64);
-            err_sq += out
-                .iter()
-                .zip(&data)
-                .map(|(a, b)| ((a - b) as f64).powi(2))
-                .sum::<f64>();
-        }
-        let empirical = err_sq / trials as f64;
-        let e = effective_exponent(&data, Precision::Fp16);
-        let analytical = float_quant_variance(e, Precision::Fp16, d);
-        // The analytical expression is a bound based on the max exponent; the empirical
-        // variance should be the same order of magnitude and not exceed ~2x the bound.
-        assert!(empirical <= analytical * 2.0, "empirical={empirical}, bound={analytical}");
-        assert!(empirical >= analytical * 0.05, "empirical={empirical}, bound={analytical}");
     }
 
     #[test]

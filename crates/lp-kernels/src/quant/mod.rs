@@ -58,14 +58,6 @@ impl QuantParams {
         assert_eq!(self.scales.len(), 1, "scalar_scale() called on per-channel params");
         self.scales[0]
     }
-
-    /// Representative scale used by the variance indicator (mean of channel scales).
-    pub fn representative_scale(&self) -> f64 {
-        if self.scales.is_empty() {
-            return 0.0;
-        }
-        self.scales.iter().map(|&s| s as f64).sum::<f64>() / self.scales.len() as f64
-    }
 }
 
 /// A quantized tensor: fixed-point payload plus the parameters needed to dequantize it.
@@ -129,17 +121,6 @@ mod tests {
             ..qt.clone()
         };
         assert_eq!(qt4.payload_bytes(), 6);
-    }
-
-    #[test]
-    fn representative_scale_is_mean() {
-        let p = QuantParams {
-            scales: vec![0.1, 0.3],
-            zero_points: vec![0.0, 0.0],
-            scheme: QuantScheme::PerChannel { axis: 0 },
-            precision: Precision::Int8,
-        };
-        assert!((p.representative_scale() - 0.2).abs() < 1e-6);
     }
 
     #[test]

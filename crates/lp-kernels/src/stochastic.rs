@@ -3,7 +3,8 @@
 //! The paper uses stochastic rounding (SR) as the unbiased rounding rule for both
 //! fixed-point and floating-point quantization (Section IV-A). SR rounds a real value to
 //! one of its two nearest representable neighbours with probability proportional to the
-//! residual, which makes the quantizer unbiased: `E[SR(x)] = x`.
+//! residual, which makes the quantizer unbiased: `E[SR(x)] = x`. Proposition 2's
+//! variance of that rounding lives with the indicator that uses it (`qsync-core`).
 //!
 //! The paper's discussion section also notes that *flooring* can sometimes recover
 //! training quality; we expose a [`RoundingMode`] switch so the ablation bench can
@@ -42,43 +43,6 @@ pub fn round_scalar<R: Rng + ?Sized>(x: f32, mode: RoundingMode, rng: &mut R) ->
             }
         }
     }
-}
-
-/// Round a slice of scaled values in place.
-pub fn round_slice<R: Rng + ?Sized>(xs: &mut [f32], mode: RoundingMode, rng: &mut R) {
-    match mode {
-        RoundingMode::Nearest => {
-            for x in xs.iter_mut() {
-                *x = x.round();
-            }
-        }
-        RoundingMode::Floor => {
-            for x in xs.iter_mut() {
-                *x = x.floor();
-            }
-        }
-        RoundingMode::Stochastic => {
-            for x in xs.iter_mut() {
-                let floor = x.floor();
-                let frac = *x - floor;
-                *x = if rng.gen::<f32>() < frac { floor + 1.0 } else { floor };
-            }
-        }
-    }
-}
-
-/// Theoretical variance of stochastically rounding a value whose residual is uniform.
-///
-/// Proposition 2 of the paper: for a residual `sigma ~ Uniform(0, 1)` the per-element
-/// rounding variance is `1/6`; scaling by the quantization step `q` gives `q^2/6`, and
-/// summing over `D` elements gives `q^2 D / 6`.
-pub fn sr_variance_per_element() -> f64 {
-    1.0 / 6.0
-}
-
-/// Variance bound for stochastically rounding a `D`-element tensor with step `q`.
-pub fn sr_tensor_variance(q: f64, dims: usize) -> f64 {
-    q * q * dims as f64 * sr_variance_per_element()
 }
 
 #[cfg(test)]
@@ -122,14 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_rounding_matches_scalar_rounding_for_deterministic_modes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut xs = vec![0.2, 1.5, -1.5, 2.9, -0.1];
-        round_slice(&mut xs, RoundingMode::Floor, &mut rng);
-        assert_eq!(xs, vec![0.0, 1.0, -2.0, 2.0, -1.0]);
-    }
-
-    #[test]
     fn integers_are_fixed_points_of_all_modes() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for mode in [RoundingMode::Stochastic, RoundingMode::Nearest, RoundingMode::Floor] {
@@ -158,14 +114,5 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!((var - 1.0 / 6.0).abs() < 0.01, "var={var}");
         assert!(mean.abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn sr_tensor_variance_scales_with_q_squared_and_dims() {
-        let v1 = sr_tensor_variance(0.5, 100);
-        let v2 = sr_tensor_variance(1.0, 100);
-        let v3 = sr_tensor_variance(0.5, 200);
-        assert!((v2 / v1 - 4.0).abs() < 1e-12);
-        assert!((v3 / v1 - 2.0).abs() < 1e-12);
     }
 }

@@ -4,13 +4,12 @@ use proptest::prelude::*;
 
 use qsync_lp_kernels::gemm::{gemm_f16, gemm_f32, gemm_i8, gemm_ref, TileConfig};
 use qsync_lp_kernels::half::{round_to_f16, stochastic_round_to_f16};
-use qsync_lp_kernels::precision::{Arch, Precision};
+use qsync_lp_kernels::precision::Precision;
 use qsync_lp_kernels::quant::dequant::dequantize_i32_accumulator;
 use qsync_lp_kernels::quant::fixed::dequantize;
 use qsync_lp_kernels::quant::minmax::{minmax_optimized, minmax_vanilla};
 use qsync_lp_kernels::quant::FixedQuantizer;
 use qsync_lp_kernels::stochastic::{round_scalar, RoundingMode};
-use qsync_lp_kernels::wrapper::{check_gemm_launch, LaunchDecision};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -124,23 +123,6 @@ proptest! {
         let scaled = dequantize_i32_accumulator(&acc, 1, n, scale, &[1.0], None);
         for (b, s) in base.iter().zip(scaled.iter()) {
             prop_assert!((b * scale - s).abs() <= (b * scale).abs() * 1e-6 + 1e-6);
-        }
-    }
-
-    /// The security wrapper either launches directly, pads K upward, or falls back —
-    /// and padding always produces a K multiple of the tile's alignment.
-    #[test]
-    fn wrapper_decisions_are_consistent(m in 1usize..64, k in 1usize..200, n in 1usize..64) {
-        let tile = TileConfig::default_for(Arch::Sm75, Precision::Int8);
-        let d = check_gemm_launch(m, k, n, m * k, k * n, Precision::Int8, Arch::Sm75, &tile).unwrap();
-        match d {
-            LaunchDecision::Direct => prop_assert_eq!(k % tile.k_alignment(), 0),
-            LaunchDecision::PadK { padded_k } => {
-                prop_assert!(padded_k > k);
-                prop_assert_eq!(padded_k % tile.k_alignment(), 0);
-                prop_assert!(padded_k - k < tile.k_alignment());
-            }
-            LaunchDecision::FallbackFp32 => prop_assert!(false, "sm75 supports int8"),
         }
     }
 }

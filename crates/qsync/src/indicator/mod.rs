@@ -13,6 +13,7 @@
 //! Table II: the HAWQ-style Hessian indicator (weight-curvature only) and the random
 //! indicator.
 
+mod prop2;
 pub mod stats;
 pub mod trace;
 
@@ -25,6 +26,8 @@ use rand_chacha::ChaCha8Rng;
 
 use qsync_lp_kernels::precision::Precision;
 use qsync_graph::{ModelDag, NodeId};
+
+use prop2::Term;
 
 /// A per-operator, per-precision sensitivity score: larger = more accuracy damage.
 pub trait SensitivityIndicator {
@@ -61,16 +64,16 @@ impl VarianceIndicator {
             // (‖x‖² q_v² D_v + ‖v‖² q_x² D_x) / 6
             let qv = s.activation.int8_scale;
             let qx = s.weight.int8_scale;
-            (s.weight.sq_norm * qv * qv * dv + s.activation.sq_norm * qx * qx * dx) / 6.0
+            prop2::variance(1.0, &[Term::fixed(s.weight.sq_norm, qv, dv), Term::fixed(s.activation.sq_norm, qx, dx)])
         } else {
             // ε² (‖x‖² 2^{2e_v} D_v + ‖v‖² 2^{2e_x} D_x) / 6
             let eps = precision.epsilon().unwrap_or(0.0);
             let ev = s.activation.effective_exp_fp16;
             let ex = s.weight.effective_exp_fp16;
-            eps * eps
-                * (s.weight.sq_norm * 2f64.powf(2.0 * ev) * dv
-                    + s.activation.sq_norm * 2f64.powf(2.0 * ex) * dx)
-                / 6.0
+            prop2::variance(
+                eps * eps,
+                &[Term::float(s.weight.sq_norm, ev, dv), Term::float(s.activation.sq_norm, ex, dx)],
+            )
         }
     }
 
@@ -84,17 +87,22 @@ impl VarianceIndicator {
             // (‖∇v‖² q_v² D_v + ‖v‖² 2^{2e_∇v} ε² D_∇v) / 6
             let qv = s.activation.int8_scale;
             let egrad = s.grad_output.effective_exp_fp16;
-            (s.grad_output.sq_norm * qv * qv * dv
-                + s.activation.sq_norm * 2f64.powf(2.0 * egrad) * eps16 * eps16 * dgrad)
-                / 6.0
+            prop2::variance(
+                1.0,
+                &[
+                    Term::fixed(s.grad_output.sq_norm, qv, dv),
+                    Term::float_with_eps(s.activation.sq_norm, egrad, eps16, dgrad),
+                ],
+            )
         } else {
+            // ε² (‖∇v‖² 2^{2e_v} D_v + ‖v‖² 2^{2e_∇v} D_∇v) / 6
             let eps = precision.epsilon().unwrap_or(0.0);
             let ev = s.activation.effective_exp_fp16;
             let egrad = s.grad_output.effective_exp_fp16;
-            eps * eps
-                * (s.grad_output.sq_norm * 2f64.powf(2.0 * ev) * dv
-                    + s.activation.sq_norm * 2f64.powf(2.0 * egrad) * dgrad)
-                / 6.0
+            prop2::variance(
+                eps * eps,
+                &[Term::float(s.grad_output.sq_norm, ev, dv), Term::float(s.activation.sq_norm, egrad, dgrad)],
+            )
         }
     }
 }
@@ -139,10 +147,11 @@ impl SensitivityIndicator for HessianIndicator {
         let top_eig = s.weight.sq_norm / params;
         // Quantization error of the weight at this precision (Proposition 2, weight only).
         let err = if precision.is_fixed_point() {
-            s.weight.int8_scale * s.weight.int8_scale * params / 6.0
+            prop2::variance(1.0, &[Term::fixed(1.0, s.weight.int8_scale, params)])
         } else {
+            // ε² rides in the weight: (ε² 2^{2e} D) / 6 is multiplied in that order.
             let eps = precision.epsilon().unwrap_or(0.0);
-            eps * eps * 2f64.powf(2.0 * s.weight.effective_exp_fp16) * params / 6.0
+            prop2::variance(1.0, &[Term::float(eps * eps, s.weight.effective_exp_fp16, params)])
         };
         top_eig / params * err
     }

@@ -10,7 +10,7 @@
 //! * [`dp`] — synchronous data-parallel training with per-worker precision
 //!   configurations and a real gradient all-reduce.
 //! * [`metrics`] — top-1 accuracy and macro F1.
-//! * [`accuracy`] — the calibrated accuracy-response model mapping a precision plan's
+//! * [`mod@accuracy`] — the calibrated accuracy-response model mapping a precision plan's
 //!   gradient-variance increment to a final accuracy for the paper-scale tasks.
 
 #![warn(missing_docs)]
