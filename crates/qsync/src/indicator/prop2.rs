@@ -30,13 +30,13 @@ impl Term {
     /// A floating-point tensor at effective exponent `e` whose `ε²` is applied outside
     /// the term, by [`variance`]'s `eps_sq` or inside `weight`: `weight·2^{2e}·numel`.
     pub(crate) fn float(weight: f64, e: f64, numel: f64) -> Self {
-        Term { weight, step_sq: (2f64.powf(2.0 * e), 1.0), numel }
+        Term { weight, step_sq: ((2.0 * e).exp2(), 1.0), numel }
     }
 
     /// A floating-point tensor at effective exponent `e` that carries its own `ε`:
     /// `weight·2^{2e}·ε·ε·numel`.
     pub(crate) fn float_with_eps(weight: f64, e: f64, eps: f64, numel: f64) -> Self {
-        Term { weight: weight * 2f64.powf(2.0 * e), step_sq: (eps, eps), numel }
+        Term { weight: weight * (2.0 * e).exp2(), step_sq: (eps, eps), numel }
     }
 }
 

@@ -43,7 +43,7 @@ const PINNED: [(&str, &str, &str); 14] = [
     ("resnet50", "hessian", "e61a60f8fc2c52b8c2ebe419d117e495"),
     ("vgg16", "qsync", "ccca59c745ad0958771aa77e7f5e28e9"),
     ("vgg16", "hessian", "c2952d3cd13fe8484c64b464d81c583d"),
-    ("vgg16bn", "qsync", "4f2c416f1c735349fb9986084fb53f52"),
+    ("vgg16bn", "qsync", "87aafe9b94af323127cad77571fc3017"),
     ("vgg16bn", "hessian", "2128edb2498e24c854adeee530782195"),
     ("bert", "qsync", "04b4a810d00cc683f7418e7071036bcd"),
     ("bert", "hessian", "b30217dcdae538a4dbd13f9f76105175"),
