@@ -145,8 +145,7 @@ pub enum ServerCommand {
         id: u64,
     },
     /// Write a plan-store snapshot (v1 admin): persist the current plan
-    /// cache and initial-setting memo table atomically to disk in the
-    /// qsync-store format. Answered with [`ServerReply::Snapshotted`].
+    /// cache atomically to disk in the qsync-store format. Answered with [`ServerReply::Snapshotted`].
     Snapshot {
         /// Caller-chosen id echoed in the reply.
         id: u64,
@@ -154,8 +153,8 @@ pub enum ServerCommand {
         /// path (a fault if the server has none).
         path: Option<String>,
     },
-    /// Load a plan-store snapshot (v1 admin): verify and warm the cache and
-    /// memo table from a snapshot file. A snapshot that fails verification
+    /// Load a plan-store snapshot (v1 admin): verify and warm the plan cache
+    /// from a snapshot file. A snapshot that fails verification
     /// (checksum, truncation, wrong magic) changes nothing and faults; a
     /// verified one is merged entry-by-entry, skipping records this server
     /// does not understand. Answered with [`ServerReply::Loaded`].
@@ -441,7 +440,7 @@ pub enum ServerReply {
         id: u64,
         /// The file the snapshot was written to.
         path: String,
-        /// Records written (plan entries + memo entries).
+        /// Records written (one per plan entry).
         entries: u64,
         /// Total snapshot size in bytes.
         bytes: u64,
@@ -454,10 +453,12 @@ pub enum ServerReply {
         path: String,
         /// Plan entries adopted into the cache.
         plans: u64,
-        /// Initial-setting memo entries adopted.
+        /// Always 0: servers no longer keep an initial-setting memo. Kept so
+        /// replies stay wire-compatible with clients that read it.
         memos: u64,
-        /// Records skipped (unknown kind, newer record version, or a key
-        /// that does not match its own request — drift, never an error).
+        /// Records skipped (unknown kind, an older server's `initial_memo`
+        /// records among them; newer record version; or a key that does not
+        /// match its own request — drift, never an error).
         skipped: u64,
         /// Total snapshot size in bytes.
         bytes: u64,
@@ -466,7 +467,7 @@ pub enum ServerReply {
     SnapshotData {
         /// Echo of the command id.
         id: u64,
-        /// Records carried (plan entries + memo entries).
+        /// Records carried (one per plan entry).
         entries: u64,
         /// Length of `data` in bytes.
         bytes: u64,

@@ -49,7 +49,7 @@ pub struct ResyncSnapshot {
 pub struct SnapshotInfo {
     /// The file the snapshot was written to.
     pub path: String,
-    /// Records written (plan entries + memo entries).
+    /// Records written (one per plan entry).
     pub entries: u64,
     /// Total snapshot size in bytes.
     pub bytes: u64,
@@ -62,8 +62,6 @@ pub struct LoadInfo {
     pub path: String,
     /// Plan entries adopted into the cache.
     pub plans: u64,
-    /// Initial-setting memo entries adopted.
-    pub memos: u64,
     /// Records skipped (schema drift, never an error).
     pub skipped: u64,
     /// Total snapshot size in bytes.

@@ -643,14 +643,14 @@ impl MuxClient {
         .wait()
     }
 
-    /// Ask the server to verify and merge a snapshot file into its cache and
-    /// memo table. `path: None` reads the configured `--store` path.
+    /// Ask the server to verify and merge a snapshot file into its plan
+    /// cache. `path: None` reads the configured `--store` path.
     pub fn load(&self, path: Option<String>) -> Result<LoadInfo> {
         self.submit(
             move |id| ServerCommand::Load { id, path },
             |reply| match reply {
-                ServerReply::Loaded { path, plans, memos, skipped, bytes, .. } => {
-                    Ok(LoadInfo { path, plans, memos, skipped, bytes })
+                ServerReply::Loaded { path, plans, skipped, bytes, .. } => {
+                    Ok(LoadInfo { path, plans, skipped, bytes })
                 }
                 other => Err(unexpected("Load", &other)),
             },

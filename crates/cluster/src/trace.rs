@@ -2,7 +2,7 @@
 //!
 //! Fig. 6 of the paper shows the CUDA-kernel and communication timeline of uniform
 //! precision vs QSync. The replayer's simulator emits the same kind of timeline here so
-//! the `reproduce fig6` harness can export it (and so tests can assert on waiting time).
+//! the `reproduce fig6` harness can export it.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,25 +41,6 @@ impl Trace {
     /// Add an event.
     pub fn push(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-
-    /// End timestamp of the last event (the iteration makespan).
-    fn makespan_us(&self) -> f64 {
-        self.events.iter().map(|e| e.ts_us + e.dur_us).fold(0.0, f64::max)
-    }
-
-    /// Total busy time of one device's stream.
-    fn busy_us(&self, device: usize, stream: Stream) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.device == device && e.stream == stream)
-            .map(|e| e.dur_us)
-            .sum()
-    }
-
-    /// Idle ("waiting") time of one device's compute stream relative to the makespan.
-    pub fn waiting_us(&self, device: usize) -> f64 {
-        (self.makespan_us() - self.busy_us(device, Stream::Compute)).max(0.0)
     }
 
     /// Devices appearing in the trace.
@@ -102,27 +83,6 @@ mod tests {
         t.push(TraceEvent { name: "ar0".into(), device: 0, stream: Stream::Comm, ts_us: 30.0, dur_us: 5.0 });
         t.push(TraceEvent { name: "ar0".into(), device: 1, stream: Stream::Comm, ts_us: 30.0, dur_us: 5.0 });
         t
-    }
-
-    #[test]
-    fn makespan_is_the_last_event_end() {
-        assert_eq!(sample_trace().makespan_us(), 35.0);
-    }
-
-    #[test]
-    fn waiting_time_identifies_the_fast_device() {
-        let t = sample_trace();
-        // Device 0 finished compute at 10us but the iteration ends at 35us.
-        assert_eq!(t.waiting_us(0), 25.0);
-        assert_eq!(t.waiting_us(1), 5.0);
-        assert!(t.waiting_us(0) > t.waiting_us(1));
-    }
-
-    #[test]
-    fn busy_time_sums_per_stream() {
-        let t = sample_trace();
-        assert_eq!(t.busy_us(0, Stream::Compute), 10.0);
-        assert_eq!(t.busy_us(0, Stream::Comm), 5.0);
     }
 
     #[test]

@@ -15,9 +15,8 @@ use qsync_api::{ClusterDelta, DeltaRequest, ModelSpec, PlanRequest, ServerComman
 use qsync_cluster::topology::ClusterSpec;
 use qsync_serve::{persist, PlanEngine, ReplicaApply, SimConn, SimServer};
 
-/// The primary's serialized plan records — the replication oracle's unit of
-/// comparison (memos are excluded: replicas do not plan, so their memo
-/// tables legitimately stay behind the primary's).
+/// An engine's serialized plan records, its whole persistent state: the
+/// replication oracle's unit of comparison.
 fn plan_bytes(engine: &Arc<PlanEngine>) -> String {
     qsync_store::encode(&persist::plan_records(engine))
 }

@@ -14,10 +14,9 @@
 //!    and the predicted overall throughput does not drop below the initial plan's
 //!    throughput (`T_min`), and pushes the operator's next step back onto the heap.
 //!
-//! [`Allocator::plan`] is the one way in: it chooses the planning rank, skips phase 1
-//! when given a memoized [`InitialSetting`], and warm-starts phase 2 from an earlier
-//! assignment when given one. Both phases run on **one** incremental [`DeltaEvaluator`]
-//! per plan, on the calling thread:
+//! [`Allocator::plan`] is the one way in: it chooses the planning rank, runs phase 1,
+//! and warm-starts phase 2 from an earlier assignment when given one. Both phases run
+//! on **one** incremental [`DeltaEvaluator`] per plan, on the calling thread:
 //!
 //! * Phase 1 scores a block's combinations without staging them. The evaluator
 //!   tabulates each block operator's local cost once per assignment of the operator
@@ -25,8 +24,7 @@
 //!   ([`DeltaEvaluator::instance_costs`]), and a combination's score is a sum of table
 //!   entries. Only each block's winner is staged and committed, which leaves the
 //!   evaluator at the initial assignment.
-//! * A warm start without a memo stages the clamped warm assignment onto that same
-//!   evaluator.
+//! * A warm start stages the clamped warm assignment onto that same evaluator.
 //! * Phase 2 stages each candidate as a transaction. Its memory effect comes from
 //!   cached per-operator deltas, its latency from re-walking the compute streams past
 //!   the earliest changed operator, and the move is committed or rolled back. No
@@ -96,15 +94,10 @@ pub struct AllocationReport {
     pub full_predicts: usize,
 }
 
-/// The memoizable product of phase 1 for the planning rank: the
-/// brute-force fastest-feasible assignment and its predicted latency (the
-/// `T_min` bound phase 2 enforces).
-///
-/// Both members are pure deterministic functions of the (model, effective
-/// cluster) pair, so a caller may compute this once per fingerprint pair,
-/// cache or persist it, and pass it back as [`Allocator::plan`]'s `memo` for
-/// byte-identical plans without re-paying the brute-force combinatorial
-/// search.
+/// The product of phase 1 for the planning rank: the brute-force
+/// fastest-feasible assignment and its predicted latency (the `T_min` bound
+/// phase 2 enforces). Both members are pure deterministic functions of the
+/// (model, effective cluster, eval budget) triple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InitialSetting {
     /// The phase-1 assignment (consistent: dependent precisions propagated).
@@ -146,8 +139,8 @@ pub struct Allocation {
     /// The inference rank the plan was computed for and replicated from;
     /// `None` only for a cluster with no inference devices.
     pub rank: Option<usize>,
-    /// Phase 1's [`InitialSetting`] and how much work the pass did: `Some`
-    /// exactly when phase 1 ran, so it is what a caller memoizes.
+    /// Phase 1's [`InitialSetting`] and how much work the pass did; `None`
+    /// only for a cluster with no inference devices.
     pub initial: Option<(InitialSetting, InitialPassReport)>,
 }
 
@@ -171,34 +164,25 @@ impl<'a> Allocator<'a> {
 
     /// Plan the system's cluster: the one way into the allocator.
     ///
-    /// The two optional inputs are what a plan server knows about the
-    /// request, passed as they are:
+    /// Phase 1 runs under the cooperative `max_evals` budget (`None` =
+    /// unbounded), for a warm plan too: `T_min` is always the brute-force
+    /// fastest plan's latency on the current cluster, the same bound a cold
+    /// plan enforces. [`Allocation::initial`] carries its product.
     ///
-    /// * `memo` — phase 1's product for this (model, effective cluster),
-    ///   memoized earlier. With it phase 1 does not run: a cold plan
-    ///   recovers from its assignment, a warm one takes its `T_min`.
-    /// * `warm` — an earlier inference assignment for the same model,
-    ///   typically its cached plan before the cluster changed shape.
-    ///   Recovery then starts from it, clamped to the current device:
-    ///   precisions the device no longer supports fall to the nearest
-    ///   supported candidate, and while the assignment exceeds the (possibly
-    ///   shrunk) memory, or is slower than `T_min` allows, the operator
-    ///   whose demotion costs the least indicator increase steps down.
+    /// `warm` is an earlier inference assignment for the same model,
+    /// typically its cached plan before the cluster changed shape. Recovery
+    /// then starts from it, clamped to the current device: precisions the
+    /// device no longer supports fall to the nearest supported candidate,
+    /// and while the assignment exceeds the (possibly shrunk) memory, or is
+    /// slower than `T_min` allows, the operator whose demotion costs the
+    /// least indicator increase steps down.
     ///
-    /// Without a memo phase 1 runs under the cooperative `max_evals` budget
-    /// (`None` = unbounded), for a warm plan too: `T_min` is always the
-    /// brute-force fastest plan's latency on the current cluster, the same
-    /// bound a cold plan enforces. [`Allocation::initial`] then carries its
-    /// product; a memo made under the same budget replays byte-identically.
-    ///
-    /// A memo or warm assignment whose node count does not match the model
-    /// (say, a snapshot from another build) is ignored: it can cost time,
-    /// never correctness. A cluster without inference devices gets the
-    /// all-FP32 oracle plan.
+    /// A warm assignment whose node count does not match the model is
+    /// ignored: it can cost time, never correctness. A cluster without
+    /// inference devices gets the all-FP32 oracle plan.
     pub fn plan(
         &self,
         indicator: &dyn SensitivityIndicator,
-        memo: Option<&InitialSetting>,
         warm: Option<&PrecisionDag>,
         max_evals: Option<u64>,
     ) -> Allocation {
@@ -210,40 +194,23 @@ impl<'a> Allocator<'a> {
                 AllocationReport { t_min_us: t, final_us: t, full_predicts: 1, ..Default::default() };
             return Allocation { plan, report, rank: None, initial: None };
         };
-        let nodes = sys.dag().len();
-        let memo = memo.filter(|memo| memo.pdag.len() == nodes);
-        let warm = warm.filter(|warm| warm.len() == nodes);
-        let mut initial = None;
-        let (plan, report) = match (memo, warm) {
-            (Some(memo), None) => {
-                let eval = DeltaEvaluator::new(sys, rank, memo.pdag.clone());
-                self.recover_cold(indicator, eval, memo.t_min_us)
-            }
-            (Some(memo), Some(warm)) => {
-                let eval = DeltaEvaluator::new(sys, rank, clamp_warm(sys, rank, warm));
-                self.warm_start(indicator, eval, memo.t_min_us)
-            }
-            (None, warm) => {
-                let (mut eval, pass) = self.initial_pass(rank, max_evals);
-                let setting = InitialSetting::at(&mut eval);
-                let t_min_us = setting.t_min_us;
-                initial = Some((setting, pass));
-                match warm {
-                    None => self.recover_cold(indicator, eval, t_min_us),
-                    Some(warm) => {
-                        // Move phase 1's evaluator onto the clamped warm assignment.
-                        let candidates = sys.candidates_for(rank);
-                        eval.begin();
-                        for id in sys.dag().adjustable_ops() {
-                            eval.stage(id, clamp(&candidates, warm.get(id)));
-                        }
-                        eval.commit();
-                        self.warm_start(indicator, eval, t_min_us)
-                    }
+        let (mut eval, pass) = self.initial_pass(rank, max_evals);
+        let setting = InitialSetting::at(&mut eval);
+        let t_min_us = setting.t_min_us;
+        let (plan, report) = match warm.filter(|warm| warm.len() == sys.dag().len()) {
+            None => self.recover_cold(indicator, eval, t_min_us),
+            Some(warm) => {
+                // Move phase 1's evaluator onto the clamped warm assignment.
+                let candidates = sys.candidates_for(rank);
+                eval.begin();
+                for id in sys.dag().adjustable_ops() {
+                    eval.stage(id, clamp(&candidates, warm.get(id)));
                 }
+                eval.commit();
+                self.warm_start(indicator, eval, t_min_us)
             }
         };
-        Allocation { plan, report, rank: Some(rank), initial }
+        Allocation { plan, report, rank: Some(rank), initial: Some((setting, pass)) }
     }
 
     /// The inference rank a plan is computed for: the first. All inference
@@ -253,11 +220,11 @@ impl<'a> Allocator<'a> {
         self.system.cluster.inference_ranks().first().copied()
     }
 
-    /// [`Allocator::plan`] cold, with no memo and no budget. Kept for the
-    /// benchmark's trace (`qsync_benchmark/src/trace.rs`) until a
-    /// `[benchmark]` change moves it onto `plan`.
+    /// [`Allocator::plan`] cold, with no budget. Kept for the benchmark's
+    /// trace (`qsync_benchmark/src/trace.rs`) until a `[benchmark]` change
+    /// moves it onto `plan`.
     pub fn allocate(&self, indicator: &dyn SensitivityIndicator) -> (PrecisionPlan, AllocationReport) {
-        self.plan(indicator, None, None, None).into()
+        self.plan(indicator, None, None).into()
     }
 
     /// Phase 1 alone for inference rank `rank`, unbudgeted. Kept for the
@@ -268,29 +235,33 @@ impl<'a> Allocator<'a> {
         InitialSetting::at(&mut self.initial_pass(rank, None).0)
     }
 
-    /// [`Allocator::plan`] cold from a memoized [`InitialSetting`]. Kept for
-    /// the benchmark's trace until a `[benchmark]` change moves it onto
-    /// `plan`.
+    /// Phase 2 of a cold [`Allocator::plan`] alone, from a phase-1 setting
+    /// of [`Allocator::initial_setting`]. Kept for the benchmark's trace
+    /// until a `[benchmark]` change moves it onto `plan`. Panics on a
+    /// cluster without inference devices.
     pub fn allocate_from_initial(
         &self,
         indicator: &dyn SensitivityIndicator,
         initial: &InitialSetting,
     ) -> (PrecisionPlan, AllocationReport) {
-        self.plan(indicator, Some(initial), None, None).into()
+        let rank = self.planning_rank().expect("a phase-1 setting needs an inference rank");
+        let eval = DeltaEvaluator::new(self.system, rank, initial.pdag.clone());
+        self.recover_cold(indicator, eval, initial.t_min_us)
     }
 
-    /// [`Allocator::plan`] warm from `warm` under a caller-supplied `T_min`.
-    /// A warm start reads only a memo's node count and `T_min`, so `warm`
-    /// stands in for the memo's assignment. Kept for the benchmark's trace
-    /// until a `[benchmark]` change moves it onto `plan`.
+    /// The warm start and phase 2 of a warm [`Allocator::plan`] alone, under
+    /// a caller-supplied `T_min`. Kept for the benchmark's trace until a
+    /// `[benchmark]` change moves it onto `plan`. Panics on a cluster
+    /// without inference devices.
     pub fn allocate_warm_with_tmin(
         &self,
         indicator: &dyn SensitivityIndicator,
         warm: &PrecisionDag,
         t_min_us: f64,
     ) -> (PrecisionPlan, AllocationReport) {
-        self.plan(indicator, Some(&InitialSetting { pdag: warm.clone(), t_min_us }), Some(warm), None)
-            .into()
+        let rank = self.planning_rank().expect("a warm start needs an inference rank");
+        let eval = DeltaEvaluator::new(self.system, rank, clamp_warm(self.system, rank, warm));
+        self.warm_start(indicator, eval, t_min_us)
     }
 
     /// Phase 1 on the incremental evaluator, under a cooperative-preemption
@@ -430,7 +401,7 @@ impl<'a> Allocator<'a> {
     }
 
     /// Phase 2 from the evaluator's assignment, which is the `t_min` plan
-    /// itself (phase 1's, run now or memoized).
+    /// itself (phase 1's).
     fn recover_cold(
         &self,
         indicator: &dyn SensitivityIndicator,
@@ -732,7 +703,7 @@ impl<'a> Allocator<'a> {
     }
 
     /// Reference cold allocation: the non-incremental [`Allocator::plan`] with no
-    /// memo, no warm start and no budget.
+    /// warm start and no budget.
     pub fn allocate_reference(
         &self,
         indicator: &dyn SensitivityIndicator,
@@ -758,7 +729,7 @@ impl<'a> Allocator<'a> {
     }
 
     /// Reference warm allocation: the non-incremental warm start of
-    /// [`Allocator::plan`] (no memo, no budget), rebuilding a full
+    /// [`Allocator::plan`] (no budget), rebuilding a full
     /// `PrecisionPlan` per demotion.
     pub fn allocate_warm_reference(
         &self,
@@ -1005,23 +976,20 @@ mod tests {
         let sys = system(ClusterSpec::hybrid_small());
         let alloc = Allocator::new(&sys);
         let rank = sys.cluster.inference_ranks()[0];
-        let cold = alloc.plan(&sys.indicator(), None, None, None);
-        let (initial, _) = cold.initial.expect("a plan without a memo runs phase 1");
+        let cold = alloc.plan(&sys.indicator(), None, None);
+        let (initial, _) = cold.initial.expect("a plan on an inference rank runs phase 1");
         assert_eq!(initial, alloc.initial_setting(rank));
-        let (cold_plan, cold_report) = (cold.plan, cold.report);
-        let memo = alloc.plan(&sys.indicator(), Some(&initial), None, None);
-        assert!(memo.initial.is_none(), "a memo answers phase 1");
-        let (memo_plan, memo_report) = (memo.plan, memo.report);
-        assert_eq!(cold_plan.to_json(), memo_plan.to_json());
-        assert_eq!(cold_report.t_min_us.to_bits(), memo_report.t_min_us.to_bits());
-        assert_eq!(cold_report.final_us.to_bits(), memo_report.final_us.to_bits());
-        assert_eq!(cold_report.promotions_accepted, memo_report.promotions_accepted);
+        let (plan, report) = alloc.allocate_from_initial(&sys.indicator(), &initial);
+        assert_eq!(cold.plan.to_json(), plan.to_json());
+        assert_eq!(cold.report.t_min_us.to_bits(), report.t_min_us.to_bits());
+        assert_eq!(cold.report.final_us.to_bits(), report.final_us.to_bits());
+        assert_eq!(cold.report.promotions_accepted, report.promotions_accepted);
     }
 
     #[test]
     fn allocate_warm_with_tmin_is_byte_identical_to_warm() {
         // Plan on the full cluster, then warm-replan onto a shrunk one both
-        // ways: with the brute-force pass and with the memoized T_min.
+        // ways: through `plan`, and from phase 1's T_min through the wrapper.
         let sys_full = system(ClusterSpec::hybrid_small());
         let (plan, _) = Allocator::new(&sys_full).allocate(&sys_full.indicator());
         let rank_full = sys_full.cluster.inference_ranks()[0];
@@ -1031,18 +999,15 @@ mod tests {
         let alloc = Allocator::new(&sys_shrunk);
         let rank = sys_shrunk.cluster.inference_ranks()[0];
         let initial = alloc.initial_setting(rank);
-        let miss = alloc.plan(&sys_shrunk.indicator(), None, Some(&warm), None);
-        assert_eq!(miss.initial.map(|(setting, _)| setting), Some(initial.clone()));
-        let (warm_plan, warm_report) = (miss.plan, miss.report);
-        let hit = alloc.plan(&sys_shrunk.indicator(), Some(&initial), Some(&warm), None);
-        assert!(hit.initial.is_none(), "a memo answers phase 1");
-        let (memo_plan, memo_report) = (hit.plan, hit.report);
-        let wrapped = alloc.allocate_warm_with_tmin(&sys_shrunk.indicator(), &warm, initial.t_min_us);
-        assert_eq!(wrapped.0.to_json(), memo_plan.to_json());
-        assert_eq!(warm_plan.to_json(), memo_plan.to_json());
-        assert_eq!(warm_report.t_min_us.to_bits(), memo_report.t_min_us.to_bits());
-        assert_eq!(warm_report.warm_demotions, memo_report.warm_demotions);
-        assert_eq!(warm_report.promotions_accepted, memo_report.promotions_accepted);
+        let planned = alloc.plan(&sys_shrunk.indicator(), Some(&warm), None);
+        assert_eq!(planned.initial.map(|(setting, _)| setting), Some(initial.clone()));
+        let (warm_plan, warm_report) = (planned.plan, planned.report);
+        let (plan, report) =
+            alloc.allocate_warm_with_tmin(&sys_shrunk.indicator(), &warm, initial.t_min_us);
+        assert_eq!(warm_plan.to_json(), plan.to_json());
+        assert_eq!(warm_report.t_min_us.to_bits(), report.t_min_us.to_bits());
+        assert_eq!(warm_report.warm_demotions, report.warm_demotions);
+        assert_eq!(warm_report.promotions_accepted, report.promotions_accepted);
     }
 
     #[test]
@@ -1079,12 +1044,12 @@ mod tests {
             sys.memory_ok(rank, &a.pdag)
                 || sys.memory_bytes(rank, &a.pdag) <= sys.memory_bytes(rank, &most_compressed)
         );
-        let replay = alloc.plan(&sys.indicator(), Some(&a), None, Some(budget));
-        assert_eq!(replay.plan.device(rank).len(), sys.dag().len());
-        // A budgeted plan memoizes exactly the budgeted pass and replays it.
-        let cold = alloc.plan(&sys.indicator(), None, None, Some(budget));
+        // A budgeted plan runs exactly the budgeted pass and recovers from it.
+        let cold = alloc.plan(&sys.indicator(), None, Some(budget));
+        assert_eq!(cold.plan.device(rank).len(), sys.dag().len());
         assert_eq!(cold.initial, Some((a.clone(), report_a)));
-        assert_eq!(cold.plan.to_json(), replay.plan.to_json());
+        let replay = alloc.allocate_from_initial(&sys.indicator(), &a).0;
+        assert_eq!(cold.plan.to_json(), replay.to_json());
         // A zero budget degenerates to uniform lowest — the ultimate
         // checkpoint — and still plans.
         let (zero, zero_report) = budgeted(&alloc, rank, Some(0));
@@ -1119,7 +1084,8 @@ mod tests {
     fn stale_initial_setting_falls_back_to_cold_allocation() {
         let sys = system(ClusterSpec::hybrid_small());
         let alloc = Allocator::new(&sys);
-        // A memo for a *different* model (wrong node count) must be ignored.
+        // A warm assignment for a *different* model (wrong node count) must
+        // be ignored: the plan is cold.
         let other = QSyncSystem::new(
             qsync_graph::models::small_cnn(4, 16, 4),
             ClusterSpec::hybrid_small(),
@@ -1127,11 +1093,7 @@ mod tests {
         );
         let stale = Allocator::new(&other).initial_setting(other.cluster.inference_ranks()[0]);
         let (cold_plan, _) = alloc.allocate(&sys.indicator());
-        let fallback = alloc.plan(&sys.indicator(), Some(&stale), None, None);
-        assert_eq!(cold_plan.to_json(), fallback.plan.to_json());
-        assert!(fallback.initial.is_some(), "a stale memo is replaced by a fresh phase 1");
-        // A stale warm assignment is ignored too: the plan is cold.
-        let warm = alloc.plan(&sys.indicator(), None, Some(&stale.pdag), None);
+        let warm = alloc.plan(&sys.indicator(), Some(&stale.pdag), None);
         assert_eq!(warm.report.warm_demotions, 0);
         assert_eq!(cold_plan.to_json(), warm.plan.to_json());
     }
@@ -1141,10 +1103,9 @@ mod tests {
         let sys = system(ClusterSpec::cluster_a(2, 0));
         let alloc = Allocator::new(&sys);
         let int8 = PrecisionDag::uniform(sys.dag(), Precision::Int8);
-        let memo = InitialSetting { pdag: int8.clone(), t_min_us: 1.0 };
         let oracle = PrecisionPlan::oracle(sys.dag(), &sys.cluster).to_json();
-        for (memo, warm) in [(None, None), (Some(&memo), Some(&int8))] {
-            let allocation = alloc.plan(&sys.indicator(), memo, warm, Some(0));
+        for warm in [None, Some(&int8)] {
+            let allocation = alloc.plan(&sys.indicator(), warm, Some(0));
             assert_eq!(allocation.plan.to_json(), oracle);
             assert_eq!((allocation.rank, allocation.initial), (None, None));
             assert_eq!(allocation.report.t_min_us.to_bits(), allocation.report.final_us.to_bits());

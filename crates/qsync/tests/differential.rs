@@ -93,7 +93,7 @@ fn warm_allocation_is_byte_identical_on_residual_and_attention_models() {
                 QSyncConfig::default(),
             );
             let alloc = Allocator::new(&shrunk);
-            let (plan, report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
+            let (plan, report) = alloc.plan(&shrunk.indicator(), Some(&warm), None).into();
             let (reference, ref_report) = alloc.allocate_warm_reference(&shrunk.indicator(), &warm);
             assert_eq!(plan.to_json(), reference.to_json(), "warm plans diverge: {name}");
             assert_eq!(report.t_min_us.to_bits(), ref_report.t_min_us.to_bits(), "{name}");
@@ -120,7 +120,7 @@ fn warm_allocation_is_byte_identical_to_the_reference_allocator() {
             QSyncConfig::default(),
         );
         let alloc = Allocator::new(&shrunk);
-        let (plan, report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
+        let (plan, report) = alloc.plan(&shrunk.indicator(), Some(&warm), None).into();
         let (reference, ref_report) = alloc.allocate_warm_reference(&shrunk.indicator(), &warm);
         assert_eq!(
             plan.to_json().as_bytes(),
@@ -152,7 +152,7 @@ fn warm_replan_performs_zero_full_predictions_regardless_of_demotions() {
             ClusterSpec::cluster_b(1, 1, fraction),
             QSyncConfig::default(),
         );
-        let (_, report) = Allocator::new(&shrunk).plan(&shrunk.indicator(), None, Some(&warm), None).into();
+        let (_, report) = Allocator::new(&shrunk).plan(&shrunk.indicator(), Some(&warm), None).into();
         demotions.push(report.warm_demotions);
         full_predicts.push(report.full_predicts);
     }
@@ -187,7 +187,7 @@ fn warm_t_min_matches_the_cold_allocators_bound() {
         );
         let alloc = Allocator::new(&shrunk);
         let (_, cold) = alloc.allocate(&shrunk.indicator());
-        let (_, warm_report) = alloc.plan(&shrunk.indicator(), None, Some(&warm), None).into();
+        let (_, warm_report) = alloc.plan(&shrunk.indicator(), Some(&warm), None).into();
         assert_eq!(
             warm_report.t_min_us.to_bits(),
             cold.t_min_us.to_bits(),
@@ -330,7 +330,7 @@ proptest! {
     ) {
         let sys = QSyncSystem::new(with_blocks_of(&dag, span), ClusterSpec::hybrid_small(), QSyncConfig::default());
         let alloc = Allocator::new(&sys);
-        let (plan, report) = alloc.plan(&sys.indicator(), None, None, None).into();
+        let (plan, report) = alloc.plan(&sys.indicator(), None, None).into();
         let (reference, ref_report) = alloc.allocate_reference(&sys.indicator());
         prop_assert_eq!(plan.to_json(), reference.to_json());
         prop_assert_eq!(report.t_min_us.to_bits(), ref_report.t_min_us.to_bits());

@@ -43,7 +43,7 @@ fn initial_at(
     budget: Option<u64>,
 ) -> (InitialSetting, InitialPassReport) {
     at_pool_size(threads, || {
-        Allocator::new(sys).plan(&sys.indicator(), None, None, budget).initial.expect("phase 1 ran")
+        Allocator::new(sys).plan(&sys.indicator(), None, budget).initial.expect("phase 1 ran")
     })
 }
 
@@ -161,7 +161,7 @@ fn planning_never_touches_the_compute_pool() {
     pool.install(|| {
         let (plan, _) = Allocator::new(&sys).allocate(&sys.indicator());
         let (_, pass) =
-            Allocator::new(&sys).plan(&sys.indicator(), None, None, Some(7)).initial.expect("phase 1 ran");
+            Allocator::new(&sys).plan(&sys.indicator(), None, Some(7)).initial.expect("phase 1 ran");
         assert!(pass.preempted, "a budget of 7 preempts vgg16bn's initial pass");
         Allocator::new(&shrunk).allocate_warm_with_tmin(&shrunk.indicator(), plan.device(rank), t_min);
     });

@@ -100,7 +100,7 @@ impl Shard {
 
 /// Per-shard hit/miss/evict counters, maintained outside the shard lock so
 /// the hit path stays lock-free for accounting. Snapshot via
-/// [`PlanCache::shard_stats`].
+/// `PlanCache::shard_stats`.
 #[derive(Debug, Default)]
 struct ShardCounters {
     hits: AtomicU64,
@@ -110,7 +110,7 @@ struct ShardCounters {
 
 /// Point-in-time view of one shard's counters and occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     /// Hits attributed to keys hashing into this shard.
     pub hits: u64,
     /// Misses attributed to keys hashing into this shard.
@@ -209,7 +209,7 @@ impl PlanCache {
     /// [`peek`](Self::peek), plus the slot's [`PlanHitBody`] — read under one
     /// lock, so the body is the one rendered from (or to be rendered from)
     /// exactly the returned entry.
-    pub fn peek_hit(&self, key: &str) -> Option<(CachedPlan, Arc<PlanHitBody>)> {
+    pub(crate) fn peek_hit(&self, key: &str) -> Option<(CachedPlan, Arc<PlanHitBody>)> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard_of(key).read().expect("plan cache poisoned");
         shard.slots.get(key).map(|slot| {
@@ -219,13 +219,13 @@ impl PlanCache {
     }
 
     /// Count one cache hit against the shard `key` hashes into.
-    pub fn note_hit(&self, key: &str) {
+    pub(crate) fn note_hit(&self, key: &str) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.counters[self.shard_index(key)].hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one cache miss against the shard `key` hashes into.
-    pub fn note_miss(&self, key: &str) {
+    pub(crate) fn note_miss(&self, key: &str) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.counters[self.shard_index(key)].misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -336,7 +336,7 @@ impl PlanCache {
     /// Per-shard counters and occupancy, in shard order. Feeds the metrics
     /// snapshot's per-shard gauges; the sums equal the totals in
     /// [`stats`](Self::stats) (minus invalidations, which are cache-global).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
             .zip(&self.counters)

@@ -33,14 +33,13 @@
 //! |---|---|---|---|
 //! | parts store, model half | `ModelContext` (graph, topology, DFG skeleton, subgraphs, statistics) | model fingerprint, statistics seed, bucket count | 8 MiB of parts (`parts.rs`); an insert that would cross it clears the contexts, then — if still over — the tables |
 //! | parts store, device half | one device's profile table | model fingerprint, device id, GPU model, compute-fraction bits, profile seed — *not* the memory fraction, not the other devices | (same store, same bound) |
-//! | initial-setting memo | brute-force initial setting + `T_min` | model fingerprint, effective-cluster fingerprint | 1024 entries, cleared when full |
 //!
 //! The cheap per-shape parts of a system (casting calculators, communication
-//! model, config) are rebuilt on every assembly. All three memos are
-//! value-transparent: hit, miss, a clear and a concurrent double build all
-//! give byte-identical plans.
+//! model, config) are rebuilt on every assembly, and the allocator's phase 1
+//! runs on every plan. Both memos are value-transparent: hit, miss, a clear
+//! and a concurrent double build all give byte-identical plans.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -50,7 +49,7 @@ use qsync_api::{
     PlanRequest, PlanResponse,
 };
 use qsync_cluster::topology::ClusterSpec;
-use qsync_core::allocator::{AllocationReport, Allocator, InitialSetting};
+use qsync_core::allocator::{AllocationReport, Allocator};
 use qsync_core::indicator::{HessianIndicator, RandomIndicator, SensitivityIndicator};
 use qsync_core::plan::PrecisionPlan;
 use qsync_graph::PrecisionDag;
@@ -74,14 +73,6 @@ pub struct PlanEngine {
     delta_events: AtomicU64,
     batched_replans: AtomicU64,
     obs: Arc<ServeObs>,
-    /// Memoized brute-force initial settings, keyed by
-    /// `(model fingerprint, effective-cluster fingerprint)`. The initial
-    /// setting depends only on the graph and the cluster shape — not on the
-    /// indicator or tolerance — so every plan for the same (model, cluster)
-    /// pair can skip phase 1's brute-force pass. Value-transparent:
-    /// a memoized plan is byte-identical to a from-scratch one. Bounded by
-    /// [`INITIAL_MEMO_CAP`].
-    initial_memo: Mutex<HashMap<(u128, u128), InitialSetting>>,
     /// Shared system parts — one model context per model, one profile table
     /// per (model, device) — each keyed on exactly what it depends on, so a
     /// new memory limit or a degraded neighbour re-profiles nothing. See
@@ -95,12 +86,6 @@ pub struct PlanEngine {
     /// the coherence oracle must agree on it.
     plan_budget_evals: Option<u64>,
 }
-
-/// Cap on memoized initial settings — one per `(model, cluster shape)` ever
-/// planned, and every elasticity delta mints a new shape. Sized to the
-/// default plan cache (1024 entries cannot name more pairs than that); on
-/// overflow the memo is cleared, which only costs the exhaustive sweeps again.
-const INITIAL_MEMO_CAP: usize = 1024;
 
 /// One evicted cache entry plus the shape chain it must be re-planned
 /// through. Produced by [`PlanEngine::apply_deltas_with`], executed by
@@ -392,7 +377,7 @@ impl PlanEngine {
     /// counters), so they are read at snapshot time instead of being
     /// double-counted on the hot path. The streaming server appends its
     /// scheduler and subscriber dynamics on top.
-    pub fn metrics_snapshot(&self) -> qsync_obs::MetricsSnapshot {
+    pub(crate) fn metrics_snapshot(&self) -> qsync_obs::MetricsSnapshot {
         use qsync_obs::{CounterValue, GaugeValue};
         let mut snap = self.obs.snapshot();
         let cache = self.cache.stats();
@@ -540,19 +525,10 @@ impl PlanEngine {
         response
     }
 
-    /// Assemble the system for a request and run the allocator, cold or warm.
-    /// Returns the plan, its report and the inference assignment later warm
-    /// re-plans start from (`None` without inference devices).
-    ///
-    /// The brute-force initial setting (phase 1: each repeating block's
-    /// precision combinations, scored from per-node cost tables) is memoized per
-    /// `(model fingerprint, effective-cluster fingerprint)`: the first plan
-    /// for a pair runs it and records it, every later plan — cold with a
-    /// different indicator/tolerance, or a warm re-plan onto that shape —
-    /// passes the memo to [`Allocator::plan`], which decides what it can
-    /// skip. The memo is value-transparent (identical plans, identical
-    /// reports), so cache replays and the coherence oracle are unaffected by
-    /// hit/miss history.
+    /// Assemble the system for a request and run the allocator, cold or warm,
+    /// under the engine's eval budget, counting a preempted phase 1. Returns
+    /// the plan, its report and the inference assignment later warm re-plans
+    /// start from (`None` without inference devices).
     fn run_allocator(
         &self,
         request: &PlanRequest,
@@ -564,55 +540,13 @@ impl PlanEngine {
             IndicatorChoice::Hessian => Box::new(HessianIndicator { stats: system.stats().clone() }),
             IndicatorChoice::Random => Box::new(RandomIndicator { seed: system.config.seed }),
         };
-        let (model_fp, cluster_fp) = (request.model.fingerprint(), system.cluster.fingerprint());
-        let memo = self
-            .initial_memo
-            .lock()
-            .expect("initial-setting memo poisoned")
-            .get(&(model_fp, cluster_fp))
-            .cloned();
-        let allocation = Allocator::new(&system).plan(
-            indicator.as_ref(),
-            memo.as_ref(),
-            warm,
-            self.plan_budget_evals,
-        );
-        if let Some((initial, pass)) = allocation.initial {
-            if pass.preempted {
-                self.obs.plan_preemptions.inc();
-            }
-            self.obs.memo_misses.inc();
-            self.memo_insert(model_fp, cluster_fp, initial);
-        } else if memo.is_some() {
-            self.obs.memo_hits.inc();
+        let allocation =
+            Allocator::new(&system).plan(indicator.as_ref(), warm, self.plan_budget_evals);
+        if allocation.initial.as_ref().is_some_and(|(_, pass)| pass.preempted) {
+            self.obs.plan_preemptions.inc();
         }
         let inference_pdag = allocation.rank.map(|rank| allocation.plan.device(rank).clone());
         (allocation.plan, allocation.report, inference_pdag)
-    }
-
-    /// The memoized initial settings, sorted by key for deterministic
-    /// snapshot encoding.
-    pub fn memo_entries(&self) -> Vec<((u128, u128), InitialSetting)> {
-        let memo = self.initial_memo.lock().expect("initial-setting memo poisoned");
-        let mut entries: Vec<_> = memo.iter().map(|(k, v)| (*k, v.clone())).collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries
-    }
-
-    /// Number of memoized initial settings.
-    pub fn memo_len(&self) -> usize {
-        self.initial_memo.lock().expect("initial-setting memo poisoned").len()
-    }
-
-    /// Record one memoized initial setting (a fresh sweep, or a snapshot
-    /// import). Later plans for the `(model fingerprint, cluster fingerprint)`
-    /// pair skip the exhaustive initial sweep.
-    pub fn memo_insert(&self, model_fp: u128, cluster_fp: u128, initial: InitialSetting) {
-        let mut memo = self.initial_memo.lock().expect("initial-setting memo poisoned");
-        if memo.len() >= INITIAL_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert((model_fp, cluster_fp), initial);
     }
 
     /// Adopt an externally produced plan — a snapshot entry on warm boot, or
@@ -620,7 +554,7 @@ impl PlanEngine {
     /// fails validation or whose key is not the request's content-addressed
     /// [`cache_key`](PlanRequest::cache_key) (a snapshot from a build with a
     /// different key schema must load as a miss, not poison the cache).
-    pub fn adopt_plan(
+    pub(crate) fn adopt_plan(
         &self,
         request: PlanRequest,
         response: PlanResponse,
@@ -732,96 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_value_transparent_and_skips_the_initial_sweep() {
-        let engine = PlanEngine::new();
-        let mut request = mlp_request(1, ClusterSpec::hybrid_small());
-        engine.plan(&request).unwrap();
-        // Same (model, cluster), different indicator: a different cache key,
-        // so a second cold plan — but the initial sweep is memoized.
-        request.indicator = IndicatorChoice::Random;
-        let memoized = engine.plan(&request).unwrap();
-        assert_eq!(memoized.outcome, PlanOutcome::ColdPlanned);
-        let snap = engine.obs().snapshot();
-        assert_eq!(snap.counter("qsync_engine_memo_misses_total"), Some(1));
-        assert_eq!(snap.counter("qsync_engine_memo_hits_total"), Some(1));
-        assert_eq!(engine.memo_len(), 1);
-        // Value transparency: an engine with no memo history produces the
-        // byte-identical plan and report.
-        let fresh = PlanEngine::new().plan(&request).unwrap();
-        assert_eq!(memoized.plan_json(), fresh.plan_json());
-        assert_eq!(memoized.t_min_us.to_bits(), fresh.t_min_us.to_bits());
-        assert_eq!(
-            memoized.predicted_iteration_us.to_bits(),
-            fresh.predicted_iteration_us.to_bits()
-        );
-        // And the memo round-trips through export + import on a third engine.
-        let third = PlanEngine::new();
-        for ((model_fp, cluster_fp), initial) in engine.memo_entries() {
-            third.memo_insert(model_fp, cluster_fp, initial);
-        }
-        let replayed = third.plan(&request).unwrap();
-        assert_eq!(replayed.plan_json(), fresh.plan_json());
-        assert_eq!(third.obs().snapshot().counter("qsync_engine_memo_hits_total"), Some(1));
-    }
-
-    #[test]
-    fn initial_memo_is_bounded_and_a_clear_is_value_transparent() {
-        let engine = PlanEngine::new();
-        let request = mlp_request(1, ClusterSpec::hybrid_small());
-        let before = engine.plan(&request).unwrap();
-        let ((model_fp, cluster_fp), initial) = engine.memo_entries().pop().expect("one memo entry");
-        // Fill the memo to its cap with other shapes (snapshot-import path),
-        // then plan one more real shape: the cap-th + 1 entry clears it.
-        for shape in 1..INITIAL_MEMO_CAP as u128 {
-            engine.memo_insert(model_fp, cluster_fp ^ shape, initial.clone());
-            assert!(engine.memo_len() <= INITIAL_MEMO_CAP);
-        }
-        assert_eq!(engine.memo_len(), INITIAL_MEMO_CAP);
-        engine.plan(&mlp_request(2, ClusterSpec::cluster_a(1, 1))).unwrap();
-        assert_eq!(engine.memo_len(), 1, "the insert past the cap cleared the memo");
-        // The first shape is no longer memoized; planning it again from
-        // scratch gives the plan it had before the clear.
-        assert!(engine.cache().remove(&before.key).is_some());
-        let after = engine.plan(&request).unwrap();
-        assert_eq!(after.outcome, PlanOutcome::ColdPlanned);
-        assert_eq!(after.plan_json(), before.plan_json());
-        assert_eq!(after.t_min_us.to_bits(), before.t_min_us.to_bits());
-        assert_eq!(after.predicted_iteration_us.to_bits(), before.predicted_iteration_us.to_bits());
-        assert_eq!(engine.memo_len(), 2);
-        assert_eq!(engine.obs().snapshot().counter("qsync_engine_memo_misses_total"), Some(3));
-    }
-
-    #[test]
-    fn a_stale_memo_entry_is_replanned_cold_and_replaced() {
-        let request = mlp_request(1, ClusterSpec::hybrid_small());
-        let reference = PlanEngine::new();
-        let expected = reference.plan(&request).unwrap();
-        let fresh_memo = reference.memo_entries();
-        let (key, _) = fresh_memo[0];
-        // A real setting for another model, filed under this request's key:
-        // what a snapshot from a different build could restore.
-        let other = PlanEngine::new();
-        let cnn = ModelSpec::SmallCnn { batch: 4, image: 16, classes: 4 };
-        other.plan(&PlanRequest::new(2, cnn, ClusterSpec::hybrid_small())).unwrap();
-        let (_, stale) = other.memo_entries().pop().expect("one memo entry");
-        assert_ne!(stale.pdag.len(), fresh_memo[0].1.pdag.len());
-
-        let engine = PlanEngine::new();
-        engine.memo_insert(key.0, key.1, stale);
-        let planned = engine.plan(&request).unwrap();
-        assert_eq!(planned.plan_json(), expected.plan_json());
-        assert_eq!(planned.t_min_us.to_bits(), expected.t_min_us.to_bits());
-        assert_eq!(
-            planned.predicted_iteration_us.to_bits(),
-            expected.predicted_iteration_us.to_bits()
-        );
-        let snap = engine.obs().snapshot();
-        assert_eq!(snap.counter("qsync_engine_memo_misses_total"), Some(1));
-        assert_eq!(snap.counter("qsync_engine_memo_hits_total"), Some(0));
-        assert_eq!(engine.memo_entries(), fresh_memo, "the stale entry was replaced");
-    }
-
-    #[test]
     fn a_cluster_without_inference_devices_plans_the_oracle_and_touches_no_memo() {
         let engine = PlanEngine::new();
         let request = mlp_request(1, ClusterSpec::cluster_a(2, 0));
@@ -850,11 +694,6 @@ mod tests {
         assert_eq!(outcome.replanned.len(), 1);
         let grown = delta.delta.apply(&request.cluster).unwrap();
         assert_eq!(outcome.replanned[0].plan_json(), oracle(&grown));
-
-        assert_eq!(engine.memo_len(), 0);
-        let snap = engine.obs().snapshot();
-        assert_eq!(snap.counter("qsync_engine_memo_misses_total"), Some(0));
-        assert_eq!(snap.counter("qsync_engine_memo_hits_total"), Some(0));
     }
 
     #[test]
@@ -899,13 +738,13 @@ mod tests {
         assert!(snap.gauge("qsync_engine_profile_memo_bytes").expect("bytes gauge") > 0);
     }
 
-    /// The memoization contract: after a delta, re-planning warm (memoized
-    /// initial setting + warm-started recovery, the state a second wave or a
-    /// warm boot leaves) beats re-planning cold from scratch by more than
-    /// 1.5x. VGG-16BN on ClusterA(2,2), first inference rank degraded to 40%
-    /// memory and 90% compute. Sides are timed interleaved, best of trials,
-    /// so a load spike on a shared host hits both. Both builds hold the same
-    /// bound; the measured ratio is far above it in either.
+    /// The warm-start contract: after a delta, re-planning warm through the
+    /// engine (resident parts, phase 1, then recovery from the clamped cached
+    /// assignment) beats re-planning cold from scratch (`QSyncSystem::new`
+    /// plus a cold allocation) by more than 1.5x. VGG-16BN on ClusterA(2,2),
+    /// first inference rank degraded to 40% memory and 90% compute. Sides are
+    /// timed interleaved, best of trials, so a load spike on a shared host
+    /// hits both. Both builds hold the same bound.
     #[test]
     fn warm_replan_beats_a_cold_replan_by_more_than_1_5x() {
         const TRIALS: usize = 5;
@@ -923,7 +762,7 @@ mod tests {
         engine.plan(&request).unwrap();
         let entry = engine.cache().peek(&request.cache_key()).unwrap();
         let chain = ReplanChain { entry, shapes: vec![degraded], trace_id: 0 };
-        // Priming run: memoizes the degraded shape's initial setting.
+        // Priming run: makes the degraded shape's parts resident.
         assert_eq!(engine.run_replan_chain(&chain).outcome, PlanOutcome::WarmReplanned);
 
         let time = |f: &dyn Fn()| {
@@ -953,7 +792,7 @@ mod tests {
         assert!(
             speedup > 1.5,
             "warm re-plan only {speedup:.2}x faster than a cold re-plan \
-             ({:.0} us vs {:.0} us; the memoization contract requires > 1.5x)",
+             ({:.0} us vs {:.0} us; the warm-start contract requires > 1.5x)",
             best_warm * 1e6,
             best_cold * 1e6
         );

@@ -70,10 +70,9 @@
 //!   and an invariant oracle on top (see `docs/SIMULATION.md`).
 //!
 //! * **Persistence + replication** ([`persist`], [`replica`]): the plan
-//!   cache and the allocator's initial-setting memo snapshot to a versioned,
-//!   checksummed [`qsync_store`] file — periodically
-//!   (`--snapshot-interval-ms`), on the `Snapshot` command, and once at
-//!   shutdown — and warm-load on boot (`--store`), so a restarted server
+//!   cache snapshots to a versioned, checksummed [`qsync_store`] file —
+//!   periodically (`--snapshot-interval-ms`), on the `Snapshot` command, and
+//!   once at shutdown — and warm-loads on boot (`--store`), so a restarted server
 //!   serves its previous plan zoo entirely from cache. A `--follow <addr>`
 //!   replica bootstraps from the primary's `FetchSnapshot` reply, then
 //!   applies plan/invalidation payloads riding the subscribed event stream,
@@ -102,7 +101,7 @@ pub mod transport;
 
 pub use admin::serve_admin;
 pub use admission::{RateLimitConfig, TokenBucketConfig};
-pub use cache::{CacheConfig, CacheStats, PlanCache, ShardStats};
+pub use cache::{CacheConfig, CacheStats, PlanCache};
 pub use metrics::ServeObs;
 pub use engine::{PlanEngine, ReplanChain};
 pub use persist::{ImportStats, StoreConfig};

@@ -111,11 +111,6 @@ pub struct ServeObs {
     /// Microseconds to read, verify, and import each snapshot load
     /// (warm boot, `Load`, and replica bootstrap pulls).
     pub snapshot_load_us: Arc<Histogram>,
-    /// Plans that reused a memoized brute-force initial setting instead of
-    /// re-running the exhaustive pass.
-    pub memo_hits: Arc<Counter>,
-    /// Plans that ran the exhaustive initial pass (and memoized it).
-    pub memo_misses: Arc<Counter>,
     /// Device profile tables a system assembly found in the parts store
     /// (one lookup per device of the cluster, per planned system).
     pub profile_memo_hits: Arc<Counter>,
@@ -192,8 +187,6 @@ impl ServeObs {
             snapshot_bytes: r.histogram("qsync_store_snapshot_bytes"),
             snapshot_write_us: r.histogram("qsync_store_snapshot_write_us"),
             snapshot_load_us: r.histogram("qsync_store_snapshot_load_us"),
-            memo_hits: r.counter("qsync_engine_memo_hits_total"),
-            memo_misses: r.counter("qsync_engine_memo_misses_total"),
             profile_memo_hits: r.counter("qsync_engine_profile_memo_hits_total"),
             profile_memo_misses: r.counter("qsync_engine_profile_memo_misses_total"),
             model_ctx_memo_hits: r.counter("qsync_engine_model_ctx_memo_hits_total"),
@@ -216,7 +209,7 @@ impl ServeObs {
     /// `qsync_transport_reactor_conns{reactor="<i>"}`, interned on first use
     /// (registry interning is idempotent by name, so each reactor resolves
     /// its gauge once at startup and shares it thereafter).
-    pub fn reactor_conns(&self, reactor: usize) -> Arc<Gauge> {
+    pub(crate) fn reactor_conns(&self, reactor: usize) -> Arc<Gauge> {
         self.registry.gauge(&format!("qsync_transport_reactor_conns{{reactor=\"{reactor}\"}}"))
     }
 }

@@ -240,7 +240,7 @@ mod tests {
         let (plan, report) = allocator.allocate(&indicator);
         let mut outcomes = vec![outcome(system, &plan, &report)];
         if let Some(warm) = warm {
-            let (plan, report) = allocator.plan(&indicator, None, Some(warm), None).into();
+            let (plan, report) = allocator.plan(&indicator, Some(warm), None).into();
             outcomes.push(outcome(system, &plan, &report));
         }
         outcomes

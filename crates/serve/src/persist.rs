@@ -1,14 +1,15 @@
-//! Snapshot persistence: encoding the engine's live state — plan cache and
-//! initial-setting memo — to [`qsync_store`] records and merging it back.
+//! Snapshot persistence: encoding the engine's plan cache to [`qsync_store`]
+//! records and merging it back.
 //!
 //! The record schema is deliberately drift-tolerant in both directions:
 //!
 //! * **Forward**: a record kind or record version this build does not know is
 //!   *skipped and counted*, never an error — a snapshot written by a newer
-//!   server warm-loads the entries an older server understands.
+//!   server warm-loads the entries an older server understands. The
+//!   `initial_memo` records older builds wrote take the same path.
 //! * **Backward**: every plan record re-derives its cache key and cluster
 //!   fingerprint from its own embedded request on import
-//!   ([`PlanEngine::adopt_plan`]); a record whose stored key no longer
+//!   (`PlanEngine::adopt_plan`); a record whose stored key no longer
 //!   matches the request's content address (a key-schema change between
 //!   builds) loads as a skip, never a poisoned cache entry.
 //!
@@ -22,23 +23,15 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use qsync_api::PlanPayload;
-use qsync_core::allocator::InitialSetting;
-use qsync_graph::PrecisionDag;
 use qsync_store::{Record, StoreError};
 
 use crate::engine::PlanEngine;
 
 /// Record kind for one plan-cache entry (body: [`PlanPayload`]).
-pub const PLAN_KIND: &str = "plan";
-/// Record kind for one memoized initial setting (body: [`MemoBody`]).
-pub const MEMO_KIND: &str = "initial_memo";
+pub(crate) const PLAN_KIND: &str = "plan";
 /// Newest plan-record version this build writes and understands.
-pub const PLAN_RECORD_VERSION: u32 = 1;
-/// Newest memo-record version this build writes and understands.
-pub const MEMO_RECORD_VERSION: u32 = 1;
+const PLAN_RECORD_VERSION: u32 = 1;
 
 /// Where (and how often) a server persists its plan store.
 #[derive(Debug, Clone)]
@@ -58,44 +51,25 @@ impl StoreConfig {
     }
 }
 
-/// What a snapshot import merged into the engine.
+/// What a snapshot import merged into the engine. Deliberate API: what
+/// [`import_string`] and [`load_from_path`] return.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImportStats {
     /// Plan entries adopted into the cache.
     pub plans: u64,
-    /// Initial-setting memo entries adopted.
-    pub memos: u64,
-    /// Records skipped: unknown kind, newer record version, malformed body,
-    /// or a plan whose stored key is not its request's content address.
+    /// Records skipped: unknown kind (an older build's `initial_memo` too),
+    /// newer record version, malformed body, or a plan whose stored key is
+    /// not its request's content address.
     pub skipped: u64,
     /// Snapshot size in bytes (as read).
     pub bytes: u64,
 }
 
-/// The body of one [`MEMO_KIND`] record. Fingerprints are hex `u128`s (the
-/// vendored serde has no native `u128`); `t_min_bits` is the IEEE-754 bit
-/// pattern of the memoized `T_min` so the restore is bit-exact, keeping
-/// memoized plans byte-identical to freshly computed ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemoBody {
-    /// Model-graph fingerprint (hex u128).
-    pub model_fp: String,
-    /// Effective-cluster fingerprint (hex u128).
-    pub cluster_fp: String,
-    /// `f64::to_bits` of the memoized minimal iteration time.
-    pub t_min_bits: u64,
-    /// The memoized all-minimal precision assignment.
-    pub pdag: PrecisionDag,
-}
-
-fn parse_fp(hex: &str) -> Option<u128> {
-    u128::from_str_radix(hex, 16).ok()
-}
-
-/// The engine's plan-cache entries as store records, sorted by cache key.
-/// Deterministic given the cache contents — two engines with identical
+/// The engine's persistent state — its plan-cache entries — as store
+/// records sorted by cache key, ready for [`qsync_store::encode`].
+/// Deterministic given the cache contents: two engines with identical
 /// resident plans produce byte-identical record lists (the replica-coherence
-/// check in the lab compares exactly this).
+/// checks compare exactly this).
 pub fn plan_records(engine: &PlanEngine) -> Vec<Record> {
     engine
         .cache()
@@ -114,30 +88,10 @@ pub fn plan_records(engine: &PlanEngine) -> Vec<Record> {
         .collect()
 }
 
-/// The engine's full persistent state — plan entries then memo entries, each
-/// group sorted by key — ready for [`qsync_store::encode`].
-pub fn export_records(engine: &PlanEngine) -> Vec<Record> {
-    let mut records = plan_records(engine);
-    records.extend(engine.memo_entries().into_iter().map(|((model_fp, cluster_fp), initial)| {
-        Record {
-            kind: MEMO_KIND.to_string(),
-            version: MEMO_RECORD_VERSION,
-            key: format!("{model_fp:032x}:{cluster_fp:032x}"),
-            body: serde_json::to_value(&MemoBody {
-                model_fp: format!("{model_fp:032x}"),
-                cluster_fp: format!("{cluster_fp:032x}"),
-                t_min_bits: initial.t_min_us.to_bits(),
-                pdag: initial.pdag,
-            }),
-        }
-    }));
-    records
-}
-
 /// Merge verified records into the engine, skipping (and counting) anything
 /// this build does not understand. Plan adoption goes through
-/// [`PlanEngine::adopt_plan`], so a drifted key schema downgrades to a skip.
-pub fn import_records(engine: &PlanEngine, records: Vec<Record>) -> ImportStats {
+/// `PlanEngine::adopt_plan`, so a drifted key schema downgrades to a skip.
+fn import_records(engine: &PlanEngine, records: Vec<Record>) -> ImportStats {
     let mut stats = ImportStats::default();
     for record in records {
         match (record.kind.as_str(), record.version) {
@@ -158,27 +112,6 @@ pub fn import_records(engine: &PlanEngine, records: Vec<Record>) -> ImportStats 
                     stats.skipped += 1;
                 }
             }
-            (MEMO_KIND, v) if v <= MEMO_RECORD_VERSION => {
-                let parsed = serde_json::from_value::<MemoBody>(&record.body).ok().and_then(
-                    |body| {
-                        Some((
-                            parse_fp(&body.model_fp)?,
-                            parse_fp(&body.cluster_fp)?,
-                            InitialSetting {
-                                pdag: body.pdag,
-                                t_min_us: f64::from_bits(body.t_min_bits),
-                            },
-                        ))
-                    },
-                );
-                match parsed {
-                    Some((model_fp, cluster_fp, initial)) => {
-                        engine.memo_insert(model_fp, cluster_fp, initial);
-                        stats.memos += 1;
-                    }
-                    None => stats.skipped += 1,
-                }
-            }
             // Unknown kind or a version from the future: drift, not an error.
             _ => stats.skipped += 1,
         }
@@ -190,16 +123,16 @@ pub fn import_records(engine: &PlanEngine, records: Vec<Record>) -> ImportStats 
 /// what `Snapshot` writes to disk and `FetchSnapshot` sends over the wire.
 /// Returns the text and its record count.
 pub fn snapshot_string(engine: &PlanEngine) -> (String, u64) {
-    let records = export_records(engine);
+    let records = plan_records(engine);
     let entries = records.len() as u64;
     (qsync_store::encode(&records), entries)
 }
 
 /// Atomically write a snapshot of the engine to `path`, recording the
 /// persistence instruments. Returns `(entries, bytes)` written.
-pub fn snapshot_to_path(engine: &PlanEngine, path: &Path) -> Result<(u64, u64), StoreError> {
+pub(crate) fn snapshot_to_path(engine: &PlanEngine, path: &Path) -> Result<(u64, u64), StoreError> {
     let started = Instant::now();
-    let records = export_records(engine);
+    let records = plan_records(engine);
     let report = qsync_store::write_atomic(path, &records)?;
     let obs = engine.obs();
     obs.snapshot_writes.inc();
@@ -259,12 +192,11 @@ mod tests {
     fn export_import_round_trips_plans_and_memos() {
         let primary = planned_engine();
         let (text, entries) = snapshot_string(&primary);
-        assert_eq!(entries, 2 + primary.memo_len() as u64);
+        assert_eq!(entries, 2);
 
         let replica = PlanEngine::new();
         let stats = import_string(&replica, &text).unwrap();
         assert_eq!(stats.plans, 2);
-        assert_eq!(stats.memos, primary.memo_len() as u64);
         assert_eq!(stats.skipped, 0);
         // Byte-identical plan state: the replica's plan records re-encode to
         // exactly the primary's.
@@ -285,7 +217,7 @@ mod tests {
     #[test]
     fn unknown_kinds_and_future_versions_are_skipped_not_fatal() {
         let primary = planned_engine();
-        let mut records = export_records(&primary);
+        let mut records = plan_records(&primary);
         records.push(Record {
             kind: "hologram_index".to_string(),
             version: 1,
@@ -317,29 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn memo_restore_is_bit_exact() {
-        let primary = planned_engine();
-        let (text, _) = snapshot_string(&primary);
-        let replica = PlanEngine::new();
-        import_string(&replica, &text).unwrap();
-        let a = primary.memo_entries();
-        let b = replica.memo_entries();
-        assert_eq!(a.len(), b.len());
-        for ((ka, ia), (kb, ib)) in a.iter().zip(b.iter()) {
-            assert_eq!(ka, kb);
-            assert_eq!(ia.t_min_us.to_bits(), ib.t_min_us.to_bits());
-            assert_eq!(ia.pdag, ib.pdag);
-        }
-    }
-
-    #[test]
     fn snapshot_file_round_trips_and_corruption_loads_nothing() {
         let primary = planned_engine();
         let dir = std::env::temp_dir().join(format!("qsync-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.qss");
         let (entries, bytes) = snapshot_to_path(&primary, &path).unwrap();
-        assert!(entries >= 2 && bytes > 0);
+        assert!(entries == 2 && bytes > 0);
 
         let replica = PlanEngine::new();
         let stats = load_from_path(&replica, &path).unwrap();
@@ -353,7 +269,6 @@ mod tests {
         let cold = PlanEngine::new();
         assert!(load_from_path(&cold, &path).is_err());
         assert_eq!(cold.cache().len(), 0);
-        assert_eq!(cold.memo_len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! 1. **Bootstrap** — connect to the primary, `Subscribe { adopt: true }`,
 //!    `Resync` for an event-seq baseline, then `FetchSnapshot` and import the
-//!    full store (plans + initial-setting memos).
+//!    full plan store.
 //! 2. **Steady state** — every `Replanned`/`PlanReady` event carries the full
 //!    cached-plan payload on adopt subscriptions; the follower adopts it
-//!    through [`PlanEngine::adopt_plan`] (re-deriving the key, so a corrupt
+//!    through `PlanEngine::adopt_plan` (re-deriving the key, so a corrupt
 //!    payload is dropped, never cached wrong). `CacheInvalidated` events
 //!    remove the named keys.
 //! 3. **Recovery** — any event-seq gap (server shed events to this slow

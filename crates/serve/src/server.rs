@@ -782,7 +782,7 @@ impl ServeCore {
                         id,
                         path: path.display().to_string(),
                         plans: stats.plans,
-                        memos: stats.memos,
+                        memos: 0,
                         skipped: stats.skipped,
                         bytes: stats.bytes,
                     })
@@ -1029,10 +1029,9 @@ impl PlanServer {
         if let Some(store) = self.store.as_ref().filter(|store| store.path.exists()) {
             match persist::load_from_path(&self.engine, &store.path) {
                 Ok(stats) => eprintln!(
-                    "qsync-serve: warm boot from {}: {} plans, {} memos, {} skipped ({} bytes)",
+                    "qsync-serve: warm boot from {}: {} plans, {} skipped ({} bytes)",
                     store.path.display(),
                     stats.plans,
-                    stats.memos,
                     stats.skipped,
                     stats.bytes
                 ),

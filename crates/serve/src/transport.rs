@@ -180,7 +180,7 @@ impl ShutdownSignal {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
+    fn is_shutdown(&self) -> bool {
         self.inner.stop.load(Ordering::SeqCst)
     }
 

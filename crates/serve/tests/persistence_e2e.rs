@@ -120,24 +120,18 @@ fn zoo(cluster: &ClusterSpec) -> Vec<PlanRequest> {
         .collect()
 }
 
-/// The canonical plan-record encoding of a live server's cache, pulled over
-/// the wire: `FetchSnapshot`, drop the memo records (replicas do not plan,
-/// so memo maps legitimately differ), re-encode.
-fn wire_plan_records(mux: &MuxClient) -> String {
-    let blob = mux.fetch_snapshot().expect("fetch snapshot");
-    let loaded = qsync_store::decode(&blob.data).expect("well-formed snapshot blob");
-    let plans: Vec<qsync_store::Record> =
-        loaded.records.into_iter().filter(|r| r.kind == "plan").collect();
-    qsync_store::encode(&plans)
+/// A live server's whole snapshot, pulled over the wire by `FetchSnapshot`.
+fn wire_snapshot(mux: &MuxClient) -> String {
+    mux.fetch_snapshot().expect("fetch snapshot").data
 }
 
-/// Poll until two servers report byte-identical plan records (and at least
-/// `min_entries` of them), panicking with a diff summary on timeout.
+/// Poll until two servers report byte-identical snapshots (and at least
+/// `min_entries` plan records), panicking with a diff summary on timeout.
 fn wait_converged(primary: &MuxClient, replica: &MuxClient, min_entries: usize) {
     let deadline = Instant::now() + CONVERGE_TIMEOUT;
     loop {
-        let p = wire_plan_records(primary);
-        let r = wire_plan_records(replica);
+        let p = wire_snapshot(primary);
+        let r = wire_snapshot(replica);
         let entries = qsync_store::decode(&p).expect("primary snapshot").records.len();
         if p == r && entries >= min_entries {
             return;
@@ -224,7 +218,7 @@ fn corrupted_store_boots_cold_and_still_serves() {
     assert_eq!(response.outcome, PlanOutcome::ColdPlanned, "nothing warm-loaded");
     // An explicit Snapshot heals the file in place.
     let info = mux.snapshot(None).expect("snapshot over the corrupt file");
-    assert_eq!(info.entries, 2, "one plan record + one memo record");
+    assert_eq!(info.entries, 1, "one plan record");
     let loaded = mux.load(None).expect("the healed file loads");
     assert_eq!((loaded.plans, loaded.skipped), (1, 0));
     drop(mux);
@@ -291,28 +285,23 @@ fn replica_converges_through_delta_wave_and_primary_restart() {
 }
 
 /// The committed golden snapshot fixture still warm-loads: snapshots written
-/// by past builds must keep working on future ones. Regenerate (after an
-/// intentional, additive format change) with
-/// `QSYNC_REGEN_GOLDEN=1 cargo test -p qsync-serve --test persistence_e2e`.
+/// by past builds must keep working on future ones. The fixture was written
+/// by a build that also persisted `initial_memo` records, which this build
+/// reads and skips, so it is never regenerated: a new format gets a new
+/// fixture beside it.
 #[test]
 fn golden_snapshot_fixture_warm_loads() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store_v1.qstore");
     let cluster = ClusterSpec::hybrid_small();
     let requests = zoo(&cluster);
 
-    if std::env::var("QSYNC_REGEN_GOLDEN").is_ok() {
-        let engine = qsync_serve::PlanEngine::new();
-        for request in &requests {
-            engine.plan(request).expect("fixture plan");
-        }
-        qsync_serve::persist::snapshot_to_path(&engine, &fixture).expect("write fixture");
-    }
-
+    let records = qsync_store::read(&fixture).expect("fixture verifies").records;
+    let old_memos = records.iter().filter(|r| r.kind == "initial_memo").count();
+    assert_eq!(old_memos, requests.len(), "the fixture's initial_memo records");
     let engine = qsync_serve::PlanEngine::new();
     let stats = qsync_serve::persist::load_from_path(&engine, &fixture).expect("fixture loads");
     assert_eq!(stats.plans, requests.len() as u64, "every fixture plan adopted");
-    assert_eq!(stats.skipped, 0, "no fixture record drifted");
-    assert!(stats.memos >= 1, "fixture carries initial-setting memos");
+    assert_eq!(stats.skipped, old_memos as u64, "exactly the old memo records skipped");
     for request in requests {
         let response = engine.plan(&request).expect("fixture-warmed plan");
         assert_eq!(response.outcome, PlanOutcome::CacheHit, "key {}", response.key);

@@ -5,7 +5,7 @@
 //! ```text
 //! {"magic":"qsync-store","version":1,"payload_bytes":123,"payload_fnv64":"cbf29ce484222325","entries":2}
 //! {"kind":"plan","version":1,"key":"ab12…","body":{…}}
-//! {"kind":"initial_memo","version":1,"key":"…","body":{…}}
+//! {"kind":"plan","version":1,"key":"cd34…","body":{…}}
 //! ```
 //!
 //! The first line is the **header**; everything after it is the **payload**,
@@ -65,7 +65,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// struct by future writers are ignored on read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
-    /// What the record describes (e.g. `"plan"`, `"initial_memo"`).
+    /// What the record describes (e.g. `"plan"`).
     pub kind: String,
     /// Schema version of `body` for this `kind`.
     pub version: u32,
@@ -272,7 +272,7 @@ mod tests {
                 body: serde_json::from_str(r#"{"x":1,"y":[1,2,3]}"#).unwrap(),
             },
             Record {
-                kind: "initial_memo".into(),
+                kind: "older_kind".into(),
                 version: 1,
                 key: "cafe".into(),
                 body: serde_json::from_str(r#"{"t_min_us":12.5}"#).unwrap(),

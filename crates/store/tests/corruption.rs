@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use qsync_store::{decode, encode, Record};
 
-const KINDS: [&str; 3] = ["plan", "initial_memo", "exotic_future_kind"];
+const KINDS: [&str; 3] = ["plan", "older_kind", "exotic_future_kind"];
 
 fn build_records(seeds: &[(u8, u32, u64, u64)]) -> Vec<Record> {
     seeds
