@@ -37,8 +37,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use qsync_lp_kernels::precision::Precision;
 use qsync_graph::{find_repeating_subgraphs, NodeId, PrecisionDag};
 
@@ -98,7 +96,7 @@ pub struct AllocationReport {
 /// fastest-feasible assignment and its predicted latency (the `T_min` bound
 /// phase 2 enforces). Both members are pure deterministic functions of the
 /// (model, effective cluster, eval budget) triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InitialSetting {
     /// The phase-1 assignment (consistent: dependent precisions propagated).
     pub pdag: PrecisionDag,
